@@ -1,5 +1,9 @@
 """Command-line interface: generation, training, sweeps, and harnesses.
 
+`train` and `sweep` train methods through the registry in sweeps
+(CLASSIFIERS, REGRESSORS), the one place a method is added; the regression
+methods accepted here are that registry's keys.
+
 Exit codes: 0 on success, 1 on configuration problems (bad flags, missing
 or invalid config file, task/method mismatches), 2 on numerical failure
 inside a run.
@@ -24,38 +28,24 @@ from .config import (
 )
 from .harnesses import run_consistency, run_contraction
 from .metrics import eval_classification, eval_regression
-from .models import (
-    NoiseSpec,
-    RobustClassifier,
-    empirical_prior,
-    load_head,
-    save_head,
-    train_erm,
-    train_erm_regressor,
-    train_fewshot,
-    train_ot_adapt,
-    train_ot_adapt_regressor,
-    train_pgdro_classifier,
-    train_pgdro_regressor,
-    train_saa,
-    train_wdro,
-)
-from .numkit import SeededRng
-from .priors import SupportSet, load_priors, save_priors
+from .models import load_head, save_head
+from .priors import load_priors, save_priors
 from .sweeps import (
-    REGRESSION_STREAM,
-    build_adapted_priors,
+    REGRESSORS,
+    fit_classifier,
+    fit_regressor,
     format_real,
     make_pair,
+    make_task,
+    predict_classes,
     run_heatmap,
-    run_regression_sweep,
-    run_table1_sweep,
-    version_string,
+    run_sweep,
     write_csv,
+    write_manifest,
 )
-from .synthgen import load_dataset, make_regression, save_dataset
+from .synthgen import load_dataset, save_dataset
 
-REGRESSION_METHODS = ("pgdro", "ot", "erm")
+REGRESSION_METHODS = tuple(REGRESSORS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,17 +133,6 @@ def _prepare_out(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _write_run_manifest(path: str, cfg: ExperimentConfig, command: str,
-                        wall: float, extra: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"config_hash = {config_hash(cfg)}\n")
-        fh.write(f"version = {version_string()}\n")
-        fh.write(f"command = {command}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"{key} = {value}\n")
-        fh.write(f"wall_seconds = {wall:.3f}\n")
-
-
 def _cmd_gen(args, cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     t0 = time.time()
@@ -162,9 +141,7 @@ def _cmd_gen(args, cfg: ExperimentConfig) -> int:
         pair = make_pair(cfg, cfg.shift.lambda_cov, seed)
         responses = {"source": None, "supports": None, "test": None}
         if cfg.task == "regression":
-            task = make_regression(
-                pair, SeededRng(seed, REGRESSION_STREAM), cfg.generator.noise_sigma
-            )
+            task = make_task(cfg, pair, seed)
             responses = {
                 "source": task.source_responses,
                 "supports": task.support_responses,
@@ -181,69 +158,12 @@ def _cmd_gen(args, cfg: ExperimentConfig) -> int:
                 data.features, data.labels, split, n_classes,
                 responses=responses[split],
             )
-    _write_run_manifest(
-        os.path.join(out, "gen_manifest.txt"), cfg, "gen", time.time() - t0,
-        {"seeds": ",".join(str(s) for s in cfg.seeds)},
+    write_manifest(
+        os.path.join(out, "gen_manifest.txt"), cfg,
+        {"command": "gen", "seeds": ",".join(str(s) for s in cfg.seeds)}, t0,
     )
     print(f"wrote {3 * len(cfg.seeds)} dataset files to {out}")
     return 0
-
-
-def _train_classification(method: str, pair, cfg: ExperimentConfig, seed: int):
-    n_classes = cfg.generator.n_classes
-    train_cfg = type(cfg.train)(**{**cfg.train.__dict__, "seed": seed})
-    supports = pair.target_train_supports
-    if method == "erm":
-        return train_erm(pair.source, n_classes, train_cfg).head, None
-    if method == "fewshot":
-        return train_fewshot(supports, n_classes, train_cfg).head, None
-    if method == "ot":
-        return train_ot_adapt(pair.source, supports, n_classes, train_cfg).head, None
-    if method == "saa":
-        return train_saa(supports, NoiseSpec(), n_classes, train_cfg).head, None
-    if method == "wdro":
-        head = train_wdro(supports, n_classes, train_cfg, cfg.dro).head
-        return head, [empirical_prior(supports.features)] * n_classes
-    prior_cfg = type(cfg.prior)(
-        **{**cfg.prior.__dict__, "atom_seed": seed,
-           "row_marginal": None, "col_marginal": None}
-    )
-    priors = build_adapted_priors(pair, prior_cfg)
-    data = SupportSet(
-        features=np.vstack([pair.source.features, supports.features]),
-        labels=np.concatenate([pair.source.labels, supports.labels]),
-    )
-    head = train_pgdro_classifier(data, priors, train_cfg, cfg.dro).head
-    return head, priors
-
-
-def _train_regression(method: str, pair, task, cfg: ExperimentConfig, seed: int):
-    train_cfg = type(cfg.train)(**{**cfg.train.__dict__, "seed": seed})
-    if method == "erm":
-        return train_erm_regressor(
-            pair.source.features, task.source_responses, train_cfg
-        ).head, None
-    if method == "ot":
-        return train_ot_adapt_regressor(
-            pair.source, task.source_responses, pair.target_train_supports,
-            train_cfg,
-        ).head, None
-    prior_cfg = type(cfg.prior)(
-        **{**cfg.prior.__dict__, "atom_seed": seed,
-           "row_marginal": None, "col_marginal": None}
-    )
-    priors = build_adapted_priors(pair, prior_cfg)
-    data = SupportSet(
-        features=np.vstack(
-            [pair.source.features, pair.target_train_supports.features]
-        ),
-        labels=np.concatenate(
-            [pair.source.labels, pair.target_train_supports.labels]
-        ),
-    )
-    responses = np.concatenate([task.source_responses, task.support_responses])
-    head = train_pgdro_regressor(data, responses, priors, train_cfg, cfg.dro).head
-    return head, priors
 
 
 def _cmd_train(args, cfg: ExperimentConfig) -> int:
@@ -257,12 +177,10 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     pair = make_pair(cfg, cfg.shift.lambda_cov, seed)
     if cfg.task == "classification":
-        head, priors = _train_classification(method, pair, cfg, seed)
+        head, priors = fit_classifier(method, pair, cfg, seed)
     else:
-        task = make_regression(
-            pair, SeededRng(seed, REGRESSION_STREAM), cfg.generator.noise_sigma
-        )
-        head, priors = _train_regression(method, pair, task, cfg, seed)
+        task = make_task(cfg, pair, seed)
+        head, priors = fit_regressor(method, pair, task, cfg, seed)
     digest = config_hash(cfg)
     head_path = os.path.join(out, f"head_{method}_s{seed:03d}.txt")
     save_head(head, head_path, config_hash=digest)
@@ -271,21 +189,16 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
         priors_path = os.path.join(out, f"priors_{method}_s{seed:03d}.txt")
         save_priors(priors, priors_path)
         written.append(priors_path)
-    _write_run_manifest(
+    write_manifest(
         os.path.join(out, f"train_{method}_s{seed:03d}_manifest.txt"), cfg,
-        "train", time.time() - t0, {"method": method, "seed": seed},
+        {"command": "train", "method": method, "seed": seed}, t0,
     )
     print(f"trained {method} (seed {seed}); wrote {', '.join(written)}")
     return 0
 
 
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    if cfg.task == "classification":
-        result = run_table1_sweep(cfg)
-    elif cfg.task == "regression":
-        result = run_regression_sweep(cfg)
-    else:
-        raise ValueError(f"sweep expects a classification or regression config, got {cfg.task!r}")
+    result = run_sweep(cfg)
     failed = [c for c in result.cells if c.status != "ok"]
     print(f"sweep wrote {len(result.output_files)} files to {cfg.resolve_output_dir()}"
           f" ({len(result.cells)} cells, {len(failed)} failed)")
@@ -335,11 +248,8 @@ def _cmd_eval(args, cfg: ExperimentConfig) -> int:
         rows = [("mse", report.mse), ("mae", report.mae),
                 ("worst10_mse", report.worst10_mse)]
     else:
-        if args.priors:
-            priors = load_priors(args.priors)
-            predictions = RobustClassifier(head, priors, cfg.dro).predict(features)
-        else:
-            predictions = head.predict(features)
+        priors = load_priors(args.priors) if args.priors else None
+        predictions = predict_classes(head, priors, features, cfg.dro)
         report = eval_classification(predictions, labels, n_classes)
         rows = [("avg_accuracy", report.avg_accuracy),
                 ("worst10_accuracy", report.worst10_accuracy)]
@@ -347,9 +257,9 @@ def _cmd_eval(args, cfg: ExperimentConfig) -> int:
     eval_path = os.path.join(out, "eval.csv")
     write_csv(eval_path, ("config_hash", "split", "metric", "value"),
               [(digest, split, name, format_real(value)) for name, value in rows])
-    _write_run_manifest(
-        os.path.join(out, "eval_manifest.txt"), cfg, "eval", time.time() - t0,
-        {"head": args.head, "data": args.data},
+    write_manifest(
+        os.path.join(out, "eval_manifest.txt"), cfg,
+        {"command": "eval", "head": args.head, "data": args.data}, t0,
     )
     print("  ".join(f"{name}={value:.6f}" for name, value in rows))
     return 0

@@ -99,11 +99,6 @@ _SECTION_TYPES = {
     "train": ("train", TrainConfig),
 }
 
-# PriorConfig carries two optional array fields that have no file syntax;
-# they stay None through config round trips.
-_SKIP_FIELDS = {"row_marginal", "col_marginal"}
-
-
 def _format_value(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
@@ -133,8 +128,6 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         out.write(f"\n[{section}]\n")
         obj = getattr(cfg, attr)
         for f in fields(cls):
-            if f.name in _SKIP_FIELDS:
-                continue
             out.write(f"{f.name} = {_format_value(getattr(obj, f.name))}\n")
     return out.getvalue()
 
@@ -181,7 +174,7 @@ def load_config(path) -> ExperimentConfig:
         if not parser.has_section(section):
             continue
         sub = {}
-        known = {f.name: f for f in fields(cls) if f.name not in _SKIP_FIELDS}
+        known = {f.name: f for f in fields(cls)}
         for key, raw in parser[section].items():
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")

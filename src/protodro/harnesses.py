@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig
 from .dro import gibbs_tilt, solve_dual
 from .numkit import GaussianParams, SeededRng, gaussian_sample, log_sum_exp
 from .priors import (
@@ -30,7 +30,7 @@ from .priors import (
     compute_class_stats,
     update_weights_damped,
 )
-from .sweeps import format_real, version_string, write_csv
+from .sweeps import format_real, write_csv, write_manifest
 
 INSTANCE_STREAM = 31
 
@@ -374,21 +374,19 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
         (str(n), format_real(floors[n])) for n in FLOOR_SIZES
     ])
     manifest_path = os.path.join(out_dir, "contraction_manifest.txt")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(f"config_hash = {config_hash(cfg)}\n")
-        fh.write(f"version = {version_string()}\n")
-        fh.write("task = contraction\n")
-        fh.write(f"seed = {seed}\n")
-        fh.write(f"eta = {format_real(eta)}\n")
-        fh.write(f"jacobian_norm = {format_real(jacobian_norm)}\n")
-        fh.write(f"contractive = {int(contractive)}\n")
-        fh.write(f"rate = {format_real(rate)}\n")
-        fh.write(f"kappa = {format_real(kappa)}\n")
-        fh.write(f"floor_slope = {format_real(floor_slope)}\n")
-        fh.write(f"diverged = {int(diverged)}\n")
-        fh.write(f"steps_run = {len(deltas) - 1}\n")
-        fh.write(f"final_delta = {format_real(deltas[-1])}\n")
-        fh.write(f"wall_seconds = {time.time() - t_start:.3f}\n")
+    write_manifest(manifest_path, cfg, {
+        "task": "contraction",
+        "seed": seed,
+        "eta": format_real(eta),
+        "jacobian_norm": format_real(jacobian_norm),
+        "contractive": int(contractive),
+        "rate": format_real(rate),
+        "kappa": format_real(kappa),
+        "floor_slope": format_real(floor_slope),
+        "diverged": int(diverged),
+        "steps_run": len(deltas) - 1,
+        "final_delta": format_real(deltas[-1]),
+    }, t_start)
     result.output_files = [trace_path, floor_path, manifest_path]
     return result
 
@@ -430,16 +428,8 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
     lam = np.empty_like(v)
     for r in range(replicates):
         for bi, a in enumerate(budgets):
-            prior_cfg = type(cfg.prior)(
-                eps_sample=cfg.prior.eps_sample,
-                eps_class=cfg.prior.eps_class,
-                covariance_inflation=cfg.prior.covariance_inflation,
-                ridge=cfg.prior.ridge,
-                atoms_per_component=a,
-                ot_tol=cfg.prior.ot_tol,
-                ot_max_iters=cfg.prior.ot_max_iters,
-                atom_seed=cfg.prior.atom_seed + 1000 * (r + 1),
-            )
+            prior_cfg = replace(cfg.prior, atoms_per_component=a,
+                                atom_seed=cfg.prior.atom_seed + 1000 * (r + 1))
             priors = build_priors(stats, instance.prototypes, supports,
                                   prior_cfg)
             for p, (x, c) in enumerate(zip(xs, classes)):
@@ -482,15 +472,13 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
         for bi in range(len(budgets) - 1)
     ])
     manifest_path = os.path.join(out_dir, "consistency_manifest.txt")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(f"config_hash = {config_hash(cfg)}\n")
-        fh.write(f"version = {version_string()}\n")
-        fh.write("task = consistency\n")
-        fh.write(f"seed = {seed}\n")
-        fh.write(f"replicates = {replicates}\n")
-        fh.write(f"pairs = {CONSISTENCY_PAIRS}\n")
-        fh.write(f"v_monotone_fraction = {format_real(v_fraction)}\n")
-        fh.write(f"lambda_monotone_fraction = {format_real(lam_fraction)}\n")
-        fh.write(f"wall_seconds = {time.time() - t_start:.3f}\n")
+    write_manifest(manifest_path, cfg, {
+        "task": "consistency",
+        "seed": seed,
+        "replicates": replicates,
+        "pairs": CONSISTENCY_PAIRS,
+        "v_monotone_fraction": format_real(v_fraction),
+        "lambda_monotone_fraction": format_real(lam_fraction),
+    }, t_start)
     result.output_files = [trace_path, curve_path, manifest_path]
     return result

@@ -329,20 +329,6 @@ def train_saa(supports: SupportSet, noise: NoiseSpec, n_classes: int,
     return _train_ce_head(augmented, labels, n_classes, cfg)
 
 
-def robust_score_matrix(weights: np.ndarray, biases: np.ndarray,
-                        priors: list[MixturePrior], tilts: list[np.ndarray],
-                        idx: np.ndarray, dro_cfg: DroConfig):
-    """Per-sample robust scores for every class and the dual posteriors."""
-    values = np.empty((idx.size, len(priors)))
-    posteriors = []
-    for c, prior in enumerate(priors):
-        scores = prior.atoms @ weights[c] + biases[c]
-        batch = solve_dual_batch(tilts[c][idx], scores, dro_cfg)
-        values[:, c] = batch.value
-        posteriors.append(batch.posterior)
-    return values, posteriors
-
-
 def stacked_atoms(priors: list[MixturePrior]) -> np.ndarray:
     """Atom features of all class priors as one (C, A, d) tensor."""
     sizes = {prior.atoms.shape[0] for prior in priors}
@@ -378,35 +364,18 @@ def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
     return values, posteriors
 
 
-def robust_ce_objective(weights: np.ndarray, biases: np.ndarray,
-                        priors: list[MixturePrior], tilts: list[np.ndarray],
-                        idx: np.ndarray, labels: np.ndarray, dro_cfg: DroConfig):
-    """Cross-entropy over robust scores; gradients through the envelope.
-
-    With the dual multiplier held at its optimum each robust score's
-    parameter gradient is the posterior-weighted atom average, so the
-    chain rule folds softmax-minus-onehot into those averages.
-    """
-    values, posteriors = robust_score_matrix(weights, biases, priors, tilts, idx, dro_cfg)
-    loss, dv = _ce_batch(values, labels)
-    grad_w = np.empty_like(weights)
-    grad_b = np.empty_like(biases)
-    for c, prior in enumerate(priors):
-        grad_w[c] = (dv[:, c][:, None] * posteriors[c]).sum(axis=0) @ prior.atoms
-        grad_b[c] = dv[:, c].sum()
-    return loss, [grad_w, grad_b]
-
-
 def robust_ce_objective_stacked(weights: np.ndarray, biases: np.ndarray,
                                 atoms: np.ndarray, tilts: np.ndarray,
                                 idx: np.ndarray, labels: np.ndarray,
                                 dro_cfg: DroConfig,
                                 lam_cache: np.ndarray | None = None):
-    """Class-stacked twin of robust_ce_objective, same loss and gradients.
+    """Cross-entropy over robust scores; gradients through the envelope.
 
-    Solving all classes of a batch in one dual call keeps the per-batch
-    overhead flat in the class count; the per-class path remains as the
-    reference implementation.
+    With the dual multiplier held at its optimum each robust score's
+    parameter gradient is the posterior-weighted atom average, so the
+    chain rule folds softmax-minus-onehot into those averages. Solving all
+    classes of a batch in one dual call keeps the per-batch overhead flat
+    in the class count.
     """
     values, posteriors = robust_scores_stacked(
         weights, biases, atoms, tilts, idx, dro_cfg, lam_cache

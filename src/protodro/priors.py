@@ -65,8 +65,6 @@ class PriorConfig:
     ot_tol: float = 1e-6
     ot_max_iters: int = 1000
     atom_seed: int = 0
-    row_marginal: np.ndarray | None = None
-    col_marginal: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.eps_sample <= 0 or self.eps_class <= 0:
@@ -174,12 +172,8 @@ def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray]
         raise ValueError("every support class needs at least one point")
 
     cost = build_cost_matrix(supports.features, base_prototypes, cfg.eps_sample)
-    row = cfg.row_marginal if cfg.row_marginal is not None else np.full(n_base, 1.0 / n_base)
-    col = (
-        cfg.col_marginal
-        if cfg.col_marginal is not None
-        else np.full(len(supports), 1.0 / len(supports))
-    )
+    row = np.full(n_base, 1.0 / n_base)
+    col = np.full(len(supports), 1.0 / len(supports))
     plan = solve_entropic_ot(
         OtProblem(cost, row, col, cfg.eps_class), cfg.ot_tol, cfg.ot_max_iters
     ).plan

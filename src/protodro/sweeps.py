@@ -1,4 +1,10 @@
-"""Sweep orchestration: disturbance grids, weight heatmaps, CSV persistence.
+"""Sweep orchestration: the method registry, disturbance grids, weight
+heatmaps, CSV and manifest persistence.
+
+A method is added in one place: the registry (CLASSIFIERS, REGRESSORS) maps
+its name to the function that trains it, and both `protodro train` and the
+sweep grid dispatch through it. config.METHODS, which configs are validated
+against, lists the classification keys; a test keeps the two equal.
 
 Every sweep writes three kinds of artifact into its output directory:
 per-cell CSV rows (one line per level x method x seed), an aggregate CSV
@@ -12,17 +18,18 @@ from __future__ import annotations
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, shift_at_level
-from .dro import DroConfig
-from .metrics import ClassificationReport, eval_classification, eval_regression
+from .metrics import eval_classification, eval_regression
 from .models import (
     NoiseSpec,
     RobustClassifier,
+    TrainConfig,
     empirical_prior,
     train_erm,
     train_erm_regressor,
@@ -36,17 +43,10 @@ from .models import (
 )
 from .numkit import SeededRng, gaussian_sample
 from .priors import PriorConfig, SupportSet, build_priors, compute_class_stats
-from .synthgen import DomainPair, make_domain_pair, make_regression
+from .synthgen import DomainPair, RegressionTask, make_domain_pair, make_regression
 
 DATA_STREAM = 7
 REGRESSION_STREAM = 8
-
-CLASSIFICATION_CELL_COLUMNS = (
-    "config_hash", "level", "method", "seed", "avg_accuracy", "worst10_accuracy"
-)
-REGRESSION_CELL_COLUMNS = (
-    "config_hash", "level", "method", "seed", "mse", "mae", "worst10_mse"
-)
 
 
 def format_real(value: float) -> str:
@@ -94,115 +94,21 @@ class SweepResult:
         return [c for c in self.cells if c.status != "ok"]
 
 
-def write_manifest(path, cfg: ExperimentConfig, result: SweepResult,
-                   wall_seconds: float) -> None:
+def write_manifest(path, cfg: ExperimentConfig, fields: dict, t_start: float,
+                   cells=()) -> None:
+    """The one run manifest: config hash, version, the caller's fields in
+    order, wall time since t_start, then one line per cell."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"config_hash = {result.config_digest}\n")
+        fh.write(f"config_hash = {config_hash(cfg)}\n")
         fh.write(f"version = {version_string()}\n")
-        fh.write(f"task = {cfg.task}\n")
-        fh.write(f"seeds = {','.join(str(s) for s in cfg.seeds)}\n")
-        fh.write(f"wall_seconds = {wall_seconds:.3f}\n")
-        for cell in result.cells:
+        for key, value in fields.items():
+            fh.write(f"{key} = {value}\n")
+        fh.write(f"wall_seconds = {time.time() - t_start:.3f}\n")
+        for cell in cells:
             fh.write(
                 f"cell level={format_real(cell.level)} method={cell.method} "
                 f"seed={cell.seed} status={cell.status} seconds={cell.seconds:.3f}\n"
             )
-
-
-def build_adapted_priors(pair: DomainPair, prior_cfg: PriorConfig) -> list:
-    """Phase-I pipeline: source class stats, soft-min OT coupling, priors."""
-    stats = compute_class_stats(pair.source.features, pair.source.labels)
-    return build_priors(stats, pair.source.per_class(),
-                        pair.target_train_supports, prior_cfg)
-
-
-def _classification_predictions(method: str, pair: DomainPair,
-                                cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    """Train one method and return its test-set class predictions."""
-    n_classes = cfg.generator.n_classes
-    train_cfg = type(cfg.train)(**{**cfg.train.__dict__, "seed": seed})
-    test = pair.target_test.features
-    if method == "erm":
-        return train_erm(pair.source, n_classes, train_cfg).head.predict(test)
-    if method == "fewshot":
-        return train_fewshot(
-            pair.target_train_supports, n_classes, train_cfg
-        ).head.predict(test)
-    if method == "ot":
-        return train_ot_adapt(
-            pair.source, pair.target_train_supports, n_classes, train_cfg
-        ).head.predict(test)
-    if method == "saa":
-        return train_saa(
-            pair.target_train_supports, NoiseSpec(), n_classes, train_cfg
-        ).head.predict(test)
-    if method == "wdro":
-        result = train_wdro(
-            pair.target_train_supports, n_classes, train_cfg, cfg.dro
-        )
-        reference = empirical_prior(pair.target_train_supports.features)
-        clf = RobustClassifier(result.head, [reference] * n_classes, cfg.dro)
-        return clf.predict(test)
-    if method == "pgdro":
-        prior_cfg = type(cfg.prior)(**{**_prior_kwargs(cfg.prior), "atom_seed": seed})
-        priors = build_adapted_priors(pair, prior_cfg)
-        # robust loss sees base samples and supports alike, batched together
-        data = SupportSet(
-            features=np.vstack(
-                [pair.source.features, pair.target_train_supports.features]
-            ),
-            labels=np.concatenate(
-                [pair.source.labels, pair.target_train_supports.labels]
-            ),
-        )
-        result = train_pgdro_classifier(data, priors, train_cfg, cfg.dro)
-        return RobustClassifier(result.head, priors, cfg.dro).predict(test)
-    raise ValueError(f"method {method!r} has no classification runner")
-
-
-def _prior_kwargs(prior_cfg: PriorConfig) -> dict:
-    return {
-        "eps_sample": prior_cfg.eps_sample,
-        "eps_class": prior_cfg.eps_class,
-        "covariance_inflation": prior_cfg.covariance_inflation,
-        "ridge": prior_cfg.ridge,
-        "atoms_per_component": prior_cfg.atoms_per_component,
-        "ot_tol": prior_cfg.ot_tol,
-        "ot_max_iters": prior_cfg.ot_max_iters,
-        "atom_seed": prior_cfg.atom_seed,
-    }
-
-
-def _regression_predictions(method: str, pair: DomainPair, task,
-                            cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    n_classes = cfg.generator.n_classes
-    train_cfg = type(cfg.train)(**{**cfg.train.__dict__, "seed": seed})
-    test = pair.target_test.features
-    if method == "erm":
-        result = train_erm_regressor(
-            pair.source.features, task.source_responses, train_cfg
-        )
-        return result.head.predict_response(test)
-    if method == "ot":
-        result = train_ot_adapt_regressor(
-            pair.source, task.source_responses, pair.target_train_supports, train_cfg
-        )
-        return result.head.predict_response(test)
-    if method == "pgdro":
-        prior_cfg = type(cfg.prior)(**{**_prior_kwargs(cfg.prior), "atom_seed": seed})
-        priors = build_adapted_priors(pair, prior_cfg)
-        data = SupportSet(
-            features=np.vstack(
-                [pair.source.features, pair.target_train_supports.features]
-            ),
-            labels=np.concatenate(
-                [pair.source.labels, pair.target_train_supports.labels]
-            ),
-        )
-        responses = np.concatenate([task.source_responses, task.support_responses])
-        result = train_pgdro_regressor(data, responses, priors, train_cfg, cfg.dro)
-        return result.head.predict_response(test)
-    raise ValueError(f"method {method!r} has no regression runner")
 
 
 def make_pair(cfg: ExperimentConfig, level: float, seed: int) -> DomainPair:
@@ -215,10 +121,186 @@ def make_pair(cfg: ExperimentConfig, level: float, seed: int) -> DomainPair:
     )
 
 
-def run_table1_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
-    """Disturbance-level grid over methods and seeds, classification."""
-    if cfg.task != "classification":
-        raise ValueError("run_table1_sweep needs a classification config")
+def make_task(cfg: ExperimentConfig, pair: DomainPair, seed: int) -> RegressionTask:
+    """Regression responses for a domain pair, from the seed's own stream."""
+    return make_regression(
+        pair, SeededRng(seed, REGRESSION_STREAM), cfg.generator.noise_sigma
+    )
+
+
+def build_adapted_priors(pair: DomainPair, prior_cfg: PriorConfig) -> list:
+    """Phase-I pipeline: source class stats, soft-min OT coupling, priors."""
+    stats = compute_class_stats(pair.source.features, pair.source.labels)
+    return build_priors(stats, pair.source.per_class(),
+                        pair.target_train_supports, prior_cfg)
+
+
+def _pgdro_inputs(pair: DomainPair, cfg: ExperimentConfig, train: TrainConfig):
+    """Adapted priors (atoms drawn from the cell seed) and the samples the
+    robust loss sees: base samples and supports alike, batched together."""
+    priors = build_adapted_priors(pair, replace(cfg.prior, atom_seed=train.seed))
+    supports = pair.target_train_supports
+    data = SupportSet(
+        features=np.vstack([pair.source.features, supports.features]),
+        labels=np.concatenate([pair.source.labels, supports.labels]),
+    )
+    return priors, data
+
+
+def _fit_erm(pair, cfg, train):
+    return train_erm(pair.source, cfg.generator.n_classes, train).head, None
+
+
+def _fit_fewshot(pair, cfg, train):
+    supports = pair.target_train_supports
+    return train_fewshot(supports, cfg.generator.n_classes, train).head, None
+
+
+def _fit_ot(pair, cfg, train):
+    return train_ot_adapt(pair.source, pair.target_train_supports,
+                          cfg.generator.n_classes, train).head, None
+
+
+def _fit_saa(pair, cfg, train):
+    return train_saa(pair.target_train_supports, NoiseSpec(),
+                     cfg.generator.n_classes, train).head, None
+
+
+def _fit_wdro(pair, cfg, train):
+    supports = pair.target_train_supports
+    n_classes = cfg.generator.n_classes
+    head = train_wdro(supports, n_classes, train, cfg.dro).head
+    return head, [empirical_prior(supports.features)] * n_classes
+
+
+def _fit_pgdro(pair, cfg, train):
+    priors, data = _pgdro_inputs(pair, cfg, train)
+    return train_pgdro_classifier(data, priors, train, cfg.dro).head, priors
+
+
+def _fit_erm_regressor(pair, task, cfg, train):
+    return train_erm_regressor(
+        pair.source.features, task.source_responses, train
+    ).head, None
+
+
+def _fit_ot_regressor(pair, task, cfg, train):
+    return train_ot_adapt_regressor(
+        pair.source, task.source_responses, pair.target_train_supports, train
+    ).head, None
+
+
+def _fit_pgdro_regressor(pair, task, cfg, train):
+    priors, data = _pgdro_inputs(pair, cfg, train)
+    responses = np.concatenate([task.source_responses, task.support_responses])
+    return train_pgdro_regressor(data, responses, priors, train, cfg.dro).head, priors
+
+
+# The method registry: name -> fit(pair, [task,] cfg, train_cfg), returning
+# (head, priors or None). `protodro train` saves returned priors next to the
+# head, and a classifier that returns them predicts robustly; the sweep and
+# the CLI both dispatch through these tables.
+CLASSIFIERS = {
+    "pgdro": _fit_pgdro,
+    "erm": _fit_erm,
+    "ot": _fit_ot,
+    "saa": _fit_saa,
+    "wdro": _fit_wdro,
+    "fewshot": _fit_fewshot,
+}
+REGRESSORS = {
+    "pgdro": _fit_pgdro_regressor,
+    "ot": _fit_ot_regressor,
+    "erm": _fit_erm_regressor,
+}
+
+
+def fit_classifier(method: str, pair: DomainPair, cfg: ExperimentConfig,
+                   seed: int):
+    """Train one classification method: (head, priors or None)."""
+    if method not in CLASSIFIERS:
+        raise ValueError(f"method {method!r} has no classification runner")
+    return CLASSIFIERS[method](pair, cfg, replace(cfg.train, seed=seed))
+
+
+def fit_regressor(method: str, pair: DomainPair, task: RegressionTask,
+                  cfg: ExperimentConfig, seed: int):
+    """Train one regression method: (head, priors or None)."""
+    if method not in REGRESSORS:
+        raise ValueError(f"method {method!r} has no regression runner")
+    return REGRESSORS[method](pair, task, cfg, replace(cfg.train, seed=seed))
+
+
+def predict_classes(head, priors, features: np.ndarray, dro_cfg) -> np.ndarray:
+    """Robust decisions when the head comes with priors, argmax otherwise."""
+    if priors is None:
+        return head.predict(features)
+    return RobustClassifier(head, priors, dro_cfg).predict(features)
+
+
+def _classification_predictions(method: str, pair: DomainPair,
+                                cfg: ExperimentConfig, seed: int) -> np.ndarray:
+    """Train one method and return its test-set class predictions."""
+    head, priors = fit_classifier(method, pair, cfg, seed)
+    return predict_classes(head, priors, pair.target_test.features, cfg.dro)
+
+
+def _regression_predictions(method: str, pair: DomainPair, task: RegressionTask,
+                            cfg: ExperimentConfig, seed: int) -> np.ndarray:
+    """Train one method and return its test-set response predictions."""
+    head, _ = fit_regressor(method, pair, task, cfg, seed)
+    return head.predict_response(pair.target_test.features)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """What one task's disturbance grid computes and where it writes it.
+
+    inputs(cfg, pair, seed) gives the cell arguments between the method and
+    the config, shared by every method at that level and seed; cell(method,
+    *inputs, cfg, seed) scores one method on them. The cells CSV gets one
+    column per metric; the aggregate CSV the mean and std over seeds of each
+    (column stem, metric) pair.
+    """
+
+    inputs: Callable
+    cell: Callable
+    metrics: tuple[str, ...]
+    aggregates: tuple[tuple[str, str], ...]
+    files: tuple[str, str, str]  # cells CSV, aggregate CSV, manifest
+
+
+# the cell functions are looked up at call time, so a wrapper installed on
+# this module's _*_predictions attribute sees every cell
+GRIDS = {
+    "classification": GridSpec(
+        inputs=lambda cfg, pair, seed: (pair,),
+        cell=lambda method, pair, cfg, seed: eval_classification(
+            _classification_predictions(method, pair, cfg, seed),
+            pair.target_test.labels, cfg.generator.n_classes),
+        metrics=("avg_accuracy", "worst10_accuracy"),
+        aggregates=(("avg", "avg_accuracy"), ("w10", "worst10_accuracy")),
+        files=("cells.csv", "table1.csv", "manifest.txt"),
+    ),
+    "regression": GridSpec(
+        inputs=lambda cfg, pair, seed: (pair, make_task(cfg, pair, seed)),
+        cell=lambda method, pair, task, cfg, seed: eval_regression(
+            _regression_predictions(method, pair, task, cfg, seed),
+            task.test_responses),
+        metrics=("mse", "mae", "worst10_mse"),
+        aggregates=(("mse", "mse"), ("w10mse", "worst10_mse")),
+        files=("regression_cells.csv", "regression_table.csv",
+               "regression_manifest.txt"),
+    ),
+}
+
+
+def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
+    """Disturbance-level grid over methods and seeds for cfg.task."""
+    if cfg.task not in GRIDS:
+        raise ValueError(
+            f"sweep expects a classification or regression config, got {cfg.task!r}")
+    spec = GRIDS[cfg.task]
     out_dir = out_dir or cfg.resolve_output_dir()
     os.makedirs(out_dir, exist_ok=True)
     digest = config_hash(cfg)
@@ -228,15 +310,13 @@ def run_table1_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     cell_rows = []
     scores: dict = {}
     for level in cfg.levels:
-        pairs = {seed: make_pair(cfg, level, seed) for seed in cfg.seeds}
+        inputs = {seed: spec.inputs(cfg, make_pair(cfg, level, seed), seed)
+                  for seed in cfg.seeds}
         for method in cfg.methods:
             for seed in cfg.seeds:
                 t0 = time.time()
                 try:
-                    pred = _classification_predictions(method, pairs[seed], cfg, seed)
-                    report = eval_classification(
-                        pred, pairs[seed].target_test.labels, cfg.generator.n_classes
-                    )
+                    report = spec.cell(method, *inputs[seed], cfg, seed)
                     status = "ok"
                 except Exception as exc:  # contain the cell, keep sweeping
                     report = None
@@ -246,127 +326,47 @@ def run_table1_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
                 if report is None:
                     continue
                 scores.setdefault((level, method), []).append(report)
-                cell_rows.append((
-                    digest, format_real(level), method, str(seed),
-                    format_real(report.avg_accuracy),
-                    format_real(report.worst10_accuracy),
+                cell_rows.append((digest, format_real(level), method, str(seed)) + tuple(
+                    format_real(getattr(report, name)) for name in spec.metrics
                 ))
 
-    cells_path = os.path.join(out_dir, "cells.csv")
-    write_csv(cells_path, CLASSIFICATION_CELL_COLUMNS, cell_rows)
+    cells_name, table_name, manifest_name = spec.files
+    cells_path = os.path.join(out_dir, cells_name)
+    write_csv(cells_path, ("config_hash", "level", "method", "seed") + spec.metrics,
+              cell_rows)
     result.output_files.append(cells_path)
 
     agg_columns = ["config_hash", "level"]
     for method in cfg.methods:
-        agg_columns += [
-            f"{method}_avg_mean", f"{method}_avg_std",
-            f"{method}_w10_mean", f"{method}_w10_std",
-        ]
+        for stem, _ in spec.aggregates:
+            agg_columns += [f"{method}_{stem}_mean", f"{method}_{stem}_std"]
     agg_rows = []
     for level in cfg.levels:
         row = [digest, format_real(level)]
         for method in cfg.methods:
             reports = scores.get((level, method), [])
-            if reports:
-                avgs = np.array([r.avg_accuracy for r in reports])
-                tails = np.array([r.worst10_accuracy for r in reports])
-                row += [
-                    format_real(avgs.mean()), format_real(avgs.std()),
-                    format_real(tails.mean()), format_real(tails.std()),
-                ]
-                result.aggregate[(level, method)] = (
-                    float(avgs.mean()), float(tails.mean())
-                )
-            else:
-                row += ["nan"] * 4
+            if not reports:
+                row += ["nan"] * (2 * len(spec.aggregates))
+                continue
+            means = []
+            for _, name in spec.aggregates:
+                values = np.array([getattr(r, name) for r in reports])
+                row += [format_real(values.mean()), format_real(values.std())]
+                means.append(float(values.mean()))
+            result.aggregate[(level, method)] = tuple(means)
         agg_rows.append(tuple(row))
-    table_path = os.path.join(out_dir, "table1.csv")
+    table_path = os.path.join(out_dir, table_name)
     write_csv(table_path, agg_columns, agg_rows)
     result.output_files.append(table_path)
 
-    manifest_path = os.path.join(out_dir, "manifest.txt")
-    write_manifest(manifest_path, cfg, result, time.time() - t_start)
+    manifest_path = os.path.join(out_dir, manifest_name)
+    write_manifest(manifest_path, cfg, _sweep_fields(cfg), t_start, result.cells)
     result.output_files.append(manifest_path)
     return result
 
 
-def run_regression_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
-    """Disturbance-level grid over regression methods and seeds."""
-    if cfg.task != "regression":
-        raise ValueError("run_regression_sweep needs a regression config")
-    out_dir = out_dir or cfg.resolve_output_dir()
-    os.makedirs(out_dir, exist_ok=True)
-    digest = config_hash(cfg)
-    result = SweepResult(config_digest=digest)
-    t_start = time.time()
-
-    cell_rows = []
-    scores = {}
-    for level in cfg.levels:
-        tasks = {}
-        for seed in cfg.seeds:
-            pair = make_pair(cfg, level, seed)
-            tasks[seed] = (pair, make_regression(
-                pair, SeededRng(seed, REGRESSION_STREAM), cfg.generator.noise_sigma
-            ))
-        for method in cfg.methods:
-            for seed in cfg.seeds:
-                pair, task = tasks[seed]
-                t0 = time.time()
-                try:
-                    pred = _regression_predictions(method, pair, task, cfg, seed)
-                    report = eval_regression(pred, task.test_responses)
-                    status = "ok"
-                except Exception as exc:
-                    report = None
-                    status = f"failed:{type(exc).__name__}"
-                seconds = time.time() - t0
-                result.cells.append(CellStatus(level, method, seed, status, seconds))
-                if report is None:
-                    continue
-                scores.setdefault((level, method), []).append(report)
-                cell_rows.append((
-                    digest, format_real(level), method, str(seed),
-                    format_real(report.mse), format_real(report.mae),
-                    format_real(report.worst10_mse),
-                ))
-
-    cells_path = os.path.join(out_dir, "regression_cells.csv")
-    write_csv(cells_path, REGRESSION_CELL_COLUMNS, cell_rows)
-    result.output_files.append(cells_path)
-
-    agg_columns = ["config_hash", "level"]
-    for method in cfg.methods:
-        agg_columns += [
-            f"{method}_mse_mean", f"{method}_mse_std",
-            f"{method}_w10mse_mean", f"{method}_w10mse_std",
-        ]
-    agg_rows = []
-    for level in cfg.levels:
-        row = [digest, format_real(level)]
-        for method in cfg.methods:
-            reports = scores.get((level, method), [])
-            if reports:
-                mses = np.array([r.mse for r in reports])
-                tails = np.array([r.worst10_mse for r in reports])
-                row += [
-                    format_real(mses.mean()), format_real(mses.std()),
-                    format_real(tails.mean()), format_real(tails.std()),
-                ]
-                result.aggregate[(level, method)] = (
-                    float(mses.mean()), float(tails.mean())
-                )
-            else:
-                row += ["nan"] * 4
-        agg_rows.append(tuple(row))
-    table_path = os.path.join(out_dir, "regression_table.csv")
-    write_csv(table_path, agg_columns, agg_rows)
-    result.output_files.append(table_path)
-
-    manifest_path = os.path.join(out_dir, "regression_manifest.txt")
-    write_manifest(manifest_path, cfg, result, time.time() - t_start)
-    result.output_files.append(manifest_path)
-    return result
+def _sweep_fields(cfg: ExperimentConfig) -> dict:
+    return {"task": cfg.task, "seeds": ",".join(str(s) for s in cfg.seeds)}
 
 
 def nested_supports(target_params, k_max: int, rng: SeededRng) -> np.ndarray:
@@ -408,10 +408,7 @@ def run_heatmap(cfg: ExperimentConfig, shots_list=(1, 4, 16),
                 features=draws[:, :k, :].reshape(n_classes * k, cfg.generator.dim),
                 labels=np.repeat(np.arange(n_classes), k),
             )
-            prior_cfg = type(cfg.prior)(**{
-                **_prior_kwargs(cfg.prior), "atoms_per_component": 1,
-                "atom_seed": seed,
-            })
+            prior_cfg = replace(cfg.prior, atoms_per_component=1, atom_seed=seed)
             try:
                 priors = build_priors(stats, protos, supports, prior_cfg)
                 status = "ok"
@@ -447,6 +444,6 @@ def run_heatmap(cfg: ExperimentConfig, shots_list=(1, 4, 16),
               trace_rows)
     result.output_files.append(trace_path)
     manifest_path = os.path.join(out_dir, "heatmap_manifest.txt")
-    write_manifest(manifest_path, cfg, result, time.time() - t_start)
+    write_manifest(manifest_path, cfg, _sweep_fields(cfg), t_start, result.cells)
     result.output_files.append(manifest_path)
     return result

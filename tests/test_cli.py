@@ -57,6 +57,11 @@ def _train(config, method, out):
                      "--out", str(out)])
 
 
+def test_method_names_match_registry():
+    assert set(METHODS) == set(sweeps.CLASSIFIERS)
+    assert set(cli.REGRESSION_METHODS) == set(REGRESSION_METHODS)
+
+
 class TestTrain:
     @pytest.mark.parametrize("method", METHODS)
     def test_classification_methods(self, cls_config, tmp_path, method):

@@ -127,6 +127,12 @@ class TestPresets:
         assert cfg.generator.noise_sigma == pytest.approx(0.5)
         assert cfg.levels == (0.0, 1.0, 2.0)
 
+    def test_preset_hashes_are_stable(self):
+        # the hash is stamped into every result row; these values predate the
+        # removal of the unused PriorConfig marginal fields
+        assert config_hash(preset("paper-classification")) == "67dba0916ae9"
+        assert config_hash(preset("paper-regression")) == "b81b8273c5ca"
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("paper-vision")

@@ -16,9 +16,10 @@ from protodro.models import (
     huber,
     huber_objective,
     load_head,
-    robust_ce_objective,
+    robust_ce_objective_stacked,
     robust_huber_objective,
     save_head,
+    stacked_atoms,
     train_erm,
     train_erm_regressor,
     train_fewshot,
@@ -170,13 +171,18 @@ class TestObjectiveGradients:
         data = two_blob_data(rng, n_per=6)
         priors = blob_priors(data, atoms_per=10)
         dro_cfg = DroConfig(rho=0.5, epsilon=1.0)
-        tilts = [gibbs_tilt_batch(p, data.features, dro_cfg.epsilon) for p in priors]
+        atoms = stacked_atoms(priors)
+        tilts = np.stack(
+            [gibbs_tilt_batch(p, data.features, dro_cfg.epsilon) for p in priors], axis=1
+        )
         idx = np.arange(data.features.shape[0])
         for trial in range(4):
             w = rng.standard_normal((2, 2)) * 0.3
             b = rng.standard_normal(2) * 0.3
             fd_objective_check(
-                lambda W, B: robust_ce_objective(W, B, priors, tilts, idx, data.labels, dro_cfg),
+                lambda W, B: robust_ce_objective_stacked(
+                    W, B, atoms, tilts, idx, data.labels, dro_cfg, lam_cache=None
+                ),
                 w,
                 b,
             )

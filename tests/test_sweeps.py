@@ -37,7 +37,7 @@ def tiny_config(task="classification", methods=("pgdro", "ot", "erm"),
 class TestTable1Sweep:
     def test_smoke_completes_all_cells(self, tmp_path):
         cfg = tiny_config()
-        result = sweeps.run_table1_sweep(cfg, tmp_path)
+        result = sweeps.run_sweep(cfg, tmp_path)
         assert not result.failed_cells()
         n_cells = len(cfg.levels) * len(cfg.methods) * len(cfg.seeds)
         assert len(result.cells) == n_cells
@@ -47,7 +47,7 @@ class TestTable1Sweep:
 
     def test_cells_csv_shape_and_hash(self, tmp_path):
         cfg = tiny_config(methods=("erm",), seeds=(0,), levels=(1.0,))
-        result = sweeps.run_table1_sweep(cfg, tmp_path)
+        result = sweeps.run_sweep(cfg, tmp_path)
         lines = (tmp_path / "cells.csv").read_text().strip().splitlines()
         assert lines[0] == "config_hash,level,method,seed,avg_accuracy,worst10_accuracy"
         assert len(lines) == 2
@@ -60,8 +60,8 @@ class TestTable1Sweep:
     def test_byte_determinism(self, tmp_path):
         cfg = tiny_config(methods=("pgdro", "erm"), seeds=(0,), levels=(1.0,))
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        sweeps.run_table1_sweep(cfg, d1)
-        sweeps.run_table1_sweep(cfg, d2)
+        sweeps.run_sweep(cfg, d1)
+        sweeps.run_sweep(cfg, d2)
         assert (d1 / "cells.csv").read_bytes() == (d2 / "cells.csv").read_bytes()
         assert (d1 / "table1.csv").read_bytes() == (d2 / "table1.csv").read_bytes()
 
@@ -75,7 +75,7 @@ class TestTable1Sweep:
             return real(method, pair, cfg_, seed)
 
         monkeypatch.setattr(sweeps, "_classification_predictions", flaky)
-        result = sweeps.run_table1_sweep(cfg, tmp_path)
+        result = sweeps.run_sweep(cfg, tmp_path)
         failed = result.failed_cells()
         assert [c.method for c in failed] == ["erm"]
         assert failed[0].status == "failed:RuntimeError"
@@ -88,14 +88,15 @@ class TestTable1Sweep:
 
     def test_rejects_wrong_task(self, tmp_path):
         with pytest.raises(ValueError):
-            sweeps.run_table1_sweep(tiny_config(task="regression"), tmp_path)
+            sweeps.run_sweep(tiny_config(task="heatmap"), tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_all_methods_run(self, tmp_path):
         cfg = tiny_config(
             methods=("pgdro", "erm", "ot", "saa", "wdro", "fewshot"),
             seeds=(0,), levels=(1.0,),
         )
-        result = sweeps.run_table1_sweep(cfg, tmp_path)
+        result = sweeps.run_sweep(cfg, tmp_path)
         assert not result.failed_cells()
         assert len(result.aggregate) == 6
 
@@ -104,7 +105,7 @@ class TestRegressionSweep:
     def test_smoke(self, tmp_path):
         cfg = tiny_config(task="regression", methods=("erm", "ot", "pgdro"),
                           seeds=(0,), levels=(0.0, 1.0))
-        result = sweeps.run_regression_sweep(cfg, tmp_path)
+        result = sweeps.run_sweep(cfg, tmp_path)
         assert not result.failed_cells()
         lines = (tmp_path / "regression_cells.csv").read_text().strip().splitlines()
         assert lines[0] == "config_hash,level,method,seed,mse,mae,worst10_mse"
@@ -119,8 +120,8 @@ class TestRegressionSweep:
         cfg = tiny_config(task="regression", methods=("erm",), seeds=(0,),
                           levels=(1.0,))
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        sweeps.run_regression_sweep(cfg, d1)
-        sweeps.run_regression_sweep(cfg, d2)
+        sweeps.run_sweep(cfg, d1)
+        sweeps.run_sweep(cfg, d2)
         assert (d1 / "regression_cells.csv").read_bytes() == (
             d2 / "regression_cells.csv"
         ).read_bytes()
