@@ -24,7 +24,7 @@ import numpy as np
 from .numkit import log_sum_exp
 from .priors import MixturePrior
 
-GRAD_TOL_SCALE = 1e-7
+GRAD_TOL_SCALE = 1e-8
 BOUNDARY_NONE = 0
 BOUNDARY_MIN = -1
 BOUNDARY_MAX = 1
