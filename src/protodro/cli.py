@@ -199,7 +199,7 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     result = run_sweep(cfg)
-    failed = [c for c in result.cells if c.status != "ok"]
+    failed = result.failed_cells()
     print(f"sweep wrote {len(result.output_files)} files to {cfg.resolve_output_dir()}"
           f" ({len(result.cells)} cells, {len(failed)} failed)")
     return 2 if failed else 0

@@ -106,8 +106,6 @@ def _format_value(value) -> str:
 
 
 def _parse_like(kind, raw: str):
-    if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes")
     if kind is int:
         return int(raw)
     if kind is float:

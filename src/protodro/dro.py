@@ -11,8 +11,9 @@ from softmax moments of the atom scores. The solver runs Newton steps
 safeguarded by a sign bracket on phi' and falls back to bisection whenever
 a step leaves the bracket or fails to reduce |phi'|.
 
-Everything here is written over batches of tilted weight rows; the scalar
-operations are thin wrappers around the batch path.
+Everything here is written over batches of tilted weight rows. The one-row
+gibbs_tilt/solve_dual remain only for the harnesses, whose per-point
+solve_dual calls the benchmark traces as its scalar-solve layer.
 """
 
 from __future__ import annotations
@@ -144,18 +145,6 @@ def _phi_terms(logq: np.ndarray, scores: np.ndarray, lam: np.ndarray, cfg: DroCo
     dphi = cfg.rho + cfg.epsilon * log_z - mean / lam
     d2phi = var / (lam**3 * cfg.epsilon)
     return phi, dphi, d2phi, posterior
-
-
-def dual_objective(q: GibbsPosterior, lam: float, cfg: DroConfig):
-    """Evaluate (phi, phi', phi'') at one lambda > 0."""
-    if q.atom_scores is None:
-        raise ValueError("atom_scores must be set before evaluating the dual")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    logq = q.tilt_log_weights[None, :]
-    scores = np.asarray(q.atom_scores, dtype=float)[None, :]
-    phi, dphi, d2phi, _ = _phi_terms(logq, scores, np.array([lam]), cfg)
-    return float(phi[0]), float(dphi[0]), float(d2phi[0])
 
 
 def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
@@ -336,45 +325,3 @@ def solve_dual(q: GibbsPosterior, cfg: DroConfig) -> DualSolveResult:
         q.tilt_log_weights[None, :], np.asarray(q.atom_scores, dtype=float), cfg
     )
     return batch.row(0)
-
-
-def robust_logits(priors: list[MixturePrior], x: np.ndarray, score_fn,
-                  cfg: DroConfig) -> tuple[np.ndarray, list[DualSolveResult]]:
-    """Robust score of every class prior at one query point.
-
-    Args:
-        priors: class priors, index c scoring class c.
-        x: query point (d,).
-        score_fn: callable (class_id, atoms (A, d)) -> scores (A,).
-        cfg: dual solver configuration.
-
-    Returns:
-        (values, results): per-class robust scores and full solve results.
-    """
-    values = np.empty(len(priors))
-    results = []
-    for c, prior in enumerate(priors):
-        tilt = gibbs_tilt(prior, x, cfg.epsilon)
-        tilt.atom_scores = np.asarray(score_fn(c, prior.atoms), dtype=float)
-        res = solve_dual(tilt, cfg)
-        values[c] = res.value
-        results.append(res)
-    return values, results
-
-
-def decide(values: np.ndarray) -> int:
-    """Predicted class: argmax of robust scores, ties to the lowest index."""
-    return int(np.argmax(values))
-
-
-def robust_logit_grad(result: DualSolveResult, atom_score_grads: np.ndarray) -> np.ndarray:
-    """Envelope gradient of the dual value w.r.t. score parameters.
-
-    With lambda fixed at its optimum the value's parameter gradient is the
-    posterior-weighted average of the per-atom score gradients; for the
-    degenerate branch the posterior is the tilted prior itself.
-    """
-    grads = np.asarray(atom_score_grads, dtype=float)
-    if grads.shape[0] != result.posterior.shape[0]:
-        raise ValueError("atom_score_grads rows must match the atom count")
-    return result.posterior @ grads

@@ -8,8 +8,8 @@ regression (a single row). Training objectives:
   * robust regressor: Huber loss plus a tilted log-mean-exp penalty over
     the sample's class prior
   * baselines: plain ERM, few-shot ERM on supports, per-class entropic
-    OT feature transport, noise-augmented SAA, and a fixed-reference
-    robust variant that reuses the dual machinery with empirical atoms
+    OT feature transport, noise-augmented SAA; the fixed-reference robust
+    baseline trains the robust classifier on `empirical_prior` atoms
 
 All loops are plain minibatch descent (constant-step or adaptive-moment
 updates) over numpy arrays, deterministic under a fixed seed.
@@ -18,7 +18,7 @@ updates) over numpy arrays, deterministic under a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .sinkhorn import OtProblem, solve_entropic_ot
 
 _SHUFFLE_STREAM = 101
 _NOISE_STREAM = 202
+# RobustClassifier scores this many rows per dual call, which bounds the
+# (rows * classes, atoms) workspace
+_PREDICT_CHUNK = 1024
 
 
 @dataclass
@@ -127,11 +130,10 @@ def load_head(path) -> LinearHead:
 
 @dataclass
 class TrainResult:
-    """Trained head plus the per-epoch mean-loss trace and diagnostics."""
+    """Trained head plus the per-epoch mean-loss trace."""
 
     head: LinearHead
     loss_trace: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
 
 def huber(residuals: np.ndarray, beta: float):
@@ -145,19 +147,6 @@ def huber(residuals: np.ndarray, beta: float):
     value = np.where(inside, 0.5 * r * r, beta * (a - 0.5 * beta))
     deriv = np.where(inside, r, beta * np.sign(r))
     return value, deriv
-
-
-def ce_over_robust_logits(scores: np.ndarray, true_class: int):
-    """Max-shifted cross-entropy of one score vector and its gradient."""
-    v = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("scores must be finite")
-    shifted = v - v.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    loss = -shifted[true_class] + log_norm
-    grad = np.exp(shifted - log_norm)
-    grad[true_class] -= 1.0
-    return float(loss), grad
 
 
 def _ce_batch(logits: np.ndarray, labels: np.ndarray):
@@ -292,9 +281,7 @@ def train_ot_adapt(source: SupportSet, supports: SupportSet, n_classes: int,
                    cfg: TrainConfig, ot_epsilon: float = 0.2) -> TrainResult:
     """Cross-entropy on barycentrically transported source features."""
     moved = barycentric_transport(source, supports, epsilon=ot_epsilon)
-    result = _train_ce_head(moved, source.labels, n_classes, cfg)
-    result.diagnostics["transported_features"] = moved
-    return result
+    return _train_ce_head(moved, source.labels, n_classes, cfg)
 
 
 @dataclass
@@ -418,14 +405,7 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
         )
 
     trace = _run_epochs(n, cfg, params, batch_fn)
-    values, _ = robust_scores_stacked(
-        params[0], params[1], atoms, tilts, np.arange(n), dro_cfg, lam_cache
-    )
-    top_other = np.where(
-        np.eye(n_classes, dtype=bool)[y], -np.inf, values
-    ).max(axis=1)
-    margin = float(np.mean(values[np.arange(n), y] - top_other))
-    return TrainResult(head, trace, {"robust_margin": margin})
+    return TrainResult(head, trace)
 
 
 def empirical_prior(features: np.ndarray, ridge: float = 1e-6) -> MixturePrior:
@@ -446,20 +426,6 @@ def empirical_prior(features: np.ndarray, ridge: float = 1e-6) -> MixturePrior:
     )
 
 
-def train_wdro(supports: SupportSet, n_classes: int, cfg: TrainConfig,
-               dro_cfg: DroConfig) -> TrainResult:
-    """Robust training with one fixed empirical reference for all classes.
-
-    Identical machinery to the adaptive-prior classifier; the only change
-    is that every class shares the pooled support atoms, which isolates
-    the contribution of the adaptive priors.
-    """
-    reference = empirical_prior(supports.features)
-    result = train_pgdro_classifier(supports, [reference] * n_classes, cfg, dro_cfg)
-    result.diagnostics["priors"] = [reference] * n_classes
-    return result
-
-
 @dataclass
 class RobustClassifier:
     """Predicts with the per-class robust scores of a trained head."""
@@ -467,15 +433,13 @@ class RobustClassifier:
     head: LinearHead
     priors: list[MixturePrior]
     dro_cfg: DroConfig
-    chunk_size: int = 1024
 
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
         atoms = stacked_atoms(self.priors)
         values = np.empty((x.shape[0], len(self.priors)))
-        # chunking bounds the (rows * classes, atoms) workspace
-        for start in range(0, x.shape[0], self.chunk_size):
-            block = x[start : start + self.chunk_size]
+        for start in range(0, x.shape[0], _PREDICT_CHUNK):
+            block = x[start : start + _PREDICT_CHUNK]
             tilts = np.stack(
                 [gibbs_tilt_batch(p, block, self.dro_cfg.epsilon) for p in self.priors],
                 axis=1,

@@ -60,7 +60,6 @@ class TransportPlan:
     plan: np.ndarray
     iterations_used: int
     marginal_violation: float
-    row_potential: np.ndarray | None = None
 
 
 def _materialize(problem: OtProblem, f: np.ndarray, g: np.ndarray,
@@ -74,16 +73,13 @@ def _materialize(problem: OtProblem, f: np.ndarray, g: np.ndarray,
 
 
 def solve_entropic_ot(problem: OtProblem, tol: float = 1e-6,
-                      max_iters: int = 1000,
-                      initial_f: np.ndarray | None = None) -> TransportPlan:
+                      max_iters: int = 1000) -> TransportPlan:
     """Solve the entropic coupling by alternating log-domain potential updates.
 
     Args:
         problem: validated OtProblem.
         tol: maximum L1 marginal violation of the returned plan.
         max_iters: budget of full (column, row) update sweeps.
-        initial_f: starting row potential; a solution to a nearby problem
-            (e.g. a slightly different marginal) cuts the sweep count a lot.
 
     Returns:
         TransportPlan whose plan is nonnegative with marginals matched to
@@ -101,12 +97,7 @@ def solve_entropic_ot(problem: OtProblem, tol: float = 1e-6,
         log_row = np.log(problem.row_marginal)
         log_col = np.log(problem.col_marginal)
 
-    if initial_f is None:
-        f = np.zeros(problem.cost.shape[0])
-    else:
-        f = np.asarray(initial_f, dtype=float).copy()
-        if f.shape != (problem.cost.shape[0],):
-            raise ValueError("initial_f length must match the row count")
+    f = np.zeros(problem.cost.shape[0])
     violation = np.inf
     for it in range(1, max_iters + 1):
         # given f, this g matches every column marginal exactly
@@ -118,7 +109,7 @@ def solve_entropic_ot(problem: OtProblem, tol: float = 1e-6,
         violation = float(np.sum(np.abs(row_mass - problem.row_marginal)))
         if violation <= tol:
             plan = _materialize(problem, f, g, log_row, log_col)
-            return TransportPlan(plan, it, violation, row_potential=f.copy())
+            return TransportPlan(plan, it, violation)
         f = f_next
     raise ConvergenceError(
         f"entropic OT did not reach violation {tol} in {max_iters} iterations "

@@ -15,6 +15,7 @@ digits so reruns are byte-comparable; wall times live only in the manifest.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import time
@@ -39,7 +40,6 @@ from .models import (
     train_pgdro_classifier,
     train_pgdro_regressor,
     train_saa,
-    train_wdro,
 )
 from .numkit import SeededRng, gaussian_sample
 from .priors import PriorConfig, SupportSet, build_priors, compute_class_stats
@@ -61,6 +61,7 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+@functools.cache
 def version_string() -> str:
     try:
         rev = subprocess.run(
@@ -167,10 +168,11 @@ def _fit_saa(pair, cfg, train):
 
 
 def _fit_wdro(pair, cfg, train):
+    """One empirical reference shared by every class: the robust machinery
+    without the adaptive priors."""
     supports = pair.target_train_supports
-    n_classes = cfg.generator.n_classes
-    head = train_wdro(supports, n_classes, train, cfg.dro).head
-    return head, [empirical_prior(supports.features)] * n_classes
+    priors = [empirical_prior(supports.features)] * cfg.generator.n_classes
+    return train_pgdro_classifier(supports, priors, train, cfg.dro).head, priors
 
 
 def _fit_pgdro(pair, cfg, train):

@@ -12,12 +12,9 @@ from hypothesis import given, strategies as st
 from protodro.dro import (
     DroConfig,
     GibbsPosterior,
-    decide,
-    dual_objective,
+    _phi_terms,
     gibbs_tilt,
     gibbs_tilt_batch,
-    robust_logit_grad,
-    robust_logits,
     solve_dual,
     solve_dual_batch,
 )
@@ -62,6 +59,17 @@ def make_prior(atoms, log_weights=None):
         atoms=atoms,
         atom_log_weights=np.asarray(log_weights, dtype=float),
     )
+
+
+def dual_terms(logw, scores, lam, cfg):
+    """(phi, phi', phi'') of one row at one lambda, from the solver's terms."""
+    phi, dphi, d2phi, _ = _phi_terms(
+        np.asarray(logw, dtype=float)[None, :],
+        np.asarray(scores, dtype=float)[None, :],
+        np.array([lam]),
+        cfg,
+    )
+    return float(phi[0]), float(dphi[0]), float(d2phi[0])
 
 
 class TestConfig:
@@ -129,10 +137,9 @@ class TestGibbsTilt:
 
 class TestDualObjective:
     def test_constant_scores_closed_form(self):
-        q = GibbsPosterior(uniform_logw(4), atom_scores=np.full(4, 2.5))
         cfg = DroConfig(rho=1.5, epsilon=0.8)
         for lam in [0.1, 1.0, 7.0]:
-            phi, dphi, d2phi = dual_objective(q, lam, cfg)
+            phi, dphi, d2phi = dual_terms(uniform_logw(4), np.full(4, 2.5), lam, cfg)
             assert phi == pytest.approx(lam * 1.5 + 2.5, rel=1e-12)
             assert dphi == pytest.approx(1.5, rel=1e-12)
             assert d2phi == pytest.approx(0.0, abs=1e-12)
@@ -143,8 +150,7 @@ class TestDualObjective:
         for _ in range(20):
             logw, scores = random_instance(rng)
             lam = float(rng.uniform(0.05, 5.0))
-            q = GibbsPosterior(logw, atom_scores=scores)
-            phi, _, _ = dual_objective(q, lam, cfg)
+            phi, _, _ = dual_terms(logw, scores, lam, cfg)
             ref = dual_value_oracle(logw, scores, lam, cfg.rho, cfg.epsilon)
             assert phi == pytest.approx(ref, rel=1e-10)
 
@@ -154,10 +160,9 @@ class TestDualObjective:
         for _ in range(20):
             logw, scores = random_instance(rng)
             lam = float(rng.uniform(0.2, 4.0))
-            q = GibbsPosterior(logw, atom_scores=scores)
-            _, dphi, _ = dual_objective(q, lam, cfg)
+            _, dphi, _ = dual_terms(logw, scores, lam, cfg)
             fd = central_difference(
-                lambda t: dual_objective(q, t, cfg)[0], lam, h=1e-6 * lam
+                lambda t: dual_terms(logw, scores, t, cfg)[0], lam, h=1e-6 * lam
             )
             assert dphi == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
@@ -167,20 +172,11 @@ class TestDualObjective:
         for _ in range(20):
             logw, scores = random_instance(rng)
             lam = float(rng.uniform(0.2, 4.0))
-            q = GibbsPosterior(logw, atom_scores=scores)
-            _, _, d2phi = dual_objective(q, lam, cfg)
+            _, _, d2phi = dual_terms(logw, scores, lam, cfg)
             fd = central_difference(
-                lambda t: dual_objective(q, t, cfg)[1], lam, h=1e-5 * lam
+                lambda t: dual_terms(logw, scores, t, cfg)[1], lam, h=1e-5 * lam
             )
             assert d2phi == pytest.approx(fd, rel=1e-4, abs=1e-7)
-
-    def test_rejects_unset_scores_and_bad_lambda(self):
-        q = GibbsPosterior(uniform_logw(3))
-        with pytest.raises(ValueError):
-            dual_objective(q, 1.0, DroConfig())
-        q.atom_scores = np.zeros(3)
-        with pytest.raises(ValueError):
-            dual_objective(q, 0.0, DroConfig())
 
 
 class TestSolveDual:
@@ -306,12 +302,11 @@ class TestSolveDual:
         rng = np.random.default_rng(seed)
         logw, scores = random_instance(rng, n_atoms=int(rng.integers(2, 12)))
         cfg = DroConfig(rho=float(rng.uniform(0.1, 3.0)), epsilon=float(rng.uniform(0.3, 2.0)))
-        q = GibbsPosterior(logw, atom_scores=scores)
         a = float(rng.uniform(1e-3, 5.0))
         b = float(rng.uniform(1e-3, 5.0))
-        phi_a = dual_objective(q, a, cfg)[0]
-        phi_b = dual_objective(q, b, cfg)[0]
-        phi_m = dual_objective(q, 0.5 * (a + b), cfg)[0]
+        phi_a = dual_terms(logw, scores, a, cfg)[0]
+        phi_b = dual_terms(logw, scores, b, cfg)[0]
+        phi_m = dual_terms(logw, scores, 0.5 * (a + b), cfg)[0]
         scale = max(1.0, abs(phi_a), abs(phi_b))
         assert phi_m <= 0.5 * (phi_a + phi_b) + 1e-9 * scale
 
@@ -374,27 +369,9 @@ class TestSolveDual:
 
 
 class TestRobustLogits:
-    def test_close_high_scoring_class_wins(self):
-        rng = np.random.default_rng(401)
-        x = np.zeros(2)
-        near = make_prior(0.3 * rng.standard_normal((16, 2)))
-        far = make_prior(0.3 * rng.standard_normal((16, 2)) + 6.0)
-
-        def score_fn(class_id, atoms):
-            # class 0 scores high near the origin, class 1 does not
-            base = -np.sum(atoms**2, axis=1)
-            return base + (2.0 if class_id == 0 else -2.0)
-
-        values, results = robust_logits([near, far], x, score_fn, DroConfig())
-        assert values[0] > values[1]
-        assert len(results) == 2
-        assert all(r.converged for r in results)
-
-    def test_decide_breaks_ties_low(self):
-        assert decide(np.array([3.0, 3.0, 1.0])) == 0
-        assert decide(np.array([0.0, 2.0, 2.0])) == 1
-
     def test_envelope_gradient_matches_fd(self):
+        # the posterior-weighted atom average is the value's gradient in
+        # the score parameters (lambda held at its optimum)
         rng = np.random.default_rng(409)
         dim = 4
         cfg = DroConfig(rho=0.7, epsilon=1.0)
@@ -404,11 +381,9 @@ class TestRobustLogits:
             theta = rng.standard_normal(dim)
 
             def value_at(t):
-                q = GibbsPosterior(logw, atom_scores=atoms @ t)
-                return solve_dual(q, cfg).value
+                return solve_dual_batch(logw[None, :], atoms @ t, cfg).value[0]
 
-            res = solve_dual(GibbsPosterior(logw, atom_scores=atoms @ theta), cfg)
-            grad = robust_logit_grad(res, atoms)
+            grad = solve_dual_batch(logw[None, :], atoms @ theta, cfg).posterior[0] @ atoms
             for k in range(dim):
                 def slice_k(t_k, k=k):
                     t = theta.copy()
@@ -417,17 +392,3 @@ class TestRobustLogits:
 
                 fd = central_difference(slice_k, theta[k], h=1e-6)
                 assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-
-    def test_envelope_gradient_degenerate_uses_tilt(self):
-        logw = np.log([0.6, 0.4])
-        res = solve_dual(GibbsPosterior(logw, atom_scores=np.zeros(2)), DroConfig())
-        grads = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(robust_logit_grad(res, grads), [0.6, 0.4])
-
-    def test_gradient_shape_check(self):
-        res = solve_dual(
-            GibbsPosterior(uniform_logw(3), atom_scores=np.array([0.0, 1.0, 2.0])),
-            DroConfig(),
-        )
-        with pytest.raises(ValueError):
-            robust_logit_grad(res, np.zeros((4, 2)))

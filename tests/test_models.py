@@ -1,8 +1,14 @@
 """Tests for heads, losses, training loops, and baseline equivalences."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import protodro.models as models
+import protodro.sweeps as sweeps
+from protodro.config import ExperimentConfig, GeneratorConfig
 from protodro.dro import DroConfig
 from protodro.models import (
     LinearHead,
@@ -11,7 +17,6 @@ from protodro.models import (
     TrainConfig,
     barycentric_transport,
     ce_objective,
-    ce_over_robust_logits,
     empirical_prior,
     huber,
     huber_objective,
@@ -27,12 +32,12 @@ from protodro.models import (
     train_pgdro_classifier,
     train_pgdro_regressor,
     train_saa,
-    train_wdro,
     zero_head,
 )
 from protodro.dro import gibbs_tilt_batch
 from protodro.numkit import SeededRng
-from protodro.priors import SupportSet
+from protodro.priors import PriorConfig, SupportSet
+from protodro.synthgen import ShiftSpec
 
 from oracles import central_difference
 
@@ -102,28 +107,41 @@ def fd_objective_check(objective, weights, biases, rel=1e-4):
     assert worst <= rel, f"gradient mismatch {worst:.2e}"
 
 
+def ce_of_scores(scores, true_class):
+    """Cross-entropy of one score vector through ce_objective.
+
+    Zero weights, the scores as biases and one zero feature row make the
+    logits equal the scores, so the bias gradient is softmax minus one-hot.
+    """
+    v = np.asarray(scores, dtype=float)
+    loss, grads = ce_objective(
+        np.zeros((v.size, 1)), v, np.zeros((1, 1)), np.array([true_class])
+    )
+    return loss, grads[1]
+
+
 class TestLosses:
     def test_ce_uniform_scores(self):
-        loss, grad = ce_over_robust_logits(np.zeros(2), 0)
+        loss, grad = ce_of_scores(np.zeros(2), 0)
         assert loss == pytest.approx(np.log(2.0))
         np.testing.assert_allclose(grad, [-0.5, 0.5])
 
     def test_ce_confident_correct_limit(self):
-        loss, _ = ce_over_robust_logits(np.array([60.0, 0.0, 0.0]), 0)
+        loss, _ = ce_of_scores(np.array([60.0, 0.0, 0.0]), 0)
         assert loss == pytest.approx(0.0, abs=1e-20)
 
     def test_ce_gradient_sums_to_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             v = rng.standard_normal(6) * 3
-            _, grad = ce_over_robust_logits(v, int(rng.integers(6)))
+            _, grad = ce_of_scores(v, int(rng.integers(6)))
             assert abs(grad.sum()) <= 1e-12
 
     def test_ce_gradient_matches_fd(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal(5)
-        _, grad = ce_over_robust_logits(v, 2)
-        numeric = central_difference(lambda u: ce_over_robust_logits(u, 2)[0], v)
+        _, grad = ce_of_scores(v, 2)
+        numeric = central_difference(lambda u: ce_of_scores(u, 2)[0], v)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
     def test_huber_hand_values(self):
@@ -352,7 +370,27 @@ class TestRobustClassifier:
         model = RobustClassifier(result.head, priors, dro_cfg)
         accuracy = np.mean(model.predict(data.features) == data.labels)
         assert accuracy >= 0.95
-        assert np.isfinite(result.diagnostics["robust_margin"])
+
+    def test_scores_only_the_training_batches(self, monkeypatch):
+        # every robust score solved during training belongs to a minibatch:
+        # one call per batch, each row once per epoch, no pass after the
+        # last epoch
+        rng = np.random.default_rng(91)
+        data = two_blob_data(rng, n_per=20)
+        priors = blob_priors(data, atoms_per=8)
+        cfg = TrainConfig(epochs=3, batch_size=16)
+        sizes = []
+        real = models.robust_scores_stacked
+
+        def recording(weights, biases, atoms, tilts, idx, *args, **kwargs):
+            sizes.append(idx.size)
+            return real(weights, biases, atoms, tilts, idx, *args, **kwargs)
+
+        monkeypatch.setattr(models, "robust_scores_stacked", recording)
+        train_pgdro_classifier(data, priors, cfg, DroConfig())
+        n = data.features.shape[0]
+        assert sum(sizes) == cfg.epochs * n
+        assert len(sizes) == cfg.epochs * math.ceil(n / cfg.batch_size)
 
     def test_loss_descends(self):
         rng = np.random.default_rng(97)
@@ -382,15 +420,36 @@ class TestRobustClassifier:
 
 class TestWdro:
     def test_equals_adaptive_machinery_on_same_atoms(self):
-        rng = np.random.default_rng(107)
-        data = two_blob_data(rng, n_per=5)
-        cfg = TrainConfig(epochs=12, seed=3)
-        dro_cfg = DroConfig(rho=0.8)
-        wdro = train_wdro(data, 2, cfg, dro_cfg)
-        reference = empirical_prior(data.features)
-        adaptive = train_pgdro_classifier(data, [reference, reference], cfg, dro_cfg)
-        np.testing.assert_allclose(wdro.head.weights, adaptive.head.weights, atol=1e-10)
-        np.testing.assert_allclose(wdro.head.biases, adaptive.head.biases, atol=1e-10)
+        cfg = ExperimentConfig(
+            generator=GeneratorConfig(
+                n_classes=3, dim=4, n_train=150, n_test=60,
+                eig_low=0.3, eig_high=0.9,
+            ),
+            shift=ShiftSpec(lambda_mean=1.0, lambda_cov=0.0),
+            prior=PriorConfig(atoms_per_component=4),
+            dro=DroConfig(rho=0.8),
+            train=TrainConfig(epochs=12, batch_size=64),
+            methods=("wdro",),
+            seeds=(3,),
+            levels=(1.0,),
+        )
+        pair = sweeps.make_pair(cfg, 1.0, 3)
+        head, priors = sweeps.fit_classifier("wdro", pair, cfg, 3)
+        supports = pair.target_train_supports
+        reference = empirical_prior(supports.features)
+        assert len(priors) == cfg.generator.n_classes
+        for prior in priors:
+            np.testing.assert_array_equal(prior.atoms, reference.atoms)
+            np.testing.assert_array_equal(prior.atom_log_weights, reference.atom_log_weights)
+            np.testing.assert_array_equal(prior.weights, reference.weights)
+            np.testing.assert_array_equal(prior.components[0].mean, reference.components[0].mean)
+            np.testing.assert_array_equal(prior.components[0].cov, reference.components[0].cov)
+        adaptive = train_pgdro_classifier(
+            supports, [reference] * cfg.generator.n_classes,
+            replace(cfg.train, seed=3), cfg.dro,
+        )
+        np.testing.assert_array_equal(head.weights, adaptive.head.weights)
+        np.testing.assert_array_equal(head.biases, adaptive.head.biases)
 
     def test_vanishing_radius_approaches_plain_logits(self):
         # with a tiny ball and a sharply concentrated tilt, the robust
