@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import log_sum_exp
+from .numkit import log_sum_exp, sq_distances
 from .priors import MixturePrior
 
 GRAD_TOL_SCALE = 1e-8
@@ -121,13 +121,7 @@ def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -
     q = np.asarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[1] != prior.atoms.shape[1]:
         raise ValueError("queries must be (n, d) matching the atom dimension")
-    sq = (
-        np.sum(q**2, axis=1)[:, None]
-        + np.sum(prior.atoms**2, axis=1)[None, :]
-        - 2.0 * q @ prior.atoms.T
-    )
-    np.maximum(sq, 0.0, out=sq)
-    logs = prior.atom_log_weights[None, :] - sq / epsilon
+    logs = prior.atom_log_weights[None, :] - sq_distances(q, prior.atoms) / epsilon
     return logs - log_sum_exp(logs, axis=1)[:, None]
 
 

@@ -57,15 +57,12 @@ CONSISTENCY_SUPPORTS = 48
 class ContractionInstance:
     """Constructed two-target-class instance with computable update map."""
 
-    base_params: list[GaussianParams]
-    inflated_params: list[GaussianParams]
     prototypes: list[np.ndarray]
     target_components: list[GaussianParams]
     target_mixes: np.ndarray
     atoms: np.ndarray
     eval_points: np.ndarray
     score_weights: np.ndarray
-    atoms_per_component: int
 
 
 @dataclass
@@ -143,8 +140,8 @@ def _build_instance(cfg: ExperimentConfig, seed: int) -> ContractionInstance:
     score_rng = rng.child(5)
     score_weights = score_rng.normal((N_TARGET, d), std=0.8)
     return ContractionInstance(
-        base_params, inflated, prototypes, target_components, target_mixes,
-        atoms, eval_points, score_weights, a,
+        prototypes, target_components, target_mixes,
+        atoms, eval_points, score_weights,
     )
 
 
@@ -229,16 +226,9 @@ def _fixed_point(transport: _TransportMap, start: np.ndarray,
 def _values(instance: ContractionInstance, weights: np.ndarray,
             cfg: ExperimentConfig) -> np.ndarray:
     """Robust logit per (eval point, class) for weights on the shared atoms."""
-    a = instance.atoms_per_component
     out = np.empty((len(instance.eval_points), N_TARGET))
     for c in range(N_TARGET):
-        with np.errstate(divide="ignore"):
-            logw = np.repeat(np.log(weights[c]), a) - np.log(a)
-        prior = MixturePrior(
-            class_id=c, weights=weights[c],
-            components=instance.inflated_params,
-            atoms=instance.atoms, atom_log_weights=logw,
-        )
+        prior = MixturePrior(weights[c], instance.atoms)
         scores = instance.atoms @ instance.score_weights[c]
         for i, x in enumerate(instance.eval_points):
             q = gibbs_tilt(prior, x, cfg.dro.epsilon)

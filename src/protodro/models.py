@@ -23,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dro import DroConfig, gibbs_tilt_batch, solve_dual_batch
-from .numkit import GaussianParams, SeededRng, log_sum_exp
+from .numkit import SeededRng, log_sum_exp, sq_distances
 from .priors import MixturePrior, SupportSet
 from .sinkhorn import OtProblem, solve_entropic_ot
 
 _SHUFFLE_STREAM = 101
 _NOISE_STREAM = 202
+SAA_NOISE_SCALE = 0.1
+SAA_NOISE_DRAWS = 64
 # RobustClassifier scores this many rows per dual call, which bounds the
 # (rows * classes, atoms) workspace
 _PREDICT_CHUNK = 1024
@@ -260,14 +262,8 @@ def barycentric_transport(source: SupportSet, supports: SupportSet,
             raise ValueError(f"class {c} has no target supports")
         if src.shape[0] == 0:
             continue
-        sq = (
-            np.sum(src**2, axis=1)[:, None]
-            + np.sum(tgt**2, axis=1)[None, :]
-            - 2.0 * src @ tgt.T
-        )
-        np.maximum(sq, 0.0, out=sq)
         problem = OtProblem(
-            cost=sq,
+            cost=sq_distances(src, tgt),
             row_marginal=np.full(src.shape[0], 1.0 / src.shape[0]),
             col_marginal=np.full(tgt.shape[0], 1.0 / tgt.shape[0]),
             epsilon=epsilon,
@@ -284,35 +280,16 @@ def train_ot_adapt(source: SupportSet, supports: SupportSet, n_classes: int,
     return _train_ce_head(moved, source.labels, n_classes, cfg)
 
 
-@dataclass
-class NoiseSpec:
-    """Perturbation family for sample-average augmentation."""
-
-    family: str = "gaussian"
-    scale: float = 0.1
-    draws: int = 64
-
-    def __post_init__(self) -> None:
-        if self.family not in ("gaussian", "laplace"):
-            raise ValueError(f"unknown noise family {self.family!r}")
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
-        if self.draws < 1:
-            raise ValueError("draws must be at least 1")
-
-
-def train_saa(supports: SupportSet, noise: NoiseSpec, n_classes: int,
-              cfg: TrainConfig) -> TrainResult:
-    """Cross-entropy on supports augmented with seeded perturbation draws."""
+def train_saa(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainResult:
+    """Cross-entropy on supports augmented with seeded Gaussian draws:
+    SAA_NOISE_DRAWS copies of every support, each shifted by noise of
+    standard deviation SAA_NOISE_SCALE."""
     rng = SeededRng(cfg.seed, _NOISE_STREAM)
     x = np.asarray(supports.features, dtype=float)
     n, d = x.shape
-    if noise.family == "gaussian":
-        eta = rng.normal((noise.draws, n, d), std=noise.scale)
-    else:
-        eta = rng.laplace((noise.draws, n, d), scale=noise.scale)
-    augmented = (x[None, :, :] + eta).reshape(noise.draws * n, d)
-    labels = np.tile(supports.labels, noise.draws)
+    eta = rng.normal((SAA_NOISE_DRAWS, n, d), std=SAA_NOISE_SCALE)
+    augmented = (x[None, :, :] + eta).reshape(SAA_NOISE_DRAWS * n, d)
+    labels = np.tile(supports.labels, SAA_NOISE_DRAWS)
     return _train_ce_head(augmented, labels, n_classes, cfg)
 
 
@@ -408,22 +385,9 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     return TrainResult(head, trace)
 
 
-def empirical_prior(features: np.ndarray, ridge: float = 1e-6) -> MixturePrior:
+def empirical_prior(features: np.ndarray) -> MixturePrior:
     """Class-agnostic reference: uniform atoms at the observed points."""
-    x = np.asarray(features, dtype=float)
-    n, d = x.shape
-    mean = x.mean(axis=0)
-    if n > 1:
-        cov = np.atleast_2d(np.cov(x.T, bias=False)) + ridge * np.eye(d)
-    else:
-        cov = np.eye(d)
-    return MixturePrior(
-        class_id=-1,
-        weights=np.array([1.0]),
-        components=[GaussianParams(mean=mean, cov=cov)],
-        atoms=x,
-        atom_log_weights=np.full(n, -np.log(n)),
-    )
+    return MixturePrior(weights=np.array([1.0]), atoms=features)
 
 
 @dataclass

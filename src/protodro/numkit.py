@@ -2,8 +2,9 @@
 
 Dense linear algebra is delegated to numpy; this module pins down the
 conventions the rest of the package relies on: max-shifted log-sum-exp,
-PSD-repairing Cholesky factorization, seeded Gaussian sampling, and a
-stream-addressable random source so parallel work never shares state.
+pairwise squared distances, PSD-repairing Cholesky factorization, seeded
+Gaussian sampling, and a stream-addressable random source so parallel
+work never shares state.
 """
 
 from __future__ import annotations
@@ -86,6 +87,17 @@ def cholesky_psd(m, ridge: float = 0.0) -> CholeskyFactor:
     )
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a (n, d) and b (m, d).
+
+    Expands |a|^2 + |b|^2 - 2 a.b as one matrix product and clips the
+    rounding negatives at 0.
+    """
+    sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
 @dataclass
 class SeededRng:
     """Deterministic random source addressed by (seed, stream_id).
@@ -124,9 +136,6 @@ class SeededRng:
 
     def integers(self, low: int, high: int, shape=None):
         return self._gen.integers(low, high, size=shape)
-
-    def laplace(self, shape=None, scale: float = 1.0):
-        return self._gen.laplace(0.0, scale, size=shape)
 
     def dirichlet(self, alpha) -> np.ndarray:
         return self._gen.dirichlet(np.asarray(alpha, dtype=float))

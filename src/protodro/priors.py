@@ -4,7 +4,13 @@ Base classes contribute mixture components (their moments, with inflated
 covariance); a class-level entropic coupling between base classes and the
 few labeled support points decides how much each component contributes to
 each target class. Priors are atomized once, deterministically, so every
-downstream robust evaluation is a fixed finite quadrature.
+downstream robust evaluation is a fixed finite quadrature: a prior is its
+atoms and its component weights, nothing more.
+
+Priors files (format "protodro-priors", version 2) are JSON documents that
+hold the atoms shared by every class once and then one weight vector per
+class, so loading reads the atoms back as they were saved and draws
+nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .numkit import GaussianParams, SeededRng, gaussian_sample
 from .sinkhorn import OtProblem, build_cost_matrix, solve_entropic_ot
 
 SIMPLEX_TOL = 1e-9
+PRIORS_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -81,25 +88,37 @@ class PriorConfig:
 class MixturePrior:
     """One target class's mixture over base components, already atomized.
 
-    atoms stacks atoms_per_component draws from each component; the atom at
-    index b*A + a carries log weight log(weights[b]) - log(A). Component
-    atom draws are shared across class priors built together, so two priors
-    differ only through their weights.
+    weights (B,) holds the component weights and atoms (B*A, d) stacks the
+    A draws of each component in component order, so the atom at index
+    b*A + a carries log weight log(weights[b]) - log(A); atom_log_weights
+    is derived from the two. Priors built together share one atom array,
+    so two of them differ only through their weights.
     """
 
-    class_id: int
     weights: np.ndarray
-    components: list[GaussianParams]
     atoms: np.ndarray
-    atom_log_weights: np.ndarray
-    atom_seed: tuple[int, int] = (0, 0)
+    atom_log_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
+        self.atoms = np.asarray(self.atoms, dtype=float)
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ValueError("mixture weights must be a nonempty vector")
         if abs(float(self.weights.sum()) - 1.0) > SIMPLEX_TOL:
             raise ValueError("mixture weights must sum to 1")
         if np.any(self.weights < 0):
             raise ValueError("mixture weights must be nonnegative")
+        n_atoms = self.atoms.shape[0] if self.atoms.ndim == 2 else 0
+        if n_atoms == 0 or n_atoms % self.weights.size:
+            raise ValueError(
+                f"atoms must be a (B*A, d) array with A >= 1 draws for each of "
+                f"the {self.weights.size} components, got shape {self.atoms.shape}"
+            )
+        per_component = n_atoms // self.weights.size
+        with np.errstate(divide="ignore"):
+            self.atom_log_weights = (
+                np.repeat(np.log(self.weights), per_component) - np.log(per_component)
+            )
 
 
 def compute_class_stats(features, labels, ridge: float = 1e-6) -> list[ClassStats]:
@@ -178,36 +197,19 @@ def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray]
         OtProblem(cost, row, col, cfg.eps_class), cfg.ot_tol, cfg.ot_max_iters
     ).plan
 
-    d = base_stats[0].mean.shape[0]
-    components = [
-        GaussianParams(
-            s.mean, cfg.covariance_inflation * s.cov + cfg.ridge * np.eye(d)
-        )
-        for s in base_stats
-    ]
+    ridge = cfg.ridge * np.eye(base_stats[0].mean.shape[0])
     root = SeededRng(cfg.atom_seed)
     atoms = np.vstack([
-        gaussian_sample(comp, cfg.atoms_per_component, root.child(b))
-        for b, comp in enumerate(components)
-    ])
-
-    priors = []
-    log_a = np.log(cfg.atoms_per_component)
-    for c in range(n_classes):
-        weights = mixture_weights(plan, supports.labels, c)
-        with np.errstate(divide="ignore"):
-            log_w = np.repeat(np.log(weights), cfg.atoms_per_component) - log_a
-        priors.append(
-            MixturePrior(
-                class_id=c,
-                weights=weights,
-                components=components,
-                atoms=atoms,
-                atom_log_weights=log_w,
-                atom_seed=(root.seed, root.stream_id),
-            )
+        gaussian_sample(
+            GaussianParams(s.mean, cfg.covariance_inflation * s.cov + ridge),
+            cfg.atoms_per_component, root.child(b),
         )
-    return priors
+        for b, s in enumerate(base_stats)
+    ])
+    return [
+        MixturePrior(mixture_weights(plan, supports.labels, c), atoms)
+        for c in range(n_classes)
+    ]
 
 
 def update_weights_damped(current, target, eta: float) -> np.ndarray:
@@ -225,27 +227,19 @@ def update_weights_damped(current, target, eta: float) -> np.ndarray:
 
 
 def save_priors(priors: list[MixturePrior], path: str) -> None:
-    """Serialize priors to a JSON document; atoms are regenerated on load
-    from the recorded seed, so the file stays compact."""
+    """Write priors that share one atom array as a format-2 JSON document:
+    those atoms once, then each class's component weights in order."""
     if not priors:
         raise ValueError("nothing to save")
-    first = priors[0]
+    atoms = priors[0].atoms
     for p in priors[1:]:
-        if p.atom_seed != first.atom_seed or not np.array_equal(p.atoms, first.atoms):
-            raise ValueError("priors saved together must share component atoms")
+        if not np.array_equal(p.atoms, atoms):
+            raise ValueError("priors saved together must share one atom array")
     doc = {
         "format": "protodro-priors",
-        "version": 1,
-        "atoms_per_component": int(first.atoms.shape[0] // len(first.components)),
-        "atom_seed": list(first.atom_seed),
-        "components": [
-            {"mean": comp.mean.tolist(), "cov": comp.cov.tolist()}
-            for comp in first.components
-        ],
-        "classes": [
-            {"class_id": int(p.class_id), "weights": p.weights.tolist()}
-            for p in priors
-        ],
+        "version": PRIORS_FORMAT_VERSION,
+        "atoms": atoms.tolist(),
+        "weights": [p.weights.tolist() for p in priors],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -253,35 +247,20 @@ def save_priors(priors: list[MixturePrior], path: str) -> None:
 
 
 def load_priors(path: str) -> list[MixturePrior]:
-    """Rebuild priors saved by save_priors, atoms bit-identical via the seed."""
+    """Read back a format-2 document from save_priors.
+
+    Atoms and weights come back bit-identical (JSON floats round-trip), so
+    the loaded priors equal the saved ones; any other format or version is
+    rejected.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != "protodro-priors":
         raise ValueError(f"{path} is not a priors file")
-    components = [
-        GaussianParams(np.array(entry["mean"]), np.array(entry["cov"]))
-        for entry in doc["components"]
-    ]
-    per_comp = int(doc["atoms_per_component"])
-    seed, stream = doc["atom_seed"]
-    root = SeededRng(int(seed), int(stream))
-    atoms = np.vstack([
-        gaussian_sample(comp, per_comp, root.child(b))
-        for b, comp in enumerate(components)
-    ])
-    priors = []
-    for entry in doc["classes"]:
-        weights = np.asarray(entry["weights"], dtype=float)
-        with np.errstate(divide="ignore"):
-            log_w = np.repeat(np.log(weights), per_comp) - np.log(per_comp)
-        priors.append(
-            MixturePrior(
-                class_id=int(entry["class_id"]),
-                weights=weights,
-                components=components,
-                atoms=atoms,
-                atom_log_weights=log_w,
-                atom_seed=(int(seed), int(stream)),
-            )
+    if doc.get("version") != PRIORS_FORMAT_VERSION:
+        raise ValueError(
+            f"{path} is priors format version {doc.get('version')!r}; "
+            f"only version {PRIORS_FORMAT_VERSION} can be read"
         )
-    return priors
+    atoms = np.array(doc["atoms"], dtype=float)
+    return [MixturePrior(np.array(w, dtype=float), atoms) for w in doc["weights"]]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import log_sum_exp
+from .numkit import log_sum_exp, sq_distances
 
 MARGINAL_SUM_TOL = 1e-12
 
@@ -152,7 +152,6 @@ def build_cost_matrix(supports: np.ndarray, base_prototypes: list[np.ndarray],
     pts = np.asarray(supports, dtype=float)
     if pts.ndim != 2:
         raise ValueError("supports must be an (N, d) array")
-    sq_pts = np.sum(pts**2, axis=1)
     rows = []
     for protos in base_prototypes:
         protos = np.atleast_2d(np.asarray(protos, dtype=float))
@@ -160,11 +159,6 @@ def build_cost_matrix(supports: np.ndarray, base_prototypes: list[np.ndarray],
             raise ValueError("a base class has no prototypes")
         if protos.shape[1] != pts.shape[1]:
             raise ValueError("prototype dimension does not match supports")
-        sq = (
-            np.sum(protos**2, axis=1)[:, None]
-            + sq_pts[None, :]
-            - 2.0 * protos @ pts.T
-        )
-        np.maximum(sq, 0.0, out=sq)
+        sq = sq_distances(protos, pts)
         rows.append(-eps_sample * log_sum_exp(-sq / eps_sample, axis=0))
     return np.vstack(rows)

@@ -28,7 +28,6 @@ from . import __version__
 from .config import ExperimentConfig, config_hash, shift_at_level
 from .metrics import eval_classification, eval_regression
 from .models import (
-    NoiseSpec,
     RobustClassifier,
     TrainConfig,
     empirical_prior,
@@ -63,9 +62,12 @@ def write_csv(path, columns, rows) -> None:
 
 @functools.cache
 def version_string() -> str:
+    """Package version plus the short revision of the git checkout the
+    package lives in; the bare version outside a checkout."""
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=5, check=True,
         ).stdout.strip()
         return f"{__version__}+{rev}"
@@ -163,8 +165,8 @@ def _fit_ot(pair, cfg, train):
 
 
 def _fit_saa(pair, cfg, train):
-    return train_saa(pair.target_train_supports, NoiseSpec(),
-                     cfg.generator.n_classes, train).head, None
+    return train_saa(pair.target_train_supports, cfg.generator.n_classes,
+                     train).head, None
 
 
 def _fit_wdro(pair, cfg, train):

@@ -10,9 +10,11 @@ from protodro.config import (
     METHODS,
     ExperimentConfig,
     GeneratorConfig,
+    load_config,
     save_config,
 )
 from protodro.dro import DroConfig
+from protodro.metrics import eval_classification
 from protodro.models import TrainConfig
 from protodro.priors import PriorConfig
 from protodro.synthgen import ShiftSpec
@@ -108,15 +110,17 @@ class TestSweep:
 
 
 class TestEval:
-    def test_round_trip(self, cls_config, tmp_path):
+    @pytest.mark.parametrize("method", ["pgdro", "wdro"])
+    def test_round_trip(self, cls_config, tmp_path, method):
+        # the saved head and priors must predict as the in-memory path does
         out = tmp_path / "out"
         assert cli.main(["gen", "--config", cls_config, "--out", str(out)]) == 0
-        assert _train(cls_config, "pgdro", out) == 0
+        assert _train(cls_config, method, out) == 0
         assert cli.main([
             "eval", "--config", cls_config, "--out", str(out),
-            "--head", str(out / "head_pgdro_s000.txt"),
+            "--head", str(out / f"head_{method}_s000.txt"),
             "--data", str(out / "s000_test.csv"),
-            "--priors", str(out / "priors_pgdro_s000.txt"),
+            "--priors", str(out / f"priors_{method}_s000.txt"),
         ]) == 0
         lines = (out / "eval.csv").read_text().splitlines()
         assert lines[0] == "config_hash,split,metric,value"
@@ -124,3 +128,11 @@ class TestEval:
             "avg_accuracy", "worst10_accuracy"]
         for line in lines[1:]:
             assert 0.0 <= float(line.split(",")[3]) <= 1.0
+
+        cfg = load_config(cls_config)
+        pair = sweeps.make_pair(cfg, cfg.shift.lambda_cov, 0)
+        in_memory = eval_classification(
+            sweeps._classification_predictions(method, pair, cfg, 0),
+            pair.target_test.labels, cfg.generator.n_classes,
+        )
+        assert float(lines[1].split(",")[3]) == in_memory.avg_accuracy

@@ -1,6 +1,5 @@
 """Config files: round trips, hashing, presets, environment override."""
 
-import numpy as np
 import pytest
 
 from protodro.config import (
@@ -14,7 +13,6 @@ from protodro.config import (
     save_config,
     shift_at_level,
 )
-from protodro.synthgen import ShiftSpec
 
 
 class TestGeneratorConfig:

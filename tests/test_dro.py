@@ -43,22 +43,9 @@ def random_instance(rng, n_atoms=None, with_holes=False):
     return logw, scores
 
 
-def make_prior(atoms, log_weights=None):
-    """Minimal single-component prior wrapper around explicit atoms."""
-    atoms = np.asarray(atoms, dtype=float)
-    n_atoms, dim = atoms.shape
-    if log_weights is None:
-        log_weights = uniform_logw(n_atoms)
-    from protodro.numkit import GaussianParams
-
-    comp = GaussianParams(mean=np.zeros(dim), cov=np.eye(dim))
-    return MixturePrior(
-        class_id=0,
-        weights=np.array([1.0]),
-        components=[comp],
-        atoms=atoms,
-        atom_log_weights=np.asarray(log_weights, dtype=float),
-    )
+def make_prior(atoms):
+    """Minimal single-component prior with uniform weight on explicit atoms."""
+    return MixturePrior(weights=np.array([1.0]), atoms=np.asarray(atoms, dtype=float))
 
 
 def dual_terms(logw, scores, lam, cfg):
@@ -104,8 +91,8 @@ class TestGibbsTilt:
 
     def test_prior_weights_carry_through(self):
         # equidistant atoms, so the tilt must reproduce the prior weights
-        logw = np.log([0.8, 0.2])
-        prior = make_prior([[1.0], [-1.0]], log_weights=logw)
+        # two one-atom components weighted 0.8 / 0.2
+        prior = MixturePrior(weights=np.array([0.8, 0.2]), atoms=np.array([[1.0], [-1.0]]))
         tilt = gibbs_tilt(prior, np.zeros(1), epsilon=1.3)
         np.testing.assert_allclose(np.exp(tilt.tilt_log_weights), [0.8, 0.2])
 

@@ -12,7 +12,6 @@ from protodro.config import ExperimentConfig, GeneratorConfig
 from protodro.dro import DroConfig
 from protodro.models import (
     LinearHead,
-    NoiseSpec,
     RobustClassifier,
     TrainConfig,
     barycentric_transport,
@@ -32,7 +31,6 @@ from protodro.models import (
     train_pgdro_classifier,
     train_pgdro_regressor,
     train_saa,
-    zero_head,
 )
 from protodro.dro import gibbs_tilt_batch
 from protodro.numkit import SeededRng
@@ -54,36 +52,24 @@ def two_blob_data(rng, n_per=40, gap=4.0, dim=2):
 def blob_priors(data, atoms_per=24, seed=3, lean=0.85):
     """Mixture priors sharing one atom pool, leaning toward each class.
 
-    Mirrors the pipeline's structure: both priors mix the same two blob
-    components (and the same component draws), only the weights differ.
+    Mirrors the pipeline's structure: both priors weight the same draws
+    from the two blob Gaussians, only the weights differ.
     """
     from protodro.numkit import GaussianParams, gaussian_sample
     from protodro.priors import MixturePrior
 
-    comps = []
     draws = []
     for c in range(2):
         pts = data.features[data.labels == c]
         comp = GaussianParams(
             mean=pts.mean(axis=0), cov=np.cov(pts.T) + 1e-6 * np.eye(pts.shape[1])
         )
-        comps.append(comp)
         draws.append(gaussian_sample(comp, atoms_per, SeededRng(seed, c)))
     atoms = np.vstack(draws)
-    priors = []
-    for c in range(2):
-        weights = np.array([lean, 1.0 - lean] if c == 0 else [1.0 - lean, lean])
-        log_w = np.repeat(np.log(weights) - np.log(atoms_per), atoms_per)
-        priors.append(
-            MixturePrior(
-                class_id=c,
-                weights=weights,
-                components=comps,
-                atoms=atoms,
-                atom_log_weights=log_w,
-            )
-        )
-    return priors
+    return [
+        MixturePrior(weights=np.array([lean, 1.0 - lean]), atoms=atoms),
+        MixturePrior(weights=np.array([1.0 - lean, lean]), atoms=atoms),
+    ]
 
 
 def flat(grads):
@@ -253,12 +239,6 @@ class TestHeadAndConfig:
         with pytest.raises(ValueError):
             TrainConfig(penalty_temperature=0.0)
 
-    def test_noise_spec_validation(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(family="cauchy")
-        with pytest.raises(ValueError):
-            NoiseSpec(draws=0)
-
 
 class TestErmFamily:
     def test_zero_epochs_returns_initial_head(self):
@@ -340,23 +320,19 @@ class TestOtAdapt:
 
 
 class TestSaa:
-    def test_zero_noise_single_draw_equals_fewshot(self):
+    def test_equals_ce_on_seeded_gaussian_copies(self):
+        # 64 copies of every support, shifted by the seed's N(0, 0.1^2) draws
         rng = np.random.default_rng(79)
         data = two_blob_data(rng, n_per=6)
         cfg = TrainConfig(epochs=10, seed=5)
-        saa = train_saa(data, NoiseSpec(family="gaussian", scale=0.0, draws=1), 2, cfg)
-        few = train_fewshot(data, 2, cfg)
-        np.testing.assert_array_equal(saa.head.weights, few.head.weights)
-        np.testing.assert_array_equal(saa.head.biases, few.head.biases)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(83)
-        data = two_blob_data(rng, n_per=6)
-        cfg = TrainConfig(epochs=4, seed=2)
-        spec = NoiseSpec(family="laplace", scale=0.3, draws=8)
-        a = train_saa(data, spec, 2, cfg)
-        b = train_saa(data, spec, 2, cfg)
-        np.testing.assert_array_equal(a.head.weights, b.head.weights)
+        saa = train_saa(data, 2, cfg)
+        n, d = data.features.shape
+        noise = SeededRng(5, models._NOISE_STREAM).normal((64, n, d), std=0.1)
+        augmented = (data.features[None, :, :] + noise).reshape(64 * n, d)
+        ce = models._train_ce_head(augmented, np.tile(data.labels, 64), 2, cfg)
+        np.testing.assert_array_equal(saa.head.weights, ce.head.weights)
+        np.testing.assert_array_equal(saa.head.biases, ce.head.biases)
+        np.testing.assert_array_equal(saa.loss_trace, ce.loss_trace)
 
 
 class TestRobustClassifier:
@@ -442,8 +418,6 @@ class TestWdro:
             np.testing.assert_array_equal(prior.atoms, reference.atoms)
             np.testing.assert_array_equal(prior.atom_log_weights, reference.atom_log_weights)
             np.testing.assert_array_equal(prior.weights, reference.weights)
-            np.testing.assert_array_equal(prior.components[0].mean, reference.components[0].mean)
-            np.testing.assert_array_equal(prior.components[0].cov, reference.components[0].cov)
         adaptive = train_pgdro_classifier(
             supports, [reference] * cfg.generator.n_classes,
             replace(cfg.train, seed=3), cfg.dro,
@@ -483,16 +457,9 @@ class TestRobustRegressor:
         x = np.array([[1.0, -2.0]])
         z = np.array([3.0])
         data = SupportSet(features=x, labels=np.array([0]))
-        from protodro.numkit import GaussianParams
         from protodro.priors import MixturePrior
 
-        prior = MixturePrior(
-            class_id=0,
-            weights=np.array([1.0]),
-            components=[GaussianParams(mean=x[0], cov=np.eye(2))],
-            atoms=np.tile(x, (5, 1)),
-            atom_log_weights=np.full(5, -np.log(5.0)),
-        )
+        prior = MixturePrior(weights=np.array([1.0]), atoms=np.tile(x, (5, 1)))
         weight = 0.7
         cfg = TrainConfig(epochs=1, penalty_weight=weight, batch_size=1)
         result = train_pgdro_regressor(data, z, [prior], cfg, DroConfig())

@@ -11,6 +11,7 @@ from protodro.numkit import (
     gaussian_sample,
     log_sum_exp,
     random_rotation,
+    sq_distances,
 )
 
 
@@ -109,6 +110,18 @@ class TestSeededRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             SeededRng(-1)
+
+
+class TestSqDistances:
+    def test_matches_direct_differences_and_clips(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((7, 3))
+        b = rng.standard_normal((4, 3))
+        direct = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_allclose(sq_distances(a, b), direct, rtol=1e-12, atol=1e-12)
+        # here the expansion rounds to about -4.5e-13 before the clip
+        c = np.array([[-16.454743343016766, 7.9157741139055116, -36.29467063684213]])
+        assert sq_distances(c, c.copy())[0, 0] >= 0.0
 
 
 class TestGaussianSample:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protodro.numkit import SeededRng
+from protodro.models import empirical_prior
+from protodro.numkit import GaussianParams, SeededRng, gaussian_sample
 from protodro.priors import (
     MixturePrior,
     PriorConfig,
@@ -91,7 +92,6 @@ class TestBuildPriors:
         cfg = PriorConfig(atom_seed=3)
         priors = build_priors(stats, protos, supports, cfg)
         for c, prior in enumerate(priors):
-            assert prior.class_id == c
             assert prior.weights[c] >= 0.9
 
     def test_plan_agrees_with_scaling_oracle(self):
@@ -115,11 +115,17 @@ class TestBuildPriors:
             np.testing.assert_allclose(prior.weights, ref, atol=1e-6)
 
     def test_components_inflated(self):
+        # atom block b is the seeded draw from base class b's Gaussian with
+        # covariance inflated and ridged
         stats, protos, supports = separated_setup()
-        cfg = PriorConfig(covariance_inflation=3.0, ridge=1e-8)
+        cfg = PriorConfig(covariance_inflation=3.0, ridge=1e-8, atoms_per_component=16,
+                          atom_seed=5)
         priors = build_priors(stats, protos, supports, cfg)
-        expected = 3.0 * stats[1].cov + 1e-8 * np.eye(2)
-        np.testing.assert_allclose(priors[0].components[1].cov, expected)
+        a = cfg.atoms_per_component
+        for b, s in enumerate(stats):
+            params = GaussianParams(s.mean, 3.0 * s.cov + 1e-8 * np.eye(2))
+            expected = gaussian_sample(params, a, SeededRng(5).child(b))
+            np.testing.assert_array_equal(priors[0].atoms[b * a:(b + 1) * a], expected)
 
     def test_atoms_deterministic_and_seed_sensitive(self):
         stats, protos, supports = separated_setup()
@@ -136,7 +142,16 @@ class TestBuildPriors:
 
         for prior in priors:
             assert log_sum_exp(prior.atom_log_weights) == pytest.approx(0.0, abs=1e-12)
-            assert prior.atoms.shape == (len(prior.components) * 64, 2)
+            assert prior.atoms.shape == (len(prior.weights) * 64, 2)
+
+    def test_atom_count_must_be_a_multiple_of_components(self):
+        with pytest.raises(ValueError, match="components"):
+            MixturePrior(np.array([0.5, 0.5]), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="components"):
+            MixturePrior(np.array([1.0]), np.zeros((0, 2)))
+        prior = MixturePrior(np.array([0.25, 0.75]), np.zeros((6, 2)))
+        np.testing.assert_array_equal(
+            prior.atom_log_weights, np.repeat(np.log([0.25, 0.75]), 3) - np.log(3))
 
     @given(st.integers(min_value=0, max_value=100))
     def test_permutation_equivariance(self, seed):
@@ -195,23 +210,25 @@ class TestUpdateWeightsDamped:
 
 class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
+        # adapted priors (seeded Gaussian atoms) and the empirical reference
+        # (atoms at the observed points) both come back as saved
         stats, protos, supports = separated_setup()
-        priors = build_priors(stats, protos, supports, PriorConfig(atom_seed=11))
-        path = tmp_path / "priors.json"
-        save_priors(priors, str(path))
-        loaded = load_priors(str(path))
-        assert len(loaded) == len(priors)
-        for orig, back in zip(priors, loaded):
-            assert back.class_id == orig.class_id
-            np.testing.assert_array_equal(back.atoms, orig.atoms)
-            np.testing.assert_array_equal(back.weights, orig.weights)
-            np.testing.assert_array_equal(back.atom_log_weights, orig.atom_log_weights)
-            for a, b in zip(orig.components, back.components):
-                np.testing.assert_array_equal(a.mean, b.mean)
-                np.testing.assert_array_equal(a.cov, b.cov)
+        adapted = build_priors(stats, protos, supports, PriorConfig(atom_seed=11))
+        empirical = [empirical_prior(supports.features)] * 3
+        for name, priors in (("adapted", adapted), ("empirical", empirical)):
+            path = tmp_path / f"{name}.json"
+            save_priors(priors, str(path))
+            loaded = load_priors(str(path))
+            assert len(loaded) == len(priors)
+            for orig, back in zip(priors, loaded):
+                np.testing.assert_array_equal(back.atoms, orig.atoms)
+                np.testing.assert_array_equal(back.weights, orig.weights)
+                np.testing.assert_array_equal(back.atom_log_weights, orig.atom_log_weights)
 
     def test_wrong_format_rejected(self, tmp_path):
+        # another format, and this format at a version other than 2
         path = tmp_path / "junk.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError):
-            load_priors(str(path))
+        for doc in ('{"format": "other"}', '{"format": "protodro-priors", "version": 1}'):
+            path.write_text(doc)
+            with pytest.raises(ValueError):
+                load_priors(str(path))

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from protodro.sinkhorn import (
     ConvergenceError,
     OtProblem,
-    TransportPlan,
     build_cost_matrix,
     softmin_cost,
     solve_entropic_ot,

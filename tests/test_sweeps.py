@@ -1,5 +1,7 @@
 """Sweep orchestration: smoke runs, determinism, containment, heatmap trend."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from protodro.config import (
     ExperimentConfig,
     GeneratorConfig,
     config_hash,
-    preset,
 )
 from protodro.dro import DroConfig
 from protodro.models import TrainConfig
@@ -160,3 +161,14 @@ class TestHeatmap:
         a = sweeps.nested_supports(pair.target_params, 4, SeededRng(3, 7).child(99))
         b = sweeps.nested_supports(pair.target_params, 8, SeededRng(3, 7).child(99))
         assert np.array_equal(a, b[:, :4, :])
+
+
+class TestManifest:
+    def test_version_names_the_package_checkout(self, tmp_path, monkeypatch):
+        # the revision comes from the checkout the package lives in, not
+        # from the directory the command was started in
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.chdir(repo_root)
+        from_root = sweeps.version_string.__wrapped__()
+        monkeypatch.chdir(tmp_path)
+        assert sweeps.version_string.__wrapped__() == from_root
