@@ -1,8 +1,8 @@
 """Command-line interface: generation, training, sweeps, and harnesses.
 
-`train` and `sweep` train methods through the registry in sweeps
-(CLASSIFIERS, REGRESSORS), the one place a method is added; the regression
-methods accepted here are that registry's keys.
+`train` and `sweep` name, check and train methods through the registry in
+sweeps (the `methods` of each task's GridSpec), the one place a method is
+added; a method the config's task lacks is a configuration problem.
 
 Exit codes: 0 on success, 1 on configuration problems (bad flags, missing
 or invalid config file, task/method mismatches), 2 on numerical failure
@@ -19,24 +19,18 @@ import time
 
 import numpy as np
 
-from .config import (
-    METHODS,
-    ExperimentConfig,
-    config_hash,
-    load_config,
-    preset,
-)
+from .config import ExperimentConfig, config_hash, load_config, preset
 from .harnesses import run_consistency, run_contraction
 from .metrics import eval_classification, eval_regression
 from .models import load_head, save_head
 from .priors import load_priors, save_priors
 from .sweeps import (
-    REGRESSORS,
-    fit_classifier,
-    fit_regressor,
+    GRIDS,
+    fit,
     format_real,
     make_pair,
     make_task,
+    method_fit,
     predict_classes,
     run_heatmap,
     run_sweep,
@@ -44,8 +38,6 @@ from .sweeps import (
     write_manifest,
 )
 from .synthgen import load_dataset, save_dataset
-
-REGRESSION_METHODS = tuple(REGRESSORS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = commands.add_parser("train", help="train one method, save the head")
     _add_common(train)
-    train.add_argument("--method", required=True, choices=METHODS)
+    train.add_argument("--method", required=True,
+                       help="a registered method of the config's task")
     train.add_argument("--seed", type=int, help="seed override (one run)")
 
     sweep = commands.add_parser("sweep", help="disturbance-level benchmark grid")
@@ -167,20 +160,14 @@ def _cmd_gen(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_train(args, cfg: ExperimentConfig) -> int:
-    if cfg.task not in ("classification", "regression"):
-        raise ValueError(f"train expects a classification or regression config, got {cfg.task!r}")
     method = args.method
-    if cfg.task == "regression" and method not in REGRESSION_METHODS:
-        raise ValueError(f"method {method!r} has no regression runner")
+    method_fit(cfg.task, method)
     out = _prepare_out(cfg)
     t0 = time.time()
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     pair = make_pair(cfg, cfg.shift.lambda_cov, seed)
-    if cfg.task == "classification":
-        head, priors = fit_classifier(method, pair, cfg, seed)
-    else:
-        task = make_task(cfg, pair, seed)
-        head, priors = fit_regressor(method, pair, task, cfg, seed)
+    inputs = GRIDS[cfg.task].inputs(cfg, pair, seed)
+    head, priors = fit(cfg.task, method, inputs, cfg, seed)
     digest = config_hash(cfg)
     head_path = os.path.join(out, f"head_{method}_s{seed:03d}.txt")
     save_head(head, head_path, config_hash=digest)
@@ -257,10 +244,10 @@ def _cmd_eval(args, cfg: ExperimentConfig) -> int:
     eval_path = os.path.join(out, "eval.csv")
     write_csv(eval_path, ("config_hash", "split", "metric", "value"),
               [(digest, split, name, format_real(value)) for name, value in rows])
-    write_manifest(
-        os.path.join(out, "eval_manifest.txt"), cfg,
-        {"command": "eval", "head": args.head, "data": args.data}, t0,
-    )
+    fields = {"command": "eval", "head": args.head, "data": args.data}
+    if args.priors:
+        fields["priors"] = args.priors
+    write_manifest(os.path.join(out, "eval_manifest.txt"), cfg, fields, t0)
     print("  ".join(f"{name}={value:.6f}" for name, value in rows))
     return 0
 

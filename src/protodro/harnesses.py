@@ -28,8 +28,10 @@ from .priors import (
     SupportSet,
     build_priors,
     compute_class_stats,
+    draw_atoms,
     update_weights_damped,
 )
+from .sinkhorn import build_cost_matrix
 from .sweeps import format_real, write_csv, write_manifest
 
 INSTANCE_STREAM = 31
@@ -119,18 +121,8 @@ def _build_instance(cfg: ExperimentConfig, seed: int) -> ContractionInstance:
     target_cov = TARGET_COV_SCALE * np.eye(d)
     target_components = [GaussianParams(m, target_cov) for m in base_means]
 
-    inflation = cfg.prior.covariance_inflation
-    ridge = cfg.prior.ridge
-    a = cfg.prior.atoms_per_component
-    inflated = [
-        GaussianParams(p.mean, inflation * p.cov + ridge * np.eye(d))
-        for p in base_params
-    ]
-    atom_rng = SeededRng(cfg.prior.atom_seed, INSTANCE_STREAM).child(7)
-    atoms = np.vstack([
-        gaussian_sample(p, a, atom_rng.child(b))
-        for b, p in enumerate(inflated)
-    ])
+    atoms = draw_atoms(base_params, cfg.prior,
+                       SeededRng(cfg.prior.atom_seed, INSTANCE_STREAM).child(7))
     mix_means = target_mixes @ np.stack(base_means)
     eval_points = np.stack([
         0.5 * (mix_means[0] + mix_means[1]),
@@ -175,13 +167,6 @@ def _draw_supports(instance: ContractionInstance, n: int,
         feats.append(_sample_target_class(instance, c, counts[c], rng.child(c)))
         labels.append(np.full(counts[c], c, dtype=int))
     return np.vstack(feats), np.concatenate(labels)
-
-
-def _support_cost(instance: ContractionInstance,
-                  features: np.ndarray, eps_sample: float) -> np.ndarray:
-    from .sinkhorn import build_cost_matrix
-
-    return build_cost_matrix(features, instance.prototypes, eps_sample)
 
 
 class _TransportMap:
@@ -287,7 +272,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
     support_rng = SeededRng(seed, INSTANCE_STREAM).child(11)
 
     feats, labels = _draw_supports(instance, POPULATION_SIZE, support_rng)
-    cost = _support_cost(instance, feats, cfg.prior.eps_sample)
+    cost = build_cost_matrix(feats, instance.prototypes, cfg.prior.eps_sample)
     transport = _TransportMap(cost, labels, cfg.prior.eps_class)
 
     uniform = np.full((N_TARGET, N_BASE), 1.0 / N_BASE)
@@ -338,7 +323,8 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
         for rep in range(FLOOR_REPLICATES):
             f_feats, f_labels = _draw_supports(
                 instance, n, floor_rng.child(1000 * n + rep))
-            f_cost = _support_cost(instance, f_feats, cfg.prior.eps_sample)
+            f_cost = build_cost_matrix(f_feats, instance.prototypes,
+                                       cfg.prior.eps_sample)
             f_transport = _TransportMap(f_cost, f_labels, cfg.prior.eps_class)
             f_fixed = _fixed_point(f_transport, uniform)
             gaps.append(_value_gap(instance, f_fixed, ref_values, cfg))

@@ -7,9 +7,12 @@ regression (a single row). Training objectives:
     scores, gradients chained through the dual envelope
   * robust regressor: Huber loss plus a tilted log-mean-exp penalty over
     the sample's class prior
-  * baselines: plain ERM, few-shot ERM on supports, per-class entropic
-    OT feature transport, noise-augmented SAA; the fixed-reference robust
-    baseline trains the robust classifier on `empirical_prior` atoms
+  * baselines: `train_ce_head` and `train_huber_head` fit plain affine
+    heads to whatever rows a method hands them (source samples, supports,
+    or source features moved by `barycentric_transport`); SAA adds seeded
+    noise copies of the supports; the fixed-reference robust baseline
+    trains the robust classifier on `empirical_prior` atoms. The method
+    registry in sweeps chooses each method's rows.
 
 All loops are plain minibatch descent (constant-step or adaptive-moment
 updates) over numpy arrays, deterministic under a fixed seed.
@@ -217,9 +220,9 @@ def ce_objective(weights: np.ndarray, biases: np.ndarray, features: np.ndarray,
     return loss, [grad.T @ features, grad.sum(axis=0)]
 
 
-def _train_ce_head(features: np.ndarray, labels: np.ndarray, n_classes: int,
-                   cfg: TrainConfig) -> TrainResult:
-    """Cross-entropy on plain affine logits; shared by the ERM family."""
+def train_ce_head(features: np.ndarray, labels: np.ndarray, n_classes: int,
+                  cfg: TrainConfig) -> TrainResult:
+    """Cross-entropy on plain affine logits of the given rows."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     head = zero_head(n_classes, x.shape[1])
@@ -230,16 +233,6 @@ def _train_ce_head(features: np.ndarray, labels: np.ndarray, n_classes: int,
 
     trace = _run_epochs(x.shape[0], cfg, params, batch_fn)
     return TrainResult(head, trace)
-
-
-def train_erm(source: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainResult:
-    """Cross-entropy on labeled source samples only."""
-    return _train_ce_head(source.features, source.labels, n_classes, cfg)
-
-
-def train_fewshot(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainResult:
-    """Cross-entropy on the few labeled target supports only."""
-    return _train_ce_head(supports.features, supports.labels, n_classes, cfg)
 
 
 def barycentric_transport(source: SupportSet, supports: SupportSet,
@@ -273,13 +266,6 @@ def barycentric_transport(source: SupportSet, supports: SupportSet,
     return transported
 
 
-def train_ot_adapt(source: SupportSet, supports: SupportSet, n_classes: int,
-                   cfg: TrainConfig, ot_epsilon: float = 0.2) -> TrainResult:
-    """Cross-entropy on barycentrically transported source features."""
-    moved = barycentric_transport(source, supports, epsilon=ot_epsilon)
-    return _train_ce_head(moved, source.labels, n_classes, cfg)
-
-
 def train_saa(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainResult:
     """Cross-entropy on supports augmented with seeded Gaussian draws:
     SAA_NOISE_DRAWS copies of every support, each shifted by noise of
@@ -290,7 +276,7 @@ def train_saa(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainRe
     eta = rng.normal((SAA_NOISE_DRAWS, n, d), std=SAA_NOISE_SCALE)
     augmented = (x[None, :, :] + eta).reshape(SAA_NOISE_DRAWS * n, d)
     labels = np.tile(supports.labels, SAA_NOISE_DRAWS)
-    return _train_ce_head(augmented, labels, n_classes, cfg)
+    return train_ce_head(augmented, labels, n_classes, cfg)
 
 
 def stacked_atoms(priors: list[MixturePrior]) -> np.ndarray:
@@ -431,8 +417,9 @@ def huber_objective(weights: np.ndarray, biases: np.ndarray, features: np.ndarra
     ]
 
 
-def _train_huber_head(features: np.ndarray, responses: np.ndarray,
-                      cfg: TrainConfig) -> TrainResult:
+def train_huber_head(features: np.ndarray, responses: np.ndarray,
+                     cfg: TrainConfig) -> TrainResult:
+    """Huber regression of an affine head on the given rows."""
     x = np.asarray(features, dtype=float)
     z = np.asarray(responses, dtype=float)
     head = zero_head(1, x.shape[1])
@@ -443,20 +430,6 @@ def _train_huber_head(features: np.ndarray, responses: np.ndarray,
 
     trace = _run_epochs(x.shape[0], cfg, params, batch_fn)
     return TrainResult(head, trace)
-
-
-def train_erm_regressor(features: np.ndarray, responses: np.ndarray,
-                        cfg: TrainConfig) -> TrainResult:
-    """Huber regression on labeled source samples only."""
-    return _train_huber_head(features, responses, cfg)
-
-
-def train_ot_adapt_regressor(source: SupportSet, source_responses: np.ndarray,
-                             supports: SupportSet, cfg: TrainConfig,
-                             ot_epsilon: float = 0.2) -> TrainResult:
-    """Huber regression on per-class transported source features."""
-    moved = barycentric_transport(source, supports, epsilon=ot_epsilon)
-    return _train_huber_head(moved, source_responses, cfg)
 
 
 def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,

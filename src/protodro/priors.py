@@ -170,6 +170,24 @@ def mixture_weights(plan: np.ndarray, labels, class_id: int) -> np.ndarray:
     return mass / total
 
 
+def draw_atoms(components, cfg: PriorConfig, rng: SeededRng) -> np.ndarray:
+    """The (B*A, d) atoms of a mixture over B components.
+
+    Each component (anything with a mean and a cov) has its covariance
+    scaled by cfg.covariance_inflation plus a cfg.ridge ridge; A =
+    cfg.atoms_per_component draws of component b come from rng.child(b)
+    and are stacked in component order.
+    """
+    ridge = cfg.ridge * np.eye(components[0].mean.shape[0])
+    return np.vstack([
+        gaussian_sample(
+            GaussianParams(c.mean, cfg.covariance_inflation * c.cov + ridge),
+            cfg.atoms_per_component, rng.child(b),
+        )
+        for b, c in enumerate(components)
+    ])
+
+
 def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray],
                  supports: SupportSet, cfg: PriorConfig) -> list[MixturePrior]:
     """Construct one adapted mixture prior per support class.
@@ -178,7 +196,8 @@ def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray]
     (rows) and support points (columns); each class's mixture weights are
     the normalized mass its columns received. Components are the base-class
     Gaussians with covariance scaled by cfg.covariance_inflation plus a
-    ridge, and atoms are drawn once per component from cfg.atom_seed.
+    ridge, and atoms are drawn once per component from cfg.atom_seed
+    (draw_atoms).
     """
     if len(base_stats) != len(base_prototypes):
         raise ValueError("base_stats and base_prototypes must align")
@@ -197,15 +216,7 @@ def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray]
         OtProblem(cost, row, col, cfg.eps_class), cfg.ot_tol, cfg.ot_max_iters
     ).plan
 
-    ridge = cfg.ridge * np.eye(base_stats[0].mean.shape[0])
-    root = SeededRng(cfg.atom_seed)
-    atoms = np.vstack([
-        gaussian_sample(
-            GaussianParams(s.mean, cfg.covariance_inflation * s.cov + ridge),
-            cfg.atoms_per_component, root.child(b),
-        )
-        for b, s in enumerate(base_stats)
-    ])
+    atoms = draw_atoms(base_stats, cfg, SeededRng(cfg.atom_seed))
     return [
         MixturePrior(mixture_weights(plan, supports.labels, c), atoms)
         for c in range(n_classes)

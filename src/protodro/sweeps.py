@@ -1,10 +1,11 @@
 """Sweep orchestration: the method registry, disturbance grids, weight
 heatmaps, CSV and manifest persistence.
 
-A method is added in one place: the registry (CLASSIFIERS, REGRESSORS) maps
-its name to the function that trains it, and both `protodro train` and the
-sweep grid dispatch through it. config.METHODS, which configs are validated
-against, lists the classification keys; a test keeps the two equal.
+A method is named, checked and trained in one place: the `methods` field
+of its task's GridSpec in GRIDS maps the name to the function that trains
+it. `protodro train` and the sweep grid both look methods up there
+(`method_fit`), so an unknown method, or one the config's task lacks, is a
+ValueError before any cell runs or any file is written.
 
 Every sweep writes three kinds of artifact into its output directory:
 per-cell CSV rows (one line per level x method x seed), an aggregate CSV
@@ -24,18 +25,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .config import ExperimentConfig, config_hash, shift_at_level
 from .metrics import eval_classification, eval_regression
 from .models import (
     RobustClassifier,
     TrainConfig,
     empirical_prior,
-    train_erm,
-    train_erm_regressor,
-    train_fewshot,
-    train_ot_adapt,
-    train_ot_adapt_regressor,
+    train_ce_head,
+    train_huber_head,
     train_pgdro_classifier,
     train_pgdro_regressor,
     train_saa,
@@ -150,18 +148,14 @@ def _pgdro_inputs(pair: DomainPair, cfg: ExperimentConfig, train: TrainConfig):
     return priors, data
 
 
-def _fit_erm(pair, cfg, train):
-    return train_erm(pair.source, cfg.generator.n_classes, train).head, None
+def _fit_ce(features, labels, cfg, train):
+    return train_ce_head(features, labels, cfg.generator.n_classes, train).head, None
 
 
-def _fit_fewshot(pair, cfg, train):
-    supports = pair.target_train_supports
-    return train_fewshot(supports, cfg.generator.n_classes, train).head, None
-
-
-def _fit_ot(pair, cfg, train):
-    return train_ot_adapt(pair.source, pair.target_train_supports,
-                          cfg.generator.n_classes, train).head, None
+def _transported(pair: DomainPair) -> np.ndarray:
+    """Source features moved onto the target supports, class by class (the
+    OT baselines); called through models, where the benchmark traces it."""
+    return models.barycentric_transport(pair.source, pair.target_train_supports)
 
 
 def _fit_saa(pair, cfg, train):
@@ -182,57 +176,32 @@ def _fit_pgdro(pair, cfg, train):
     return train_pgdro_classifier(data, priors, train, cfg.dro).head, priors
 
 
-def _fit_erm_regressor(pair, task, cfg, train):
-    return train_erm_regressor(
-        pair.source.features, task.source_responses, train
-    ).head, None
-
-
-def _fit_ot_regressor(pair, task, cfg, train):
-    return train_ot_adapt_regressor(
-        pair.source, task.source_responses, pair.target_train_supports, train
-    ).head, None
-
-
 def _fit_pgdro_regressor(pair, task, cfg, train):
     priors, data = _pgdro_inputs(pair, cfg, train)
     responses = np.concatenate([task.source_responses, task.support_responses])
     return train_pgdro_regressor(data, responses, priors, train, cfg.dro).head, priors
 
 
-# The method registry: name -> fit(pair, [task,] cfg, train_cfg), returning
-# (head, priors or None). `protodro train` saves returned priors next to the
-# head, and a classifier that returns them predicts robustly; the sweep and
-# the CLI both dispatch through these tables.
-CLASSIFIERS = {
-    "pgdro": _fit_pgdro,
-    "erm": _fit_erm,
-    "ot": _fit_ot,
-    "saa": _fit_saa,
-    "wdro": _fit_wdro,
-    "fewshot": _fit_fewshot,
-}
-REGRESSORS = {
-    "pgdro": _fit_pgdro_regressor,
-    "ot": _fit_ot_regressor,
-    "erm": _fit_erm_regressor,
-}
+def method_fit(task: str, method: str) -> Callable:
+    """The registered fit of one method of a grid task.
+
+    Raises ValueError for a task without a grid or a method its registry
+    lacks; `protodro train` and the sweep call this before writing a file.
+    """
+    if task not in GRIDS:
+        raise ValueError(
+            f"expected a classification or regression config, got {task!r}")
+    methods = GRIDS[task].methods
+    if method not in methods:
+        raise ValueError(f"method {method!r} has no {task} runner; "
+                         f"choose from {', '.join(methods)}")
+    return methods[method]
 
 
-def fit_classifier(method: str, pair: DomainPair, cfg: ExperimentConfig,
-                   seed: int):
-    """Train one classification method: (head, priors or None)."""
-    if method not in CLASSIFIERS:
-        raise ValueError(f"method {method!r} has no classification runner")
-    return CLASSIFIERS[method](pair, cfg, replace(cfg.train, seed=seed))
-
-
-def fit_regressor(method: str, pair: DomainPair, task: RegressionTask,
-                  cfg: ExperimentConfig, seed: int):
-    """Train one regression method: (head, priors or None)."""
-    if method not in REGRESSORS:
-        raise ValueError(f"method {method!r} has no regression runner")
-    return REGRESSORS[method](pair, task, cfg, replace(cfg.train, seed=seed))
+def fit(task: str, method: str, inputs: tuple, cfg: ExperimentConfig,
+        seed: int):
+    """Train one method on a cell's inputs: (head, priors or None)."""
+    return method_fit(task, method)(*inputs, cfg, replace(cfg.train, seed=seed))
 
 
 def predict_classes(head, priors, features: np.ndarray, dro_cfg) -> np.ndarray:
@@ -245,21 +214,24 @@ def predict_classes(head, priors, features: np.ndarray, dro_cfg) -> np.ndarray:
 def _classification_predictions(method: str, pair: DomainPair,
                                 cfg: ExperimentConfig, seed: int) -> np.ndarray:
     """Train one method and return its test-set class predictions."""
-    head, priors = fit_classifier(method, pair, cfg, seed)
+    head, priors = fit("classification", method, (pair,), cfg, seed)
     return predict_classes(head, priors, pair.target_test.features, cfg.dro)
 
 
 def _regression_predictions(method: str, pair: DomainPair, task: RegressionTask,
                             cfg: ExperimentConfig, seed: int) -> np.ndarray:
     """Train one method and return its test-set response predictions."""
-    head, _ = fit_regressor(method, pair, task, cfg, seed)
+    head, _ = fit("regression", method, (pair, task), cfg, seed)
     return head.predict_response(pair.target_test.features)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """What one task's disturbance grid computes and where it writes it.
+    """One task's method registry and what its disturbance grid computes.
 
+    methods maps each method name to fit(*inputs, cfg, train_cfg), which
+    returns (head, priors or None); `protodro train` saves the priors next
+    to the head, and a classifier that returns them predicts robustly.
     inputs(cfg, pair, seed) gives the cell arguments between the method and
     the config, shared by every method at that level and seed; cell(method,
     *inputs, cfg, seed) scores one method on them. The cells CSV gets one
@@ -267,6 +239,7 @@ class GridSpec:
     (column stem, metric) pair.
     """
 
+    methods: dict[str, Callable]
     inputs: Callable
     cell: Callable
     metrics: tuple[str, ...]
@@ -278,6 +251,18 @@ class GridSpec:
 # this module's _*_predictions attribute sees every cell
 GRIDS = {
     "classification": GridSpec(
+        methods={
+            "pgdro": _fit_pgdro,
+            "erm": lambda pair, cfg, train: _fit_ce(
+                pair.source.features, pair.source.labels, cfg, train),
+            "ot": lambda pair, cfg, train: _fit_ce(
+                _transported(pair), pair.source.labels, cfg, train),
+            "saa": _fit_saa,
+            "wdro": _fit_wdro,
+            "fewshot": lambda pair, cfg, train: _fit_ce(
+                pair.target_train_supports.features,
+                pair.target_train_supports.labels, cfg, train),
+        },
         inputs=lambda cfg, pair, seed: (pair,),
         cell=lambda method, pair, cfg, seed: eval_classification(
             _classification_predictions(method, pair, cfg, seed),
@@ -287,6 +272,13 @@ GRIDS = {
         files=("cells.csv", "table1.csv", "manifest.txt"),
     ),
     "regression": GridSpec(
+        methods={
+            "pgdro": _fit_pgdro_regressor,
+            "ot": lambda pair, task, cfg, train: (train_huber_head(
+                _transported(pair), task.source_responses, train).head, None),
+            "erm": lambda pair, task, cfg, train: (train_huber_head(
+                pair.source.features, task.source_responses, train).head, None),
+        },
         inputs=lambda cfg, pair, seed: (pair, make_task(cfg, pair, seed)),
         cell=lambda method, pair, task, cfg, seed: eval_regression(
             _regression_predictions(method, pair, task, cfg, seed),
@@ -301,9 +293,8 @@ GRIDS = {
 
 def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     """Disturbance-level grid over methods and seeds for cfg.task."""
-    if cfg.task not in GRIDS:
-        raise ValueError(
-            f"sweep expects a classification or regression config, got {cfg.task!r}")
+    for method in cfg.methods:
+        method_fit(cfg.task, method)
     spec = GRIDS[cfg.task]
     out_dir = out_dir or cfg.resolve_output_dir()
     os.makedirs(out_dir, exist_ok=True)

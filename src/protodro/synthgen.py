@@ -26,6 +26,8 @@ class ShiftSpec:
     lambda_cov is a disturbance level, not a literal scale: the covariance
     scale applied is max(lambda_cov, cov_scale_floor), so level 0 means
     "no covariance perturbation" rather than a degenerate zero covariance.
+    dirichlet_source and dirichlet_target are the concentrations of the
+    source and target class proportions.
     """
 
     lambda_mean: float = 0.0
@@ -135,12 +137,14 @@ def _class_counts(n: int, concentration: float, n_classes: int, rng: SeededRng,
 
 def make_source(n_classes: int, dim: int, n: int, rng: SeededRng,
                 mean_scale: float = 1.0, separation: float = 2.0,
-                eig_range: tuple[float, float] = (0.4, 1.2)):
+                eig_range: tuple[float, float] = (0.4, 1.2),
+                concentration: float = 1.0):
     """Source mixture: params, a labeled sample of size n, and proportions.
 
     Means are redrawn until pairwise separation clears the floor; class
-    counts are redrawn until every class has at least two samples so the
-    per-class covariance estimates exist downstream.
+    proportions are Dirichlet(concentration) and class counts are redrawn
+    until every class has at least two samples so the per-class covariance
+    estimates exist downstream.
     """
     if n_classes < 2 or dim < 2:
         raise ValueError("need n_classes >= 2 and dim >= 2")
@@ -149,7 +153,7 @@ def make_source(n_classes: int, dim: int, n: int, rng: SeededRng,
         GaussianParams(mean=means[c], cov=_random_covariance(dim, rng, eig_range))
         for c in range(n_classes)
     ]
-    props, counts = _class_counts(n, 1.0, n_classes, rng, min_count=2)
+    props, counts = _class_counts(n, concentration, n_classes, rng, min_count=2)
     features = np.vstack([gaussian_sample(params[c], counts[c], rng) for c in range(n_classes)])
     labels = np.repeat(np.arange(n_classes), counts)
     return params, SupportSet(features=features, labels=labels), props
@@ -223,7 +227,8 @@ def make_domain_pair(n_classes: int, dim: int, n_train: int, n_test: int,
                      eig_range: tuple[float, float] = (0.4, 1.2)) -> DomainPair:
     """Full benchmark instance from one seeded stream."""
     source_params, source, props_source = make_source(
-        n_classes, dim, n_train, rng, mean_scale, separation, eig_range
+        n_classes, dim, n_train, rng, mean_scale, separation, eig_range,
+        spec.dirichlet_source,
     )
     target_params, test, props_target = make_target(source_params, spec, n_test, rng)
     supports = sample_supports(target_params, shots, rng)

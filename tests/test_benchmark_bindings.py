@@ -20,8 +20,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED_SPANS = (
     "synthgen.make_pair",
     "priors.build",
+    "sinkhorn.phase1_ot",
+    "models.bary_transport",
+    "sinkhorn.bary_ot",
+    "dro.tilt",
+    "dro.dual",
     "models.train_classifier",
     "models.batch",
+    "models.predict",
     "models.train_regressor",
     "models.huber_batch",
     "harnesses.consistency",
@@ -45,7 +51,7 @@ def tracer(monkeypatch):
 
 def test_traced_layers_record_spans(tracer, tmp_path):
     for task in ("classification", "regression"):
-        cfg = tiny_config(task=task, methods=("pgdro",), seeds=(0,),
+        cfg = tiny_config(task=task, methods=("pgdro", "ot"), seeds=(0,),
                           levels=(1.0,))
         result = sweeps.run_sweep(cfg, tmp_path / task)
         assert not result.failed_cells()

@@ -7,7 +7,6 @@ import pytest
 import protodro.sweeps as sweeps
 from protodro import cli
 from protodro.config import (
-    METHODS,
     ExperimentConfig,
     GeneratorConfig,
     load_config,
@@ -19,6 +18,7 @@ from protodro.models import TrainConfig
 from protodro.priors import PriorConfig
 from protodro.synthgen import ShiftSpec
 
+CLASSIFICATION_METHODS = ("pgdro", "erm", "ot", "saa", "wdro", "fewshot")
 REGRESSION_METHODS = ("pgdro", "ot", "erm")
 # methods whose trained head needs priors for robust prediction
 WITH_PRIORS = {"classification": {"pgdro", "wdro"}, "regression": {"pgdro"}}
@@ -60,12 +60,13 @@ def _train(config, method, out):
 
 
 def test_method_names_match_registry():
-    assert set(METHODS) == set(sweeps.CLASSIFIERS)
-    assert set(cli.REGRESSION_METHODS) == set(REGRESSION_METHODS)
+    # the parametrized tests below cover every registered method
+    assert set(sweeps.GRIDS["classification"].methods) == set(CLASSIFICATION_METHODS)
+    assert set(sweeps.GRIDS["regression"].methods) == set(REGRESSION_METHODS)
 
 
 class TestTrain:
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", CLASSIFICATION_METHODS)
     def test_classification_methods(self, cls_config, tmp_path, method):
         assert _train(cls_config, method, tmp_path) == 0
         assert (tmp_path / f"head_{method}_s000.txt").exists()
@@ -85,8 +86,31 @@ class TestTrain:
         assert _train(reg_config, "saa", tmp_path) == 1
         assert not os.listdir(tmp_path)
 
+    def test_unknown_method_exits_1_before_any_work(self, cls_config, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(sweeps, "make_pair", _no_work)
+        assert _train(cls_config, "boosting", tmp_path) == 1
+        assert not os.listdir(tmp_path)
+
+
+def _no_work(*args):
+    raise AssertionError("a rejected method must not reach any cell")
+
 
 class TestSweep:
+    @pytest.mark.parametrize("task, methods", [
+        ("regression", ("pgdro", "saa")),  # saa has no regression runner
+        ("classification", ("pgdro", "boosting")),
+    ])
+    def test_unregistered_method_exits_1_before_any_work(
+            self, tmp_path, monkeypatch, task, methods):
+        config = write_tiny_config(tmp_path / "cfg.ini", task=task,
+                                   methods=methods)
+        monkeypatch.setattr(sweeps, "make_pair", _no_work)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_completes(self, cls_config, tmp_path):
         assert cli.main(["sweep", "--config", cls_config,
                          "--out", str(tmp_path)]) == 0
@@ -136,3 +160,5 @@ class TestEval:
             pair.target_test.labels, cfg.generator.n_classes,
         )
         assert float(lines[1].split(",")[3]) == in_memory.avg_accuracy
+        manifest = (out / "eval_manifest.txt").read_text().splitlines()
+        assert f"priors = {out / f'priors_{method}_s000.txt'}" in manifest

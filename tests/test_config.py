@@ -40,10 +40,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task="segmentation")
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(methods=("pgdro", "boosting"))
-
     def test_rejects_empty_methods_or_seeds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(methods=())

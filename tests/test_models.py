@@ -24,10 +24,8 @@ from protodro.models import (
     robust_huber_objective,
     save_head,
     stacked_atoms,
-    train_erm,
-    train_erm_regressor,
-    train_fewshot,
-    train_ot_adapt,
+    train_ce_head,
+    train_huber_head,
     train_pgdro_classifier,
     train_pgdro_regressor,
     train_saa,
@@ -244,7 +242,7 @@ class TestErmFamily:
     def test_zero_epochs_returns_initial_head(self):
         rng = np.random.default_rng(41)
         data = two_blob_data(rng)
-        result = train_erm(data, 2, TrainConfig(epochs=0))
+        result = train_ce_head(data.features, data.labels, 2, TrainConfig(epochs=0))
         np.testing.assert_array_equal(result.head.weights, np.zeros((2, 2)))
         assert result.loss_trace.size == 0
 
@@ -252,38 +250,58 @@ class TestErmFamily:
         rng = np.random.default_rng(43)
         data = two_blob_data(rng)
         cfg = TrainConfig(epochs=5, seed=11)
-        a = train_erm(data, 2, cfg)
-        b = train_erm(data, 2, cfg)
+        a = train_ce_head(data.features, data.labels, 2, cfg)
+        b = train_ce_head(data.features, data.labels, 2, cfg)
         np.testing.assert_array_equal(a.head.weights, b.head.weights)
         np.testing.assert_array_equal(a.loss_trace, b.loss_trace)
 
     def test_separable_data_reaches_high_accuracy(self):
         rng = np.random.default_rng(47)
         data = two_blob_data(rng)
-        result = train_erm(data, 2, TrainConfig(epochs=60, learning_rate=0.05))
+        result = train_ce_head(data.features, data.labels, 2,
+                               TrainConfig(epochs=60, learning_rate=0.05))
         accuracy = np.mean(result.head.predict(data.features) == data.labels)
         assert accuracy >= 0.95
 
     def test_loss_descends(self):
         rng = np.random.default_rng(53)
         data = two_blob_data(rng)
-        result = train_erm(data, 2, TrainConfig(epochs=30))
+        result = train_ce_head(data.features, data.labels, 2, TrainConfig(epochs=30))
         assert result.loss_trace[-1] <= result.loss_trace[0]
 
     def test_single_class_loss_vanishes(self):
         rng = np.random.default_rng(59)
         features = rng.standard_normal((30, 3))
         data = SupportSet(features=features, labels=np.zeros(30, dtype=int))
-        result = train_erm(data, 2, TrainConfig(epochs=300, learning_rate=0.05))
+        result = train_ce_head(data.features, data.labels, 2,
+                               TrainConfig(epochs=300, learning_rate=0.05))
         assert result.loss_trace[-1] < 0.05
 
     def test_fewshot_is_erm_on_supports(self):
-        rng = np.random.default_rng(61)
-        data = two_blob_data(rng, n_per=5)
-        cfg = TrainConfig(epochs=8)
-        a = train_fewshot(data, 2, cfg)
-        b = train_erm(data, 2, cfg)
-        np.testing.assert_array_equal(a.head.weights, b.head.weights)
+        # the registry's erm, fewshot and ot entries are the same
+        # cross-entropy head, on the source samples, on the target supports
+        # and on the transported source samples
+        cfg = ExperimentConfig(
+            generator=GeneratorConfig(
+                n_classes=3, dim=4, n_train=150, n_test=60,
+                eig_low=0.3, eig_high=0.9,
+            ),
+            train=TrainConfig(epochs=8, batch_size=64),
+        )
+        pair = sweeps.make_pair(cfg, 1.0, 2)
+        train = replace(cfg.train, seed=2)
+        moved = SupportSet(
+            barycentric_transport(pair.source, pair.target_train_supports),
+            pair.source.labels,
+        )
+        for method, data in (("erm", pair.source),
+                             ("fewshot", pair.target_train_supports),
+                             ("ot", moved)):
+            head, priors = sweeps.fit("classification", method, (pair,), cfg, 2)
+            plain = train_ce_head(data.features, data.labels, 3, train)
+            assert priors is None
+            np.testing.assert_array_equal(head.weights, plain.head.weights)
+            np.testing.assert_array_equal(head.biases, plain.head.biases)
 
 
 class TestOtAdapt:
@@ -316,7 +334,7 @@ class TestOtAdapt:
         src = two_blob_data(rng, n_per=8)
         supports = SupportSet(features=np.zeros((2, 2)), labels=np.array([0, 0]))
         with pytest.raises(ValueError, match="class 1"):
-            train_ot_adapt(src, supports, 2, TrainConfig(epochs=1))
+            barycentric_transport(src, supports)
 
 
 class TestSaa:
@@ -329,7 +347,7 @@ class TestSaa:
         n, d = data.features.shape
         noise = SeededRng(5, models._NOISE_STREAM).normal((64, n, d), std=0.1)
         augmented = (data.features[None, :, :] + noise).reshape(64 * n, d)
-        ce = models._train_ce_head(augmented, np.tile(data.labels, 64), 2, cfg)
+        ce = train_ce_head(augmented, np.tile(data.labels, 64), 2, cfg)
         np.testing.assert_array_equal(saa.head.weights, ce.head.weights)
         np.testing.assert_array_equal(saa.head.biases, ce.head.biases)
         np.testing.assert_array_equal(saa.loss_trace, ce.loss_trace)
@@ -410,7 +428,7 @@ class TestWdro:
             levels=(1.0,),
         )
         pair = sweeps.make_pair(cfg, 1.0, 3)
-        head, priors = sweeps.fit_classifier("wdro", pair, cfg, 3)
+        head, priors = sweeps.fit("classification", "wdro", (pair,), cfg, 3)
         supports = pair.target_train_supports
         reference = empirical_prior(supports.features)
         assert len(priors) == cfg.generator.n_classes
@@ -430,7 +448,7 @@ class TestWdro:
         # score of a support point collapses onto its own affine score
         rng = np.random.default_rng(109)
         data = two_blob_data(rng, n_per=6)
-        erm = train_fewshot(data, 2, TrainConfig(epochs=30))
+        erm = train_ce_head(data.features, data.labels, 2, TrainConfig(epochs=30))
         reference = empirical_prior(data.features)
         tight = DroConfig(rho=1e-8, epsilon=1e-3)
         model = RobustClassifier(erm.head, [reference, reference], tight)
@@ -447,7 +465,7 @@ class TestRobustRegressor:
         priors = blob_priors(data, atoms_per=8)
         cfg = TrainConfig(epochs=10, penalty_weight=0.0)
         robust = train_pgdro_regressor(data, z, priors, cfg, DroConfig())
-        plain = train_erm_regressor(data.features, z, cfg)
+        plain = train_huber_head(data.features, z, cfg)
         np.testing.assert_array_equal(robust.head.weights, plain.head.weights)
         np.testing.assert_array_equal(robust.loss_trace, plain.loss_trace)
 
@@ -481,5 +499,5 @@ class TestRobustRegressor:
         x = rng.standard_normal((400, 3))
         beta = np.array([1.0, -2.0, 0.5])
         z = x @ beta
-        result = train_erm_regressor(x, z, TrainConfig(epochs=400, learning_rate=0.02))
+        result = train_huber_head(x, z, TrainConfig(epochs=400, learning_rate=0.02))
         np.testing.assert_allclose(result.head.weights[0], beta, atol=0.05)

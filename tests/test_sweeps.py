@@ -92,6 +92,16 @@ class TestTable1Sweep:
             sweeps.run_sweep(tiny_config(task="heatmap"), tmp_path)
         assert not list(tmp_path.iterdir())
 
+    def test_rejects_unknown_method(self, tmp_path):
+        # configs take any method name; the registry lookup rejects it
+        # before a directory is made
+        cfg = tiny_config(methods=("pgdro", "boosting"))
+        with pytest.raises(ValueError, match="'boosting' has no classification"):
+            sweeps.run_sweep(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="'saa' has no regression"):
+            sweeps.method_fit("regression", "saa")
+
     def test_all_methods_run(self, tmp_path):
         cfg = tiny_config(
             methods=("pgdro", "erm", "ot", "saa", "wdro", "fewshot"),

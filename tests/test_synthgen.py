@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from protodro.models import TrainConfig, train_erm
+from protodro.models import TrainConfig, train_ce_head
 from protodro.numkit import SeededRng, cholesky_psd
 from protodro.synthgen import (
     DomainPair,
@@ -204,6 +204,15 @@ class TestDomainPair:
         assert len(pair.source) == 800
         assert len(pair.target_test) == 600
 
+    def test_source_concentration_is_read(self):
+        # the default pair is the one drawn before dirichlet_source was read
+        default = small_pair()
+        assert np.bincount(default.source.labels).tolist() == [145, 345, 139, 171]
+        spiky = small_pair(spec=ShiftSpec(lambda_mean=1.0, lambda_cov=1.0,
+                                          dirichlet_source=0.05))
+        assert np.bincount(spiky.source.labels).tolist() != [145, 345, 139, 171]
+        assert np.bincount(spiky.source.labels).min() >= 2
+
     def test_determinism(self):
         a = small_pair(seed=9)
         b = small_pair(seed=9)
@@ -220,7 +229,7 @@ class TestDomainPair:
         gaps = []
         for seed in range(5):
             pair = make_domain_pair(4, 6, 2000, 1500, spec, SeededRng(seed, 7))
-            result = train_erm(pair.source, 4, cfg)
+            result = train_ce_head(pair.source.features, pair.source.labels, 4, cfg)
             src = np.mean(
                 result.head.predict(pair.source.features) == pair.source.labels
             )
