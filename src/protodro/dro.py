@@ -11,9 +11,9 @@ from softmax moments of the atom scores. The solver runs Newton steps
 safeguarded by a sign bracket on phi' and falls back to bisection whenever
 a step leaves the bracket or fails to reduce |phi'|.
 
-Everything here is written over batches of tilted weight rows. The one-row
-gibbs_tilt/solve_dual remain only for the harnesses, whose per-point
-solve_dual calls the benchmark traces as its scalar-solve layer.
+Everything here is written over batches of tilted weight rows: one tilt
+(gibbs_tilt_batch), one solver (solve_dual_batch) and one result type
+(BatchDualResult). A single query is a batch of one row.
 """
 
 from __future__ import annotations
@@ -61,29 +61,6 @@ class DroConfig:
 
 
 @dataclass
-class GibbsPosterior:
-    """Prior atoms re-weighted toward a query point.
-
-    tilt_log_weights are normalized log weights; atom_scores stay None
-    until the caller's score function fills them in.
-    """
-
-    tilt_log_weights: np.ndarray
-    atom_scores: np.ndarray | None = None
-
-
-@dataclass
-class DualSolveResult:
-    value: float
-    lambda_star: float
-    posterior: np.ndarray
-    iterations: int
-    converged: bool
-    degenerate: bool
-    at_boundary: str | None = None
-
-
-@dataclass
 class BatchDualResult:
     """Row-wise dual solutions for a batch of tilted weight rows."""
 
@@ -94,24 +71,6 @@ class BatchDualResult:
     converged: np.ndarray
     degenerate: np.ndarray
     boundary: np.ndarray
-
-    def row(self, i: int) -> DualSolveResult:
-        flag = {BOUNDARY_NONE: None, BOUNDARY_MIN: "min", BOUNDARY_MAX: "max"}
-        return DualSolveResult(
-            value=float(self.value[i]),
-            lambda_star=float(self.lambda_star[i]),
-            posterior=self.posterior[i],
-            iterations=int(self.iterations[i]),
-            converged=bool(self.converged[i]),
-            degenerate=bool(self.degenerate[i]),
-            at_boundary=flag[int(self.boundary[i])],
-        )
-
-
-def gibbs_tilt(prior: MixturePrior, x: np.ndarray, epsilon: float) -> GibbsPosterior:
-    """Tilt a prior's atoms toward x with the squared-distance Gibbs kernel."""
-    logs = gibbs_tilt_batch(prior, np.asarray(x, dtype=float)[None, :], epsilon)
-    return GibbsPosterior(tilt_log_weights=logs[0])
 
 
 def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -> np.ndarray:
@@ -310,12 +269,3 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     converged = ~interior | (np.abs(dphi) <= cfg.grad_tol)
     return phi, lam, posterior, iterations, converged, bound
 
-
-def solve_dual(q: GibbsPosterior, cfg: DroConfig) -> DualSolveResult:
-    """Solve the dual for a single tilted posterior (scores must be set)."""
-    if q.atom_scores is None:
-        raise ValueError("atom_scores must be set before solving the dual")
-    batch = solve_dual_batch(
-        q.tilt_log_weights[None, :], np.asarray(q.atom_scores, dtype=float), cfg
-    )
-    return batch.row(0)

@@ -22,10 +22,6 @@ class ClassificationReport:
     worst10_accuracy: float
     absent_classes: list[int] = field(default_factory=list)
 
-    @property
-    def has_absent_classes(self) -> bool:
-        return bool(self.absent_classes)
-
 
 @dataclass
 class RegressionReport:
@@ -107,9 +103,3 @@ def eval_regression(predictions, responses) -> RegressionReport:
         mae=float(np.mean(abs_err)),
         worst10_mse=float(np.mean(tail**2)),
     )
-
-
-def macro_average(report: ClassificationReport) -> float:
-    """Mean per-class accuracy over present classes; worst10 never exceeds it."""
-    vals = [a for a in report.per_class_accuracy if not np.isnan(a)]
-    return float(np.mean(vals))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dro import DroConfig, gibbs_tilt_batch, solve_dual_batch
 from .numkit import SeededRng, log_sum_exp, sq_distances
-from .priors import MixturePrior, SupportSet
+from .priors import MixturePrior, SupportSet, shared_atoms
 from .sinkhorn import OtProblem, solve_entropic_ot
 
 _SHUFFLE_STREAM = 101
@@ -103,9 +103,6 @@ class LinearHead:
         if self.n_outputs != 1:
             raise ValueError("predict_response needs a single-output head")
         return self.decision_scores(features)[:, 0]
-
-    def copy(self) -> "LinearHead":
-        return LinearHead(self.weights.copy(), self.biases.copy())
 
 
 def zero_head(n_outputs: int, dim: int) -> LinearHead:
@@ -279,30 +276,22 @@ def train_saa(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainRe
     return train_ce_head(augmented, labels, n_classes, cfg)
 
 
-def stacked_atoms(priors: list[MixturePrior]) -> np.ndarray:
-    """Atom features of all class priors as one (C, A, d) tensor."""
-    sizes = {prior.atoms.shape[0] for prior in priors}
-    if len(sizes) != 1:
-        raise ValueError("priors must share one atom budget")
-    return np.stack([prior.atoms for prior in priors])
-
-
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
                           atoms: np.ndarray, tilts: np.ndarray,
                           idx: np.ndarray, dro_cfg: DroConfig,
                           lam_cache: np.ndarray | None = None):
     """Dual solves for every (sample, class) of a batch in one call.
 
-    atoms is the (C, A, d) stack of class atom features and tilts the
-    (N, C, A) normalized tilt log-weights; idx selects the batch rows.
-    lam_cache (N, C), when given, warm-starts each row's bracket and is
-    updated in place with the solved multipliers.
+    atoms is the (A, d) array every class prior shares (shared_atoms) and
+    tilts the (N, C, A) normalized tilt log-weights; idx selects the batch
+    rows. lam_cache (N, C), when given, warm-starts each row's bracket and
+    is updated in place with the solved multipliers.
 
     Returns (values (n, C), posteriors (n, C, A)).
     """
     n = idx.size
-    n_classes, n_atoms, _ = atoms.shape
-    scores = np.einsum("cad,cd->ca", atoms, weights) + biases[:, None]
+    n_classes, n_atoms = weights.shape[0], atoms.shape[0]
+    scores = np.einsum("ad,cd->ca", atoms, weights) + biases[:, None]
     rows = tilts[idx].reshape(n * n_classes, n_atoms)
     flat = np.broadcast_to(scores[None], (n, n_classes, n_atoms)).reshape(-1, n_atoms)
     lam0 = None if lam_cache is None else lam_cache[idx].reshape(-1)
@@ -332,7 +321,7 @@ def robust_ce_objective_stacked(weights: np.ndarray, biases: np.ndarray,
     )
     loss, dv = _ce_batch(values, labels)
     folded = np.einsum("nc,nca->ca", dv, posteriors)
-    grad_w = np.einsum("ca,cad->cd", folded, atoms)
+    grad_w = np.einsum("ca,ad->cd", folded, atoms)
     grad_b = dv.sum(axis=0)
     return loss, [grad_w, grad_b]
 
@@ -356,7 +345,7 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
         raise ValueError("labels exceed the number of priors")
     head = zero_head(n_classes, x.shape[1])
     params = [head.weights, head.biases]
-    atoms = stacked_atoms(priors)
+    atoms = shared_atoms(priors)
     tilts = np.stack(
         [gibbs_tilt_batch(prior, x, dro_cfg.epsilon) for prior in priors], axis=1
     )
@@ -386,7 +375,7 @@ class RobustClassifier:
 
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        atoms = stacked_atoms(self.priors)
+        atoms = shared_atoms(self.priors)
         values = np.empty((x.shape[0], len(self.priors)))
         for start in range(0, x.shape[0], _PREDICT_CHUNK):
             block = x[start : start + _PREDICT_CHUNK]
@@ -451,12 +440,11 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
         raise ValueError("responses must align with the feature rows")
     if y.max() >= len(priors):
         raise ValueError("labels exceed the number of priors")
-    if len({prior.atoms.shape[0] for prior in priors}) != 1:
-        raise ValueError("priors must share one atom budget")
+    atoms = shared_atoms(priors)
     head = zero_head(1, x.shape[1])
     params = [head.weights, head.biases]
     # tilt of each sample toward its own class prior, parameter-free
-    tilts = np.empty((x.shape[0], priors[0].atoms.shape[0]))
+    tilts = np.empty((x.shape[0], atoms.shape[0]))
     for c, prior in enumerate(priors):
         rows = y == c
         if rows.any():
@@ -464,7 +452,7 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
 
     def batch_fn(idx):
         return robust_huber_objective(
-            params[0], params[1], x[idx], z[idx], y[idx], priors, tilts[idx], cfg
+            params[0], params[1], x[idx], z[idx], y[idx], atoms, tilts[idx], cfg
         )
 
     trace = _run_epochs(x.shape[0], cfg, params, batch_fn)
@@ -473,12 +461,13 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
 
 def robust_huber_objective(weights: np.ndarray, biases: np.ndarray,
                            features: np.ndarray, responses: np.ndarray,
-                           labels: np.ndarray, priors: list[MixturePrior],
+                           labels: np.ndarray, atoms: np.ndarray,
                            tilts: np.ndarray, cfg: TrainConfig):
     """Mean Huber-plus-penalty loss and its parameter gradients.
 
-    tilts must hold each row's tilt toward its own class prior; the
-    penalty softmax reweights those tilts by exp(Huber / temperature).
+    atoms is the (A, d) array every class prior shares (shared_atoms);
+    tilts must hold each row's tilt toward its own class prior over them.
+    The penalty softmax reweights those tilts by exp(Huber / temperature).
     """
     temp = cfg.penalty_temperature
     weight = cfg.penalty_weight
@@ -487,11 +476,11 @@ def robust_huber_objective(weights: np.ndarray, biases: np.ndarray,
     base_value, base_deriv = huber(residual, cfg.huber_beta)
     grad_w = -(base_deriv @ features)
     grad_b = -base_deriv.sum()
+    atom_fit = atoms @ weights[0] + biases[0]
     penalty_total = 0.0
     for c in np.unique(labels):
         rows = np.flatnonzero(labels == c)
-        atoms = priors[c].atoms
-        atom_residual = responses[rows, None] - (atoms @ weights[0] + biases[0])[None, :]
+        atom_residual = responses[rows, None] - atom_fit[None, :]
         atom_value, atom_deriv = huber(atom_residual, cfg.huber_beta)
         logits = tilts[rows] + atom_value / temp
         log_norm = log_sum_exp(logits, axis=1)

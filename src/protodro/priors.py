@@ -121,6 +121,21 @@ class MixturePrior:
             )
 
 
+def shared_atoms(priors: list[MixturePrior]) -> np.ndarray:
+    """The (A, d) atom array that every prior of a model shares.
+
+    Raises ValueError if priors is empty or any two priors hold different
+    atoms, so callers may score every class on one array.
+    """
+    if not priors:
+        raise ValueError("no priors given")
+    atoms = priors[0].atoms
+    for p in priors[1:]:
+        if not np.array_equal(p.atoms, atoms):
+            raise ValueError("the class priors of a model must share one atom array")
+    return atoms
+
+
 def compute_class_stats(features, labels, ridge: float = 1e-6) -> list[ClassStats]:
     """Per-class mean and unbiased covariance.
 
@@ -240,12 +255,7 @@ def update_weights_damped(current, target, eta: float) -> np.ndarray:
 def save_priors(priors: list[MixturePrior], path: str) -> None:
     """Write priors that share one atom array as a format-2 JSON document:
     those atoms once, then each class's component weights in order."""
-    if not priors:
-        raise ValueError("nothing to save")
-    atoms = priors[0].atoms
-    for p in priors[1:]:
-        if not np.array_equal(p.atoms, atoms):
-            raise ValueError("priors saved together must share one atom array")
+    atoms = shared_atoms(priors)
     doc = {
         "format": "protodro-priors",
         "version": PRIORS_FORMAT_VERSION,

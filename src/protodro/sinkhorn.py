@@ -119,21 +119,6 @@ def solve_entropic_ot(problem: OtProblem, tol: float = 1e-6,
     )
 
 
-def softmin_cost(query: np.ndarray, prototypes: np.ndarray, eps_sample: float) -> float:
-    """Soft-min squared-distance cost from one point to a prototype set.
-
-    Computes -eps * log sum_i exp(-||query - p_i||^2 / eps); always at most
-    the hard minimum distance and within eps*log(m) of it.
-    """
-    if not eps_sample > 0:
-        raise ValueError("eps_sample must be positive")
-    protos = np.atleast_2d(np.asarray(prototypes, dtype=float))
-    if protos.shape[0] == 0:
-        raise ValueError("prototype set is empty")
-    sq = np.sum((protos - np.asarray(query, dtype=float)) ** 2, axis=1)
-    return -eps_sample * log_sum_exp(-sq / eps_sample)
-
-
 def build_cost_matrix(supports: np.ndarray, base_prototypes: list[np.ndarray],
                       eps_sample: float) -> np.ndarray:
     """Soft-min cost from every base class to every support point.
@@ -144,8 +129,10 @@ def build_cost_matrix(supports: np.ndarray, base_prototypes: list[np.ndarray],
         eps_sample: soft-min temperature.
 
     Returns:
-        (B, N) matrix whose (b, n) entry is softmin_cost(supports[n],
-        base_prototypes[b], eps_sample).
+        (B, N) matrix whose (b, n) entry is the soft-min squared distance
+        -eps * log sum_i exp(-||supports[n] - p_i||^2 / eps) over the
+        prototypes p_i of base class b: at most the hard minimum distance
+        and within eps * log(m_b) of it.
     """
     if not eps_sample > 0:
         raise ValueError("eps_sample must be positive")

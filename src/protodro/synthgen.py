@@ -52,13 +52,6 @@ class ShiftSpec:
     def effective_cov_scale(self) -> float:
         return max(self.lambda_cov, self.cov_scale_floor)
 
-    def is_identity(self) -> bool:
-        return (
-            self.lambda_mean == 0.0
-            and self.rotation_deg == 0.0
-            and self.effective_cov_scale == 1.0
-        )
-
 
 @dataclass
 class DomainPair:
@@ -66,11 +59,9 @@ class DomainPair:
 
     source: SupportSet
     source_params: list[GaussianParams]
-    class_props_source: np.ndarray
     target_train_supports: SupportSet
     target_test: SupportSet
     target_params: list[GaussianParams]
-    class_props_target: np.ndarray
 
     @property
     def n_classes(self) -> int:
@@ -226,20 +217,18 @@ def make_domain_pair(n_classes: int, dim: int, n_train: int, n_test: int,
                      mean_scale: float = 1.0, separation: float = 2.0,
                      eig_range: tuple[float, float] = (0.4, 1.2)) -> DomainPair:
     """Full benchmark instance from one seeded stream."""
-    source_params, source, props_source = make_source(
+    source_params, source, _ = make_source(
         n_classes, dim, n_train, rng, mean_scale, separation, eig_range,
         spec.dirichlet_source,
     )
-    target_params, test, props_target = make_target(source_params, spec, n_test, rng)
+    target_params, test, _ = make_target(source_params, spec, n_test, rng)
     supports = sample_supports(target_params, shots, rng)
     return DomainPair(
         source=source,
         source_params=source_params,
-        class_props_source=props_source,
         target_train_supports=supports,
         target_test=test,
         target_params=target_params,
-        class_props_target=props_target,
     )
 
 

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from protodro.dro import (
+    BOUNDARY_MAX,
+    BOUNDARY_MIN,
+    BOUNDARY_NONE,
     DroConfig,
-    GibbsPosterior,
     _phi_terms,
-    gibbs_tilt,
     gibbs_tilt_batch,
-    solve_dual,
     solve_dual_batch,
 )
 from protodro.numkit import log_sum_exp
@@ -46,6 +46,16 @@ def random_instance(rng, n_atoms=None, with_holes=False):
 def make_prior(atoms):
     """Minimal single-component prior with uniform weight on explicit atoms."""
     return MixturePrior(weights=np.array([1.0]), atoms=np.asarray(atoms, dtype=float))
+
+
+def tilt_one(prior, x, epsilon):
+    """Tilt log-weights (A,) of one query point: a one-row batch."""
+    return gibbs_tilt_batch(prior, np.asarray(x, dtype=float)[None, :], epsilon)[0]
+
+
+def solve_one(logw, scores, cfg):
+    """The dual of one tilted row: a one-row batch, so fields index [0]."""
+    return solve_dual_batch(np.asarray(logw, dtype=float)[None, :], scores, cfg)
 
 
 def dual_terms(logw, scores, lam, cfg):
@@ -80,21 +90,21 @@ class TestConfig:
 class TestGibbsTilt:
     def test_equidistant_atoms_get_equal_weight(self):
         prior = make_prior([[1.0, 0.0], [-1.0, 0.0]])
-        tilt = gibbs_tilt(prior, np.zeros(2), epsilon=0.7)
-        np.testing.assert_allclose(np.exp(tilt.tilt_log_weights), [0.5, 0.5])
+        tilt = tilt_one(prior, np.zeros(2), epsilon=0.7)
+        np.testing.assert_allclose(np.exp(tilt), [0.5, 0.5])
 
     def test_near_atom_dominates_at_small_epsilon(self):
         prior = make_prior([[0.0], [1.0]])
-        tilt = gibbs_tilt(prior, np.array([0.05]), epsilon=0.01)
-        w = np.exp(tilt.tilt_log_weights)
+        tilt = tilt_one(prior, np.array([0.05]), epsilon=0.01)
+        w = np.exp(tilt)
         assert w[0] > 1.0 - 1e-12
 
     def test_prior_weights_carry_through(self):
         # equidistant atoms, so the tilt must reproduce the prior weights
         # two one-atom components weighted 0.8 / 0.2
         prior = MixturePrior(weights=np.array([0.8, 0.2]), atoms=np.array([[1.0], [-1.0]]))
-        tilt = gibbs_tilt(prior, np.zeros(1), epsilon=1.3)
-        np.testing.assert_allclose(np.exp(tilt.tilt_log_weights), [0.8, 0.2])
+        tilt = tilt_one(prior, np.zeros(1), epsilon=1.3)
+        np.testing.assert_allclose(np.exp(tilt), [0.8, 0.2])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(7)
@@ -102,11 +112,9 @@ class TestGibbsTilt:
         queries = rng.standard_normal((5, 3))
         batch = gibbs_tilt_batch(prior, queries, epsilon=0.9)
         for i in range(5):
-            single = gibbs_tilt(prior, queries[i], epsilon=0.9)
+            single = tilt_one(prior, queries[i], epsilon=0.9)
             # batched and single-row matmuls may take different BLAS paths
-            np.testing.assert_allclose(
-                batch[i], single.tilt_log_weights, rtol=1e-13, atol=1e-13
-            )
+            np.testing.assert_allclose(batch[i], single, rtol=1e-13, atol=1e-13)
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(11)
@@ -171,14 +179,14 @@ class TestSolveDual:
         # three uniform atoms with scores 0, 1, 2 at rho = eps = 1;
         # constants frozen from the grid + golden-section oracle and
         # cross-checked against a 40-digit mpmath golden section
-        q = GibbsPosterior(uniform_logw(3), atom_scores=np.array([0.0, 1.0, 2.0]))
-        res = solve_dual(q, DroConfig(rho=1.0, epsilon=1.0))
-        assert res.converged
-        assert not res.degenerate
-        assert res.at_boundary is None
-        assert res.lambda_star == pytest.approx(0.2545528355, rel=1e-3)
-        assert res.value == pytest.approx(1.9799540155, rel=1e-4)
-        assert res.iterations <= 8
+        res = solve_one(uniform_logw(3), np.array([0.0, 1.0, 2.0]),
+                        DroConfig(rho=1.0, epsilon=1.0))
+        assert res.converged[0]
+        assert not res.degenerate[0]
+        assert res.boundary[0] == BOUNDARY_NONE
+        assert res.lambda_star[0] == pytest.approx(0.2545528355, rel=1e-3)
+        assert res.value[0] == pytest.approx(1.9799540155, rel=1e-4)
+        assert res.iterations[0] <= 8
 
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(101)
@@ -187,29 +195,28 @@ class TestSolveDual:
             rho = float(rng.choice([0.3, 1.0, 2.0]))
             eps = float(rng.choice([0.5, 1.0, 2.0]))
             cfg = DroConfig(rho=rho, epsilon=eps)
-            res = solve_dual(GibbsPosterior(logw, atom_scores=scores), cfg)
+            res = solve_one(logw, scores, cfg)
             lam_ref, val_ref = solve_dual_oracle(logw, scores, rho, eps)
-            assert res.converged
-            assert res.value == pytest.approx(val_ref, rel=1e-4)
-            if res.at_boundary is None:
-                assert res.lambda_star == pytest.approx(lam_ref, rel=1e-3)
+            assert res.converged[0]
+            assert res.value[0] == pytest.approx(val_ref, rel=1e-4)
+            if res.boundary[0] == BOUNDARY_NONE:
+                assert res.lambda_star[0] == pytest.approx(lam_ref, rel=1e-3)
 
     def test_degenerate_constant_scores(self):
         logw = np.log([0.3, 0.5, 0.2])
-        q = GibbsPosterior(logw, atom_scores=np.full(3, 2.5))
-        res = solve_dual(q, DroConfig())
-        assert res.degenerate
-        assert res.converged
-        assert res.value == 2.5
-        assert res.lambda_star == 0.0
-        assert res.iterations == 0
-        np.testing.assert_array_equal(res.posterior, np.exp(logw))
+        res = solve_one(logw, np.full(3, 2.5), DroConfig())
+        assert res.degenerate[0]
+        assert res.converged[0]
+        assert res.value[0] == 2.5
+        assert res.lambda_star[0] == 0.0
+        assert res.iterations[0] == 0
+        np.testing.assert_array_equal(res.posterior[0], np.exp(logw))
 
     def test_near_constant_scores_short_circuit(self):
         scores = 4.0 + 1e-15 * np.arange(3)
-        res = solve_dual(GibbsPosterior(uniform_logw(3), atom_scores=scores), DroConfig())
-        assert res.degenerate
-        assert res.value == pytest.approx(4.0)
+        res = solve_one(uniform_logw(3), scores, DroConfig())
+        assert res.degenerate[0]
+        assert res.value[0] == pytest.approx(4.0)
 
     def test_boundary_min_when_top_atom_carries_enough_mass(self):
         # phi'(0+) = rho + eps * log(mass at the max score); with mass 0.9
@@ -218,12 +225,12 @@ class TestSolveDual:
         logw = np.log([0.9, 0.1])
         scores = np.array([1.0, 0.0])
         cfg = DroConfig(rho=5.0, epsilon=1.0)
-        res = solve_dual(GibbsPosterior(logw, atom_scores=scores), cfg)
-        assert res.at_boundary == "min"
-        assert res.converged
-        assert res.lambda_star == cfg.lambda_min
-        assert res.value >= 1.0 - 1e-12
-        assert res.value == pytest.approx(1.0, abs=1e-4)
+        res = solve_one(logw, scores, cfg)
+        assert res.boundary[0] == BOUNDARY_MIN
+        assert res.converged[0]
+        assert res.lambda_star[0] == cfg.lambda_min
+        assert res.value[0] >= 1.0 - 1e-12
+        assert res.value[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_boundary_max_when_rho_zero(self):
         # rho = 0 makes phi strictly decreasing toward the mean score, so
@@ -231,33 +238,30 @@ class TestSolveDual:
         logw = np.log([0.25, 0.75])
         scores = np.array([2.0, -1.0])
         cfg = DroConfig(rho=0.0, epsilon=1.0)
-        res = solve_dual(GibbsPosterior(logw, atom_scores=scores), cfg)
-        assert res.at_boundary == "max"
-        assert res.converged
-        assert res.lambda_star == cfg.lambda_max
+        res = solve_one(logw, scores, cfg)
+        assert res.boundary[0] == BOUNDARY_MAX
+        assert res.converged[0]
+        assert res.lambda_star[0] == cfg.lambda_max
         mean = float(np.exp(logw) @ scores)
-        assert res.value == pytest.approx(mean, abs=1e-3)
-        assert res.value >= mean
+        assert res.value[0] == pytest.approx(mean, abs=1e-3)
+        assert res.value[0] >= mean
 
     def test_value_between_mean_and_max(self):
         rng = np.random.default_rng(211)
         cfg = DroConfig(rho=0.8, epsilon=1.1)
         for _ in range(15):
             logw, scores = random_instance(rng)
-            res = solve_dual(GibbsPosterior(logw, atom_scores=scores), cfg)
+            value = solve_one(logw, scores, cfg).value[0]
             mean = float(np.exp(logw) @ scores)
-            assert res.value >= mean - 1e-10
-            assert res.value <= scores.max() + cfg.lambda_min * (cfg.rho + 1.0)
+            assert value >= mean - 1e-10
+            assert value <= scores.max() + cfg.lambda_min * (cfg.rho + 1.0)
 
     def test_value_nondecreasing_in_rho(self):
         rng = np.random.default_rng(223)
         for _ in range(10):
             logw, scores = random_instance(rng)
             values = [
-                solve_dual(
-                    GibbsPosterior(logw, atom_scores=scores),
-                    DroConfig(rho=rho, epsilon=1.0),
-                ).value
+                solve_one(logw, scores, DroConfig(rho=rho, epsilon=1.0)).value[0]
                 for rho in [0.1, 0.5, 1.0, 2.0, 5.0]
             ]
             assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
@@ -267,20 +271,15 @@ class TestSolveDual:
         checked = 0
         for _ in range(12):
             logw, scores = random_instance(rng, n_atoms=12)
-            res = solve_dual(
-                GibbsPosterior(logw, atom_scores=scores), DroConfig(rho=0.6, epsilon=1.0)
-            )
-            if res.at_boundary is not None:
+            res = solve_one(logw, scores, DroConfig(rho=0.6, epsilon=1.0))
+            if res.boundary[0] != BOUNDARY_NONE:
                 continue
 
             def value_at(rho):
-                return solve_dual(
-                    GibbsPosterior(logw, atom_scores=scores),
-                    DroConfig(rho=rho, epsilon=1.0),
-                ).value
+                return solve_one(logw, scores, DroConfig(rho=rho, epsilon=1.0)).value[0]
 
             fd = central_difference(value_at, 0.6, h=1e-5)
-            assert fd == pytest.approx(res.lambda_star, rel=1e-3)
+            assert fd == pytest.approx(res.lambda_star[0], rel=1e-3)
             checked += 1
         assert checked >= 5
 
@@ -307,6 +306,7 @@ class TestSolveDual:
         assert np.all(batch.posterior[logw == -np.inf] == 0)
 
     def test_batch_matches_scalar_rows(self):
+        # a batch solves each row as a one-row batch would, bit for bit
         rng = np.random.default_rng(311)
         n, n_atoms = 12, 15
         logw = np.vstack([random_instance(rng, n_atoms=n_atoms)[0] for _ in range(n)])
@@ -315,11 +315,11 @@ class TestSolveDual:
         cfg = DroConfig(rho=0.9, epsilon=0.8)
         batch = solve_dual_batch(logw, scores, cfg)
         for i in range(n):
-            single = solve_dual(GibbsPosterior(logw[i], atom_scores=scores[i]), cfg)
-            assert batch.value[i] == single.value
-            assert batch.lambda_star[i] == single.lambda_star
-            np.testing.assert_array_equal(batch.posterior[i], single.posterior)
-            assert batch.iterations[i] == single.iterations
+            single = solve_one(logw[i], scores[i], cfg)
+            assert batch.value[i] == single.value[0]
+            assert batch.lambda_star[i] == single.lambda_star[0]
+            np.testing.assert_array_equal(batch.posterior[i], single.posterior[0])
+            assert batch.iterations[i] == single.iterations[0]
         assert batch.degenerate[3]
 
     def test_shared_scores_broadcast(self):
@@ -350,9 +350,6 @@ class TestSolveDual:
         all_dead = np.full((1, 3), -np.inf)
         with pytest.raises(ValueError):
             solve_dual_batch(all_dead, np.zeros(3), cfg)
-        q = GibbsPosterior(uniform_logw(3))
-        with pytest.raises(ValueError):
-            solve_dual(q, cfg)
 
 
 class TestRobustLogits:

@@ -23,7 +23,6 @@ from protodro.models import (
     robust_ce_objective_stacked,
     robust_huber_objective,
     save_head,
-    stacked_atoms,
     train_ce_head,
     train_huber_head,
     train_pgdro_classifier,
@@ -32,7 +31,7 @@ from protodro.models import (
 )
 from protodro.dro import gibbs_tilt_batch
 from protodro.numkit import SeededRng
-from protodro.priors import PriorConfig, SupportSet
+from protodro.priors import MixturePrior, PriorConfig, SupportSet, shared_atoms
 from protodro.synthgen import ShiftSpec
 
 from oracles import central_difference
@@ -54,7 +53,6 @@ def blob_priors(data, atoms_per=24, seed=3, lean=0.85):
     from the two blob Gaussians, only the weights differ.
     """
     from protodro.numkit import GaussianParams, gaussian_sample
-    from protodro.priors import MixturePrior
 
     draws = []
     for c in range(2):
@@ -173,7 +171,7 @@ class TestObjectiveGradients:
         data = two_blob_data(rng, n_per=6)
         priors = blob_priors(data, atoms_per=10)
         dro_cfg = DroConfig(rho=0.5, epsilon=1.0)
-        atoms = stacked_atoms(priors)
+        atoms = shared_atoms(priors)
         tilts = np.stack(
             [gibbs_tilt_batch(p, data.features, dro_cfg.epsilon) for p in priors], axis=1
         )
@@ -205,7 +203,8 @@ class TestObjectiveGradients:
             b = rng.standard_normal(1) * 0.3
             fd_objective_check(
                 lambda W, B: robust_huber_objective(
-                    W, B, data.features, z, data.labels, priors, tilts, cfg
+                    W, B, data.features, z, data.labels, shared_atoms(priors),
+                    tilts, cfg
                 ),
                 w,
                 b,
@@ -404,6 +403,23 @@ class TestRobustClassifier:
         b = train_pgdro_classifier(data, priors, cfg, DroConfig())
         np.testing.assert_array_equal(a.head.weights, b.head.weights)
 
+    def test_priors_with_different_atoms_rejected(self):
+        # equal-sized atom arrays are not enough: every class must score
+        # on the same atoms, in training and in prediction
+        rng = np.random.default_rng(105)
+        data = two_blob_data(rng, n_per=4)
+        priors = blob_priors(data, atoms_per=6)
+        moved = MixturePrior(priors[1].weights, priors[1].atoms[::-1])
+        mixed = [priors[0], moved]
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(ValueError):
+            train_pgdro_classifier(data, mixed, cfg, DroConfig())
+        with pytest.raises(ValueError):
+            train_pgdro_regressor(data, data.features[:, 0], mixed, cfg, DroConfig())
+        head = train_pgdro_classifier(data, priors, cfg, DroConfig()).head
+        with pytest.raises(ValueError):
+            RobustClassifier(head, mixed, DroConfig()).predict(data.features)
+
     def test_zero_epochs(self):
         rng = np.random.default_rng(103)
         data = two_blob_data(rng, n_per=4)
@@ -475,8 +491,6 @@ class TestRobustRegressor:
         x = np.array([[1.0, -2.0]])
         z = np.array([3.0])
         data = SupportSet(features=x, labels=np.array([0]))
-        from protodro.priors import MixturePrior
-
         prior = MixturePrior(weights=np.array([1.0]), atoms=np.tile(x, (5, 1)))
         weight = 0.7
         cfg = TrainConfig(epochs=1, penalty_weight=weight, batch_size=1)

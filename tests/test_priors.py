@@ -14,6 +14,7 @@ from protodro.priors import (
     load_priors,
     mixture_weights,
     save_priors,
+    shared_atoms,
     update_weights_damped,
 )
 
@@ -224,6 +225,21 @@ class TestSerialization:
                 np.testing.assert_array_equal(back.atoms, orig.atoms)
                 np.testing.assert_array_equal(back.weights, orig.weights)
                 np.testing.assert_array_equal(back.atom_log_weights, orig.atom_log_weights)
+
+    def test_priors_with_different_atoms_rejected(self, tmp_path):
+        # same atom count, different atoms: not one shared array
+        stats, protos, supports = separated_setup()
+        priors = build_priors(stats, protos, supports, PriorConfig(atom_seed=11))
+        assert shared_atoms(priors) is priors[0].atoms
+        moved = MixturePrior(priors[1].weights, priors[1].atoms + 1e-9)
+        mixed = [priors[0], moved, priors[2]]
+        with pytest.raises(ValueError):
+            shared_atoms(mixed)
+        with pytest.raises(ValueError):
+            shared_atoms([])
+        with pytest.raises(ValueError):
+            save_priors(mixed, str(tmp_path / "mixed.json"))
+        assert not (tmp_path / "mixed.json").exists()
 
     def test_wrong_format_rejected(self, tmp_path):
         # another format, and this format at a version other than 2

@@ -7,7 +7,6 @@ from protodro.sinkhorn import (
     ConvergenceError,
     OtProblem,
     build_cost_matrix,
-    softmin_cost,
     solve_entropic_ot,
 )
 
@@ -129,6 +128,11 @@ class TestSolveEntropicOt:
         assert np.sum(np.abs(result.plan.sum(axis=0) - b)) <= 1e-6
 
 
+def softmin_cost(query, prototypes, eps_sample):
+    """The cost of one point against one prototype set: a 1x1 cost matrix."""
+    return build_cost_matrix(query[None], [prototypes], eps_sample)[0, 0]
+
+
 class TestSoftminCost:
     def test_single_prototype_is_squared_distance(self):
         q = np.array([1.0, 2.0])
@@ -169,9 +173,9 @@ class TestBuildCostMatrix:
         assert cost.shape == (4, 9)
         for b in range(4):
             for n in range(9):
-                assert cost[b, n] == pytest.approx(
-                    softmin_cost(supports[n], protos[b], 0.8), abs=1e-10
-                )
+                sq = np.sum((protos[b] - supports[n]) ** 2, axis=1)
+                direct = -0.8 * np.log(np.sum(np.exp(-sq / 0.8)))
+                assert cost[b, n] == pytest.approx(direct, abs=1e-10)
 
     def test_shape_and_dim_errors(self):
         with pytest.raises(ValueError):

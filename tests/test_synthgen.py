@@ -35,10 +35,6 @@ class TestShiftSpec:
         spec = ShiftSpec(lambda_cov=0.0, cov_scale_floor=1.15)
         assert spec.effective_cov_scale == 1.15
 
-    def test_identity_detection(self):
-        assert ShiftSpec(lambda_mean=0.0, lambda_cov=0.0, rotation_deg=0.0).is_identity()
-        assert not ShiftSpec(lambda_mean=1.0, rotation_deg=0.0).is_identity()
-
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ShiftSpec(lambda_cov=-0.1)
