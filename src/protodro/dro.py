@@ -26,6 +26,13 @@ from .numkit import log_sum_exp, sq_distances
 from .priors import MixturePrior
 
 GRAD_TOL_SCALE = 1e-8
+# the multiplier box [LAMBDA_MIN, LAMBDA_MAX] and the cold start inside it
+LAMBDA_INIT = 1.0
+LAMBDA_MIN = 1e-6
+LAMBDA_MAX = 1e4
+# live scores spread by at most FLAT_TOL times their magnitude count as
+# constant: such a row's value is that constant, with lambda = 0
+FLAT_TOL = 1e-12
 BOUNDARY_NONE = 0
 BOUNDARY_MIN = -1
 BOUNDARY_MAX = 1
@@ -33,15 +40,11 @@ BOUNDARY_MAX = 1
 
 @dataclass
 class DroConfig:
-    """Ball radius, kernel temperature, and dual-solver safeguards."""
+    """Ball radius, kernel temperature, and the Newton budget."""
 
     rho: float = 1.0
     epsilon: float = 1.0
     newton_iters: int = 8
-    lambda_init: float = 1.0
-    lambda_min: float = 1e-6
-    lambda_max: float = 1e4
-    flat_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.rho < 0:
@@ -50,10 +53,6 @@ class DroConfig:
             raise ValueError("epsilon must be positive")
         if self.newton_iters < 1:
             raise ValueError("newton_iters must be at least 1")
-        if not 0 < self.lambda_min < self.lambda_max:
-            raise ValueError("need 0 < lambda_min < lambda_max")
-        if not self.lambda_min <= self.lambda_init <= self.lambda_max:
-            raise ValueError("lambda_init must lie in [lambda_min, lambda_max]")
 
     @property
     def grad_tol(self) -> float:
@@ -103,14 +102,14 @@ def _phi_terms(logq: np.ndarray, scores: np.ndarray, lam: np.ndarray, cfg: DroCo
 def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
                      cfg: DroConfig,
                      lam_init: np.ndarray | None = None) -> BatchDualResult:
-    """Minimize phi row-by-row over [lambda_min, lambda_max].
+    """Minimize phi row-by-row over [LAMBDA_MIN, LAMBDA_MAX].
 
     Args:
         tilt_log_weights: (n, A) normalized log weights (-inf allowed).
         scores: (A,) shared scores or (n, A) per-row scores.
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
         lam_init: optional (n,) per-row starting multipliers; defaults to
-            cfg.lambda_init everywhere. Warm starts from a previous solve
+            LAMBDA_INIT everywhere. Warm starts from a previous solve
             shorten the bracket search without changing the minimizer.
 
     Returns:
@@ -137,7 +136,7 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     f_hi = np.where(live, f, -np.inf).max(axis=1)
     f_lo = np.where(live, f, np.inf).min(axis=1)
     mag = np.maximum(1.0, np.maximum(np.abs(f_hi), np.abs(f_lo)))
-    degenerate = (f_hi - f_lo) <= cfg.flat_tol * mag
+    degenerate = (f_hi - f_lo) <= FLAT_TOL * mag
 
     value = np.where(degenerate, f_hi, np.nan)
     lam_star = np.where(degenerate, 0.0, np.nan)
@@ -171,53 +170,38 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
 
 def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
              lam0: np.ndarray | None = None):
-    """Find [lo, hi] with phi'(lo) < 0 < phi'(hi) by geometric expansion.
+    """Find [lo, hi] with phi'(lo) < 0 <= phi'(hi), stepping by factors of 10.
 
-    Rows where phi' keeps one sign across the whole lambda box are flagged
-    as boundary rows instead.
+    Each row steps one way from its start, down from a nonnegative phi' and
+    up from a negative one, until the sign flips. A row that reaches the box
+    edge unflipped is a boundary row; the far end of its bracket is NaN.
     """
     n = logq.shape[0]
+    if lam0 is None:
+        probe = np.full(n, LAMBDA_INIT)
+    else:
+        probe = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
+                        LAMBDA_MIN, LAMBDA_MAX)
     lo = np.full(n, np.nan)
     hi = np.full(n, np.nan)
-    d_lo = np.full(n, np.nan)
-    d_hi = np.full(n, np.nan)
     bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
-    if lam0 is None:
-        probe = np.full(n, float(np.clip(cfg.lambda_init, cfg.lambda_min, cfg.lambda_max)))
-    else:
-        probe = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, cfg.lambda_init),
-                        cfg.lambda_min, cfg.lambda_max)
-    open_rows = np.ones(n, dtype=bool)
-    # from lambda_init the probe moves a factor 10 per step, so the box
-    # [1e-6, 1e4] is exhausted long before this guard
-    for _ in range(80):
-        rows = np.flatnonzero(open_rows)
-        if not rows.size:
-            break
-        _, d, _, _ = _phi_terms(logq[rows], f[rows], probe[rows], cfg)
-        nonneg = d >= 0
-        # a nonnegative slope closes the bracket from above ...
-        up_rows = rows[nonneg]
-        hi[up_rows] = probe[up_rows]
-        d_hi[up_rows] = d[nonneg]
-        hit_min = probe[up_rows] <= cfg.lambda_min
-        bound[up_rows[hit_min & np.isnan(lo[up_rows])]] = BOUNDARY_MIN
-        open_rows[up_rows[hit_min]] = False
-        open_rows[up_rows[~np.isnan(lo[up_rows])]] = False
-        # ... and a negative slope from below
-        dn_rows = rows[~nonneg]
-        lo[dn_rows] = probe[dn_rows]
-        d_lo[dn_rows] = d[~nonneg]
-        hit_max = probe[dn_rows] >= cfg.lambda_max
-        bound[dn_rows[hit_max & np.isnan(hi[dn_rows])]] = BOUNDARY_MAX
-        open_rows[dn_rows[hit_max]] = False
-        open_rows[dn_rows[~np.isnan(hi[dn_rows])]] = False
-        still = np.flatnonzero(open_rows)
-        shrink = still[~np.isnan(hi[still])]
-        grow = still[~np.isnan(lo[still])]
-        probe[shrink] = np.maximum(probe[shrink] / 10.0, cfg.lambda_min)
-        probe[grow] = np.minimum(probe[grow] * 10.0, cfg.lambda_max)
-    return lo, hi, d_lo, d_hi, bound
+    rows = np.arange(n)
+    while rows.size:
+        p = probe[rows]
+        # keep only phi', so the (rows, A) posterior is freed right away
+        nonneg = _phi_terms(logq[rows], f[rows], p, cfg)[1] >= 0
+        hi[rows[nonneg]] = p[nonneg]
+        lo[rows[~nonneg]] = p[~nonneg]
+        down = np.isnan(lo[rows])
+        nxt = np.where(down, np.maximum(p / 10.0, LAMBDA_MIN),
+                       np.minimum(p * 10.0, LAMBDA_MAX))
+        # stop at a sign flip (both ends set) or at the box edge (no move)
+        going = (down | np.isnan(hi[rows])) & (nxt != p)
+        rows = rows[going]
+        probe[rows] = nxt[going]
+    bound[np.isnan(lo)] = BOUNDARY_MIN
+    bound[np.isnan(hi)] = BOUNDARY_MAX
+    return lo, hi, bound
 
 
 def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
@@ -231,10 +215,10 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     geometric midpoint is the natural fallback).
     """
     n = logq.shape[0]
-    lo, hi, _, _, bound = _bracket(logq, f, cfg, lam0)
+    lo, hi, bound = _bracket(logq, f, cfg, lam0)
 
     interior = bound == BOUNDARY_NONE
-    lam = np.where(bound == BOUNDARY_MIN, cfg.lambda_min, cfg.lambda_max)
+    lam = np.where(bound == BOUNDARY_MIN, LAMBDA_MIN, LAMBDA_MAX)
     if lam0 is None:
         lam[interior] = np.sqrt(lo[interior] * hi[interior])
     else:
@@ -249,7 +233,7 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
         if not rows.size:
             break
         iterations[rows] += 1
-        _, d, dd, _ = _phi_terms(logq[rows], f[rows], lam[rows], cfg)
+        d, dd = _phi_terms(logq[rows], f[rows], lam[rows], cfg)[1:3]
         done = np.abs(d) <= cfg.grad_tol
         active[rows[done]] = False
         rows, d, dd = rows[~done], d[~done], dd[~done]

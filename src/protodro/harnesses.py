@@ -200,16 +200,21 @@ class _TransportMap:
         return out
 
 
-def _fixed_point(transport: _TransportMap, start: np.ndarray,
-                 tol: float = 1e-14, max_steps: int = 5000) -> np.ndarray:
-    w = start.copy()
+def _fixed_point(transport: _TransportMap, start: np.ndarray, tol: float = 1e-14,
+                 max_steps: int = 5000) -> tuple[np.ndarray, float]:
+    """Iterate the map until a step moves no weight by more than tol.
+
+    Returns the last iterate and the max-norm size of the last step, which
+    stays above tol when max_steps ran out first.
+    """
+    w, gap = start.copy(), float("inf")
     for _ in range(max_steps):
         nxt = transport(w)
         gap = float(np.abs(nxt - w).max())
         w = nxt
         if gap <= tol:
-            return w
-    return w
+            break
+    return w, gap
 
 
 def _values(instance: ContractionInstance, weights: np.ndarray,
@@ -265,7 +270,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
 
     Writes contraction_trace.csv (t, delta, bound), contraction_floor.csv
     (n, floor), and a manifest with the fitted rate, the Jacobian norm at
-    the fixed point, and the floor slope.
+    the fixed point, the floor slope, and the last fixed-point step sizes.
     """
     out_dir = out_dir or cfg.resolve_output_dir()
     os.makedirs(out_dir, exist_ok=True)
@@ -279,7 +284,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
     transport = _TransportMap(cost, labels, cfg.prior.eps_class)
 
     uniform = np.full((N_TARGET, N_BASE), 1.0 / N_BASE)
-    fixed = _fixed_point(transport, uniform)
+    fixed, fixed_gap = _fixed_point(transport, uniform)
     ref_values = _values(instance, fixed, cfg)
 
     jacobian_norm = _jacobian_norm(transport, fixed)
@@ -320,6 +325,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
                                  np.arange(len(deltas)))
 
     floors = {}
+    floor_gap_max = 0.0
     floor_rng = SeededRng(seed, INSTANCE_STREAM).child(12)
     for n in FLOOR_SIZES:
         gaps = []
@@ -329,7 +335,8 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
             f_cost = build_cost_matrix(f_feats, instance.prototypes,
                                        cfg.prior.eps_sample)
             f_transport = _TransportMap(f_cost, f_labels, cfg.prior.eps_class)
-            f_fixed = _fixed_point(f_transport, uniform)
+            f_fixed, f_gap = _fixed_point(f_transport, uniform)
+            floor_gap_max = max(floor_gap_max, f_gap)
             gaps.append(_value_gap(instance, f_fixed, ref_values, cfg))
         floors[n] = float(np.mean(gaps))
     log_n = np.log(np.array(FLOOR_SIZES, dtype=float))
@@ -357,11 +364,13 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
         "task": "contraction",
         "seed": seed,
         "eta": format_real(eta),
+        "fixed_point_gap": format_real(fixed_gap),
         "jacobian_norm": format_real(jacobian_norm),
         "contractive": int(contractive),
         "rate": format_real(rate),
         "kappa": format_real(kappa),
         "floor_slope": format_real(floor_slope),
+        "floor_fixed_point_gap_max": format_real(floor_gap_max),
         "diverged": int(diverged),
         "steps_run": len(deltas) - 1,
         "final_delta": format_real(deltas[-1]),

@@ -14,8 +14,8 @@ regression (a single row). Training objectives:
     trains the robust classifier on `empirical_prior` atoms. The method
     registry in sweeps chooses each method's rows.
 
-All loops are plain minibatch descent (constant-step or adaptive-moment
-updates) over numpy arrays, deterministic under a fixed seed.
+All loops are plain minibatch Adam over numpy arrays, deterministic under
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro import DroConfig, gibbs_tilt_batch, solve_dual_batch
+from .dro import LAMBDA_INIT, DroConfig, gibbs_tilt_batch, solve_dual_batch
 from .numkit import SeededRng, log_sum_exp, sq_distances
 from .priors import MixturePrior, SupportSet, shared_atoms
 from .sinkhorn import OtProblem, solve_entropic_ot
@@ -47,7 +47,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 256
     seed: int = 0
-    optimizer: str = "adam"
     huber_beta: float = 1.0
     penalty_weight: float = 1.0
     penalty_temperature: float = 0.1
@@ -60,8 +59,6 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.huber_beta <= 0:
             raise ValueError("huber_beta must be positive")
         if self.penalty_weight < 0:
@@ -162,20 +159,14 @@ def _ce_batch(logits: np.ndarray, labels: np.ndarray):
     return float(losses.mean()), grad / logits.shape[0]
 
 
-class _Optimizer:
+class _Adam:
     def __init__(self, cfg: TrainConfig, params: list[np.ndarray]):
         self.lr = cfg.learning_rate
-        self.adaptive = cfg.optimizer == "adam"
-        if self.adaptive:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-            self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if not self.adaptive:
-            for p, g in zip(params, grads):
-                p -= self.lr * g
-            return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         correction = np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
@@ -192,7 +183,7 @@ def _run_epochs(n_samples: int, cfg: TrainConfig, params: list[np.ndarray], batc
     read the live params list so updates are visible across batches.
     """
     rng = SeededRng(cfg.seed, _SHUFFLE_STREAM)
-    opt = _Optimizer(cfg, params)
+    opt = _Adam(cfg, params)
     trace = np.zeros(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_samples)
@@ -349,7 +340,7 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     tilts = np.stack(
         [gibbs_tilt_batch(prior, x, dro_cfg.epsilon) for prior in priors], axis=1
     )
-    lam_cache = np.full((n, n_classes), dro_cfg.lambda_init)
+    lam_cache = np.full((n, n_classes), LAMBDA_INIT)
 
     def batch_fn(idx):
         return robust_ce_objective_stacked(

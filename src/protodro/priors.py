@@ -69,8 +69,6 @@ class PriorConfig:
     covariance_inflation: float = 3.0
     ridge: float = 1e-6
     atoms_per_component: int = 64
-    ot_tol: float = 1e-6
-    ot_max_iters: int = 1000
     atom_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -227,9 +225,7 @@ def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray]
     cost = build_cost_matrix(supports.features, base_prototypes, cfg.eps_sample)
     row = np.full(n_base, 1.0 / n_base)
     col = np.full(len(supports), 1.0 / len(supports))
-    plan = solve_entropic_ot(
-        OtProblem(cost, row, col, cfg.eps_class), cfg.ot_tol, cfg.ot_max_iters
-    ).plan
+    plan = solve_entropic_ot(OtProblem(cost, row, col, cfg.eps_class)).plan
 
     atoms = draw_atoms(base_stats, cfg, SeededRng(cfg.atom_seed))
     return [

@@ -76,10 +76,17 @@ class TestSerialization:
         assert cfg.generator.n_classes == 8
 
     def test_unknown_key_rejected(self, tmp_path):
+        # the solver's lambda box, flat tolerance, Phase-I OT budget and the
+        # optimizer are constants of the code, not config keys
         path = tmp_path / "bad.cfg"
-        path.write_text("[dro]\nwarp_factor = 9\n")
-        with pytest.raises(ValueError, match="warp_factor"):
-            load_config(path)
+        for section, key, raw in (("dro", "warp_factor", "9"),
+                                  ("dro", "lambda_max", "1e6"),
+                                  ("dro", "flat_tol", "1e-6"),
+                                  ("prior", "ot_max_iters", "100000"),
+                                  ("train", "optimizer", "sgd")):
+            path.write_text(f"[{section}]\n{key} = {raw}\n")
+            with pytest.raises(ValueError, match=key):
+                load_config(path)
 
     def test_missing_file_raises_with_path(self, tmp_path):
         missing = tmp_path / "nope.cfg"
@@ -122,10 +129,12 @@ class TestPresets:
         assert cfg.levels == (0.0, 1.0, 2.0)
 
     def test_preset_hashes_are_stable(self):
-        # the hash is stamped into every result row; these values predate the
-        # removal of the unused PriorConfig marginal fields
-        assert config_hash(preset("paper-classification")) == "67dba0916ae9"
-        assert config_hash(preset("paper-regression")) == "b81b8273c5ca"
+        # the hash is stamped into every result row; it changed (from
+        # 67dba0916ae9 and b81b8273c5ca) when the dual solver's lambda box and
+        # flat tolerance, the Phase-I OT budget and the optimizer choice
+        # stopped being config fields, which removed seven canonical lines
+        assert config_hash(preset("paper-classification")) == "3fc30b35b070"
+        assert config_hash(preset("paper-regression")) == "39585972c8ef"
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

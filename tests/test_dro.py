@@ -13,6 +13,8 @@ from protodro.dro import (
     BOUNDARY_MAX,
     BOUNDARY_MIN,
     BOUNDARY_NONE,
+    LAMBDA_MAX,
+    LAMBDA_MIN,
     DroConfig,
     _phi_terms,
     gibbs_tilt_batch,
@@ -77,10 +79,6 @@ class TestConfig:
             DroConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             DroConfig(newton_iters=0)
-        with pytest.raises(ValueError):
-            DroConfig(lambda_min=1.0, lambda_max=0.5)
-        with pytest.raises(ValueError):
-            DroConfig(lambda_init=1e-9)
 
     def test_grad_tol_scales_with_rho(self):
         assert DroConfig(rho=0.0).grad_tol == pytest.approx(1e-8)
@@ -221,27 +219,27 @@ class TestSolveDual:
     def test_boundary_min_when_top_atom_carries_enough_mass(self):
         # phi'(0+) = rho + eps * log(mass at the max score); with mass 0.9
         # and rho = 5 the slope is positive everywhere, so the minimizer
-        # clamps to lambda_min and the value sits just above the max score
+        # clamps to LAMBDA_MIN and the value sits just above the max score
         logw = np.log([0.9, 0.1])
         scores = np.array([1.0, 0.0])
         cfg = DroConfig(rho=5.0, epsilon=1.0)
         res = solve_one(logw, scores, cfg)
         assert res.boundary[0] == BOUNDARY_MIN
         assert res.converged[0]
-        assert res.lambda_star[0] == cfg.lambda_min
+        assert res.lambda_star[0] == LAMBDA_MIN
         assert res.value[0] >= 1.0 - 1e-12
         assert res.value[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_boundary_max_when_rho_zero(self):
         # rho = 0 makes phi strictly decreasing toward the mean score, so
-        # the box clamps at lambda_max and the value approaches E_q[f]
+        # the box clamps at LAMBDA_MAX and the value approaches E_q[f]
         logw = np.log([0.25, 0.75])
         scores = np.array([2.0, -1.0])
         cfg = DroConfig(rho=0.0, epsilon=1.0)
         res = solve_one(logw, scores, cfg)
         assert res.boundary[0] == BOUNDARY_MAX
         assert res.converged[0]
-        assert res.lambda_star[0] == cfg.lambda_max
+        assert res.lambda_star[0] == LAMBDA_MAX
         mean = float(np.exp(logw) @ scores)
         assert res.value[0] == pytest.approx(mean, abs=1e-3)
         assert res.value[0] >= mean
@@ -254,7 +252,7 @@ class TestSolveDual:
             value = solve_one(logw, scores, cfg).value[0]
             mean = float(np.exp(logw) @ scores)
             assert value >= mean - 1e-10
-            assert value <= scores.max() + cfg.lambda_min * (cfg.rho + 1.0)
+            assert value <= scores.max() + LAMBDA_MIN * (cfg.rho + 1.0)
 
     def test_value_nondecreasing_in_rho(self):
         rng = np.random.default_rng(223)

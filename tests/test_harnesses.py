@@ -10,6 +10,10 @@ from protodro.harnesses import (
     CONSISTENCY_BUDGETS,
     CONSISTENCY_PAIRS,
     FLOOR_SIZES,
+    N_BASE,
+    N_TARGET,
+    _fixed_point,
+    _TransportMap,
     run_consistency,
     run_contraction,
 )
@@ -88,6 +92,20 @@ class TestContraction:
         manifest = (out / "contraction_manifest.txt").read_text()
         assert "config_hash = " in manifest
         assert "jacobian_norm = " in manifest
+        assert "fixed_point_gap = " in manifest
+        assert "floor_fixed_point_gap_max = " in manifest
+
+    def test_fixed_point_reports_an_unfinished_iteration(self):
+        rng = np.random.default_rng(7)
+        transport = _TransportMap(rng.uniform(0.0, 3.0, (N_BASE, 20)),
+                                  np.arange(20) % N_TARGET, eps_class=0.8)
+        uniform = np.full((N_TARGET, N_BASE), 1.0 / N_BASE)
+        one, gap = _fixed_point(transport, uniform, max_steps=1)
+        np.testing.assert_array_equal(one, transport(uniform))
+        assert gap > 1e-14
+        fixed, gap = _fixed_point(transport, uniform)
+        assert gap <= 1e-14
+        np.testing.assert_allclose(transport(fixed), fixed, rtol=0, atol=1e-13)
 
     def test_rerun_is_byte_identical(self, contraction_cfg, contraction,
                                      tmp_path):

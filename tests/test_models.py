@@ -232,8 +232,6 @@ class TestHeadAndConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
-            TrainConfig(optimizer="momentum")
-        with pytest.raises(ValueError):
             TrainConfig(penalty_temperature=0.0)
 
 
