@@ -9,7 +9,9 @@ inner problem reduces to minimizing
 over lam >= 0, which is convex with derivatives available in closed form
 from softmax moments of the atom scores. The solver runs Newton steps
 safeguarded by a sign bracket on phi' and falls back to bisection whenever
-a step leaves the bracket or fails to reduce |phi'|.
+a step leaves the bracket or fails to reduce |phi'|. A warm start reuses the
+bracket's terms at the end it lands on, and a converged row keeps phi and
+the posterior of the evaluation that converged it.
 
 Everything here is written over batches of tilted weight rows: one tilt
 (gibbs_tilt_batch), one solver (solve_dual_batch) and one result type
@@ -84,19 +86,31 @@ def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -
 
 
 def _phi_terms(logq: np.ndarray, scores: np.ndarray, lam: np.ndarray, cfg: DroConfig):
-    """phi, phi', phi'' and the posterior at each row's lambda."""
-    scale = lam[:, None] * cfg.epsilon
-    a = logq + scores / scale
-    log_z = log_sum_exp(a, axis=1)
-    posterior = np.exp(a - log_z[:, None])
-    f = np.broadcast_to(scores, posterior.shape)
-    mean = np.einsum("na,na->n", posterior, f)
-    second = np.einsum("na,na->n", posterior, f * f)
+    """phi, phi', phi'' and the posterior at each row's lambda.
+
+    numkit.log_sum_exp's operations, in its order, over two (rows, A) work
+    arrays. Each row's terms depend on that row alone, bit for bit.
+    """
+    a = np.divide(scores, lam[:, None] * cfg.epsilon)
+    a += logq
+    m = a.max(axis=1, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    e = np.subtract(a, shift)
+    np.exp(e, out=e)
+    log_z = (np.log(e.sum(axis=1, keepdims=True)) + shift)[:, 0]
+    posterior = np.exp(np.subtract(a, log_z[:, None], out=e), out=e)
+    mean = np.einsum("na,na->n", posterior, np.broadcast_to(scores, a.shape))
+    second = np.einsum("na,na->n", posterior, np.multiply(scores, scores, out=a))
     var = np.maximum(second - mean**2, 0.0)
     phi = lam * (cfg.rho + cfg.epsilon * log_z)
     dphi = cfg.rho + cfg.epsilon * log_z - mean / lam
     d2phi = var / (lam**3 * cfg.epsilon)
     return phi, dphi, d2phi, posterior
+
+
+def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x[rows] for sorted distinct rows, without a copy when rows is all of x."""
+    return x if rows.size == x.shape[0] else x[rows]
 
 
 def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
@@ -140,22 +154,20 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
 
     value = np.where(degenerate, f_hi, np.nan)
     lam_star = np.where(degenerate, 0.0, np.nan)
-    posterior = np.where(degenerate[:, None], np.exp(logq), np.nan)
     iterations = np.zeros(n, dtype=int)
     converged = degenerate.copy()
     boundary = np.full(n, BOUNDARY_NONE, dtype=np.int8)
 
     solve_rows = np.flatnonzero(~degenerate)
-    if solve_rows.size:
-        lam0 = None if lam_init is None else np.asarray(lam_init, dtype=float)[solve_rows]
-        sub = _newton_bisect(logq[solve_rows], f[solve_rows], cfg, lam0)
-        sub_val, sub_lam, sub_post, sub_iter, sub_conv, sub_bound = sub
-        value[solve_rows] = sub_val
-        lam_star[solve_rows] = sub_lam
+    lam0 = None if lam_init is None else np.asarray(lam_init, dtype=float)[solve_rows]
+    (value[solve_rows], lam_star[solve_rows], sub_post, iterations[solve_rows],
+     converged[solve_rows], boundary[solve_rows]) = _newton_bisect(
+        _take(logq, solve_rows), _take(f, solve_rows), cfg, lam0)
+    posterior = sub_post
+    if solve_rows.size < n:
+        posterior = np.empty((n, n_atoms))
         posterior[solve_rows] = sub_post
-        iterations[solve_rows] = sub_iter
-        converged[solve_rows] = sub_conv
-        boundary[solve_rows] = sub_bound
+        posterior[degenerate] = np.exp(logq[degenerate])
 
     return BatchDualResult(
         value=value,
@@ -175,6 +187,8 @@ def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     Each row steps one way from its start, down from a nonnegative phi' and
     up from a negative one, until the sign flips. A row that reaches the box
     edge unflipped is a boundary row; the far end of its bracket is NaN.
+    Returns (ends, bound), where ends[:, 0] holds lambda, phi' and phi'' at
+    each row's lo and ends[:, 1] those at its hi.
     """
     n = logq.shape[0]
     if lam0 is None:
@@ -182,26 +196,24 @@ def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     else:
         probe = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
                         LAMBDA_MIN, LAMBDA_MAX)
-    lo = np.full(n, np.nan)
-    hi = np.full(n, np.nan)
+    ends = np.full((3, 2, n), np.nan)
     bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
     rows = np.arange(n)
     while rows.size:
         p = probe[rows]
-        # keep only phi', so the (rows, A) posterior is freed right away
-        nonneg = _phi_terms(logq[rows], f[rows], p, cfg)[1] >= 0
-        hi[rows[nonneg]] = p[nonneg]
-        lo[rows[~nonneg]] = p[~nonneg]
-        down = np.isnan(lo[rows])
+        # keep phi' and phi'' only, so the (rows, A) posterior is freed right away
+        d, dd = _phi_terms(_take(logq, rows), _take(f, rows), p, cfg)[1:3]
+        ends[:, (d >= 0).astype(np.intp), rows] = p, d, dd
+        down = np.isnan(ends[0, 0, rows])
         nxt = np.where(down, np.maximum(p / 10.0, LAMBDA_MIN),
                        np.minimum(p * 10.0, LAMBDA_MAX))
         # stop at a sign flip (both ends set) or at the box edge (no move)
-        going = (down | np.isnan(hi[rows])) & (nxt != p)
+        going = (down | np.isnan(ends[0, 1, rows])) & (nxt != p)
         rows = rows[going]
         probe[rows] = nxt[going]
-    bound[np.isnan(lo)] = BOUNDARY_MIN
-    bound[np.isnan(hi)] = BOUNDARY_MAX
-    return lo, hi, bound
+    bound[np.isnan(ends[0, 0])] = BOUNDARY_MIN
+    bound[np.isnan(ends[0, 1])] = BOUNDARY_MAX
+    return ends, bound
 
 
 def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
@@ -212,10 +224,14 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     the Newton step is taken when it lands strictly inside the sign
     bracket and at most halves the previous step, otherwise the bracket
     is bisected in log space (lambda lives across decades, so the
-    geometric midpoint is the natural fallback).
+    geometric midpoint is the natural fallback). A warm start lands on a
+    bracket end, whose phi' and phi'' the bracket kept. A converged row
+    keeps phi and the posterior of the evaluation that converged it; the
+    other rows are evaluated once more after the loop.
     """
-    n = logq.shape[0]
-    lo, hi, bound = _bracket(logq, f, cfg, lam0)
+    n, n_atoms = logq.shape
+    ends, bound = _bracket(logq, f, cfg, lam0)
+    lo, hi = ends[0]  # views: Newton narrows the brackets in place
 
     interior = bound == BOUNDARY_NONE
     lam = np.where(bound == BOUNDARY_MIN, LAMBDA_MIN, LAMBDA_MAX)
@@ -225,16 +241,32 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
         # a warm start sits on one bracket edge; Newton moves inward from it
         lam[interior] = np.clip(lam0[interior], lo[interior], hi[interior])
     step_old = np.where(interior, hi - lo, 0.0)
+    kept = interior & ((lam == lo) | (lam == hi))
 
+    phi = np.empty(n)
+    posterior = np.empty((n, n_atoms))
     iterations = np.zeros(n, dtype=int)
     active = interior.copy()
+    again = ~interior
     for _ in range(cfg.newton_iters):
         rows = np.flatnonzero(active)
         if not rows.size:
             break
         iterations[rows] += 1
-        d, dd = _phi_terms(logq[rows], f[rows], lam[rows], cfg)[1:3]
+        new = rows[~kept[rows]] if kept.any() else rows
+        p, d, dd, post = _phi_terms(_take(logq, new), _take(f, new), lam[new], cfg)
         done = np.abs(d) <= cfg.grad_tol
+        if done.any():
+            phi[new[done]] = p[done]
+            posterior[new[done]] = post[done]
+        if new.size < rows.size:
+            # first step: rows on a bracket end take its terms
+            terms = ends[1:, (lam[rows] == hi[rows]).astype(np.intp), rows]
+            terms[:, ~kept[rows]] = d, dd
+            d, dd = terms
+            done = np.abs(d) <= cfg.grad_tol
+            again[rows[done & kept[rows]]] = True
+            kept[:] = False
         active[rows[done]] = False
         rows, d, dd = rows[~done], d[~done], dd[~done]
         if not rows.size:
@@ -249,7 +281,10 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
         step_old[rows] = np.abs(nxt - lam[rows])
         lam[rows] = nxt
 
-    phi, dphi, _, posterior = _phi_terms(logq, f, lam, cfg)
-    converged = ~interior | (np.abs(dphi) <= cfg.grad_tol)
+    converged = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(again | active)
+    if rows.size:
+        phi[rows], d, _, posterior[rows] = _phi_terms(
+            _take(logq, rows), _take(f, rows), lam[rows], cfg)
+        converged[rows] = ~interior[rows] | (np.abs(d) <= cfg.grad_tol)
     return phi, lam, posterior, iterations, converged, bound
-

@@ -267,6 +267,14 @@ def train_saa(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainRe
     return train_ce_head(augmented, labels, n_classes, cfg)
 
 
+def _class_tilts(priors: list[MixturePrior], x: np.ndarray, epsilon: float) -> np.ndarray:
+    """(n, C, A) tilt log-weights, filled class by class: no stacked copy."""
+    tilts = np.empty((x.shape[0], len(priors), priors[0].atoms.shape[0]))
+    for c, prior in enumerate(priors):
+        tilts[:, c] = gibbs_tilt_batch(prior, x, epsilon)
+    return tilts
+
+
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
                           atoms: np.ndarray, tilts: np.ndarray,
                           idx: np.ndarray, dro_cfg: DroConfig,
@@ -337,9 +345,7 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     head = zero_head(n_classes, x.shape[1])
     params = [head.weights, head.biases]
     atoms = shared_atoms(priors)
-    tilts = np.stack(
-        [gibbs_tilt_batch(prior, x, dro_cfg.epsilon) for prior in priors], axis=1
-    )
+    tilts = _class_tilts(priors, x, dro_cfg.epsilon)
     lam_cache = np.full((n, n_classes), LAMBDA_INIT)
 
     def batch_fn(idx):
@@ -370,10 +376,7 @@ class RobustClassifier:
         values = np.empty((x.shape[0], len(self.priors)))
         for start in range(0, x.shape[0], _PREDICT_CHUNK):
             block = x[start : start + _PREDICT_CHUNK]
-            tilts = np.stack(
-                [gibbs_tilt_batch(p, block, self.dro_cfg.epsilon) for p in self.priors],
-                axis=1,
-            )
+            tilts = _class_tilts(self.priors, block, self.dro_cfg.epsilon)
             block_values, _ = robust_scores_stacked(
                 self.head.weights, self.head.biases, atoms, tilts,
                 np.arange(block.shape[0]), self.dro_cfg,

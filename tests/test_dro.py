@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from protodro import dro
 from protodro.dro import (
     BOUNDARY_MAX,
     BOUNDARY_MIN,
@@ -170,6 +171,34 @@ class TestDualObjective:
                 lambda t: dual_terms(logw, scores, t, cfg)[1], lam, h=1e-5 * lam
             )
             assert d2phi == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_row_subset_matches_full_batch_bitwise(self):
+        rng = np.random.default_rng(41)
+        logw = np.vstack([random_instance(rng, n_atoms=17, with_holes=True)[0]
+                          for _ in range(9)])
+        scores = 3.0 * rng.standard_normal((9, 17))
+        lam = rng.uniform(0.01, 10.0, 9)
+        cfg = DroConfig(rho=0.8, epsilon=1.2)
+        full = _phi_terms(logw, scores, lam, cfg)
+        rows = np.array([1, 4, 7])
+        part = _phi_terms(logw[rows], scores[rows], lam[rows], cfg)
+        for got, want in zip(part, full):
+            np.testing.assert_array_equal(got, want[rows])
+
+    def test_log_normaliser_is_log_sum_exp_bitwise(self):
+        # -inf weights and exponents near 1e7: the terms are those of
+        # numkit.log_sum_exp's normaliser, bit for bit
+        rng = np.random.default_rng(43)
+        logw = np.vstack([random_instance(rng, n_atoms=12, with_holes=True)[0]
+                          for _ in range(6)])
+        scores = 1e4 * rng.standard_normal((6, 12))
+        lam = np.array([1e-3, 1e-2, 0.5, 3.0, 1e2, 1e4])
+        cfg = DroConfig(rho=0.6, epsilon=0.9)
+        phi, _, _, posterior = _phi_terms(logw, scores, lam, cfg)
+        a = logw + scores / (lam[:, None] * cfg.epsilon)
+        log_z = log_sum_exp(a, axis=1)
+        np.testing.assert_array_equal(phi, lam * (cfg.rho + cfg.epsilon * log_z))
+        np.testing.assert_array_equal(posterior, np.exp(a - log_z[:, None]))
 
 
 class TestSolveDual:
@@ -336,6 +365,60 @@ class TestSolveDual:
         batch = solve_dual_batch(logw, scores, cfg)
         assert np.all(batch.iterations <= 8)
         assert np.all(batch.converged)
+
+    @pytest.mark.parametrize("newton_iters", [1, 8])
+    def test_outputs_are_the_terms_at_lambda_star(self, newton_iters):
+        # one batch of interior, boundary and degenerate rows, solved cold
+        # and then warm; newton_iters=1 leaves rows unconverged at the cap
+        rng = np.random.default_rng(331)
+        logw = np.vstack([random_instance(rng, n_atoms=10, with_holes=True)[0]
+                          for _ in range(24)])
+        scores = 3.0 * rng.standard_normal((24, 10))
+        scores[0] = 2.0                                     # degenerate
+        logw[1], scores[1] = np.log(0.1), 0.0
+        logw[1, 0], scores[1, 0] = np.log(0.91), 1.0        # boundary min
+        logw[2], scores[2] = uniform_logw(10), 0.0
+        scores[2, 0] = 1e6                                  # boundary max
+        cfg = DroConfig(rho=1.0, epsilon=1.0, newton_iters=newton_iters)
+        cold = solve_dual_batch(logw, scores, cfg)
+        lam0 = cold.lambda_star * rng.choice([1.0, 0.3, 3.0], 24)
+        warm = solve_dual_batch(logw, scores + 0.01, cfg, lam_init=lam0)
+        for res, f in ((cold, scores), (warm, scores + 0.01)):
+            assert res.degenerate[0] and res.degenerate.sum() == 1
+            assert res.boundary[1] == BOUNDARY_MIN and res.boundary[2] == BOUNDARY_MAX
+            rows = np.flatnonzero(~res.degenerate)
+            phi, dphi, _, posterior = _phi_terms(logw[rows], f[rows],
+                                                 res.lambda_star[rows], cfg)
+            np.testing.assert_array_equal(res.value[rows], phi)
+            np.testing.assert_array_equal(res.posterior[rows], posterior)
+            interior = res.boundary[rows] == BOUNDARY_NONE
+            np.testing.assert_array_equal(res.converged[rows][interior],
+                                          np.abs(dphi[interior]) <= cfg.grad_tol)
+            np.testing.assert_array_equal(res.posterior[0], np.exp(logw[0]))
+        if newton_iters == 1:
+            assert not cold.converged.all()
+
+    def test_warm_start_at_the_solution_takes_three_evaluations(self, monkeypatch):
+        # a warm start at a converged lambda* sits on a bracket end: two
+        # bracket probes, a first Newton step on the bracket's terms and
+        # one evaluation for the value and posterior
+        rng = np.random.default_rng(337)
+        logw = np.vstack([random_instance(rng, n_atoms=12)[0] for _ in range(40)])
+        scores = 2.0 * rng.standard_normal((40, 12))
+        cfg = DroConfig(rho=0.7, epsilon=1.0)
+        first = solve_dual_batch(logw, scores, cfg)
+        assert first.converged.all()
+        evaluated = []
+        phi_terms = dro._phi_terms
+
+        def counting(logq, *args):
+            evaluated.append(logq.shape[0])
+            return phi_terms(logq, *args)
+
+        monkeypatch.setattr(dro, "_phi_terms", counting)
+        again = solve_dual_batch(logw, scores, cfg, lam_init=first.lambda_star)
+        np.testing.assert_array_equal(again.value, first.value)
+        assert sum(evaluated) <= 3 * 40
 
     def test_rejects_bad_inputs(self):
         cfg = DroConfig()

@@ -1,10 +1,12 @@
 """Fixed-point contraction and atom-budget convergence harnesses."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from protodro import cli
 from protodro.config import ExperimentConfig
 from protodro.harnesses import (
     CONSISTENCY_BUDGETS,
@@ -17,6 +19,8 @@ from protodro.harnesses import (
     run_consistency,
     run_contraction,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +117,25 @@ class TestContraction:
         run_contraction(contraction_cfg, out_dir=str(tmp_path))
         for name in ("contraction_trace.csv", "contraction_floor.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+    def test_committed_results_reproduce(self, tmp_path, monkeypatch):
+        # the benchmark's harness check, run here first: the committed
+        # contraction CSVs come back value by value within its tolerance,
+        # so a change in the path of a one-row dual solve fails this test
+        monkeypatch.syspath_prepend(ROOT)
+        from perfbench import checks
+
+        out = tmp_path / "contraction"
+        assert cli.main(["contraction", "--eta", "1", "--seeds", "0",
+                         "--out", str(out)]) == 0
+        for name in ("contraction_trace.csv", "contraction_floor.csv"):
+            got_head, got = checks.read_csv(out / name)
+            want_head, want = checks.read_csv(os.path.join(ROOT, "results", name))
+            assert got_head == want_head
+            assert len(got) == len(want)
+            for got_row, want_row in zip(got, want):
+                assert all(checks._close(a, b, checks.HARNESS_REL_TOL)
+                           for a, b in zip(got_row, want_row)), (name, got_row, want_row)
 
 
 class TestConsistency:
