@@ -16,10 +16,20 @@ the posterior of the evaluation that converged it.
 Everything here is written over batches of tilted weight rows: one tilt
 (gibbs_tilt_batch), one solver (solve_dual_batch) and one result type
 (BatchDualResult). A single query is a batch of one row.
+
+Each row's solve depends on that row alone, bit for bit, so the solver
+splits a batch into contiguous row blocks and solves them on one thread
+per usable core (MIN_BLOCK rows per thread at least) into disjoint rows
+of one preallocated result. A cap on block size bounds the work arrays
+alive at once. Every output is the same whatever the core count; a batch
+that is one block, such as a single row, is solved in the calling thread
+with no thread started.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +48,12 @@ FLAT_TOL = 1e-12
 BOUNDARY_NONE = 0
 BOUNDARY_MIN = -1
 BOUNDARY_MAX = 1
+# solve_dual_batch solves row blocks on WORKERS threads (one per usable core),
+# each thread at least MIN_BLOCK rows; a block covers at most BLOCK_CELLS
+# (row, atom) cells, so each (rows, A) work array of a block is at most 8 MiB
+WORKERS = len(os.sched_getaffinity(0))
+MIN_BLOCK = 64
+BLOCK_CELLS = 1 << 20
 
 
 @dataclass
@@ -118,8 +134,19 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
                      lam_init: np.ndarray | None = None) -> BatchDualResult:
     """Minimize phi row-by-row over [LAMBDA_MIN, LAMBDA_MAX].
 
+    The rows run on k = max(1, min(WORKERS, n // MIN_BLOCK)) threads (numpy
+    releases the interpreter lock inside its array loops), split into at
+    least k contiguous blocks of at most BLOCK_CELLS (row, atom) cells; the
+    threads take turns over the blocks and each block is solved into its
+    rows of the result. Rows are solved independently, so every output is
+    bitwise the same for any split. With k = 1 the blocks run one after
+    another in the calling thread, and a batch of at most BLOCK_CELLS
+    cells, such as one row, is solved there as one block. Inputs are
+    validated before any block starts; an exception raised in a block is
+    raised here once every thread has stopped.
+
     Args:
-        tilt_log_weights: (n, A) normalized log weights (-inf allowed).
+        tilt_log_weights: (n, A) normalized log weights, each finite or -inf.
         scores: (A,) shared scores or (n, A) per-row scores.
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
         lam_init: optional (n,) per-row starting multipliers; defaults to
@@ -135,6 +162,8 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     logq = np.asarray(tilt_log_weights, dtype=float)
     if logq.ndim != 2:
         raise ValueError("tilt_log_weights must be (n, A)")
+    if not np.all(logq < np.inf):
+        raise ValueError("tilt_log_weights must be finite or -inf")
     n, n_atoms = logq.shape
     f = np.asarray(scores, dtype=float)
     if f.ndim == 1:
@@ -143,41 +172,90 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         raise ValueError("scores must be (A,) or (n, A)")
     if not np.all(np.isfinite(f)):
         raise ValueError("scores must be finite")
-
+    lam0 = None if lam_init is None else np.asarray(lam_init, dtype=float)
+    if lam0 is not None and lam0.shape != (n,):
+        raise ValueError("lam_init must be (n,)")
     live = logq > -np.inf
     if not live.any(axis=1).all():
         raise ValueError("every row needs at least one atom with positive weight")
+
+    out = BatchDualResult(
+        value=np.empty(n),
+        lambda_star=np.empty(n),
+        posterior=np.empty((n, n_atoms)),
+        iterations=np.zeros(n, dtype=int),
+        converged=np.empty(n, dtype=bool),
+        degenerate=np.empty(n, dtype=bool),
+        boundary=np.full(n, BOUNDARY_NONE, dtype=np.int8),
+    )
+    k = max(1, min(WORKERS, n // MIN_BLOCK))
+    if k == 1 and n * n_atoms <= BLOCK_CELLS:
+        _solve_block(logq, f, live, lam0, cfg, out, slice(None))
+        return out
+    m = max(k, -(-(n * n_atoms) // BLOCK_CELLS))
+    ends = [n * i // m for i in range(m + 1)]
+    blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+    def solve_blocks(t):
+        for block in blocks[t::k]:
+            _solve_block(logq, f, live, lam0, cfg, out, block)
+
+    _on_threads(solve_blocks, k)
+    return out
+
+
+def _on_threads(fn, k: int) -> None:
+    """Call fn(0) here and fn(1), ..., fn(k - 1) each on its own thread.
+
+    Every thread is joined before this returns or raises; the first
+    exception a call raised is raised again here.
+    """
+    errors = []
+
+    def run(t):
+        try:
+            fn(t)
+        except BaseException as exc:  # re-raised below, in the caller's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(1, k)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
+                 lam_init: np.ndarray | None, cfg: DroConfig,
+                 out: BatchDualResult, block: slice) -> None:
+    """Solve rows `block` of the batch into the same rows of `out`."""
+    logq, f, live = logq[block], f[block], live[block]
     f_hi = np.where(live, f, -np.inf).max(axis=1)
     f_lo = np.where(live, f, np.inf).min(axis=1)
     mag = np.maximum(1.0, np.maximum(np.abs(f_hi), np.abs(f_lo)))
-    degenerate = (f_hi - f_lo) <= FLAT_TOL * mag
-
-    value = np.where(degenerate, f_hi, np.nan)
-    lam_star = np.where(degenerate, 0.0, np.nan)
-    iterations = np.zeros(n, dtype=int)
-    converged = degenerate.copy()
-    boundary = np.full(n, BOUNDARY_NONE, dtype=np.int8)
-
-    solve_rows = np.flatnonzero(~degenerate)
-    lam0 = None if lam_init is None else np.asarray(lam_init, dtype=float)[solve_rows]
-    (value[solve_rows], lam_star[solve_rows], sub_post, iterations[solve_rows],
-     converged[solve_rows], boundary[solve_rows]) = _newton_bisect(
-        _take(logq, solve_rows), _take(f, solve_rows), cfg, lam0)
-    posterior = sub_post
-    if solve_rows.size < n:
-        posterior = np.empty((n, n_atoms))
-        posterior[solve_rows] = sub_post
+    degenerate = out.degenerate[block]
+    np.less_equal(f_hi - f_lo, FLAT_TOL * mag, out=degenerate)
+    value, lam_star, posterior = (out.value[block], out.lambda_star[block],
+                                  out.posterior[block])
+    converged = out.converged[block]
+    if degenerate.any():
+        value[degenerate] = f_hi[degenerate]
+        lam_star[degenerate] = 0.0
+        converged[degenerate] = True
         posterior[degenerate] = np.exp(logq[degenerate])
 
-    return BatchDualResult(
-        value=value,
-        lambda_star=lam_star,
-        posterior=posterior,
-        iterations=iterations,
-        converged=converged,
-        degenerate=degenerate,
-        boundary=boundary,
-    )
+    solve_rows = np.flatnonzero(~degenerate)
+    lam0 = None if lam_init is None else lam_init[block][solve_rows]
+    (value[solve_rows], lam_star[solve_rows], out.iterations[block][solve_rows],
+     converged[solve_rows], out.boundary[block][solve_rows]) = _newton_bisect(
+        _take(logq, solve_rows), _take(f, solve_rows), cfg, lam0,
+        posterior, solve_rows)
 
 
 def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
@@ -217,7 +295,8 @@ def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
 
 
 def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
-                   lam0: np.ndarray | None = None):
+                   lam0: np.ndarray | None, posterior: np.ndarray,
+                   dest: np.ndarray):
     """Safeguarded Newton refinement for rows with genuinely spread scores.
 
     One evaluation per iteration from the bracket's geometric midpoint:
@@ -227,9 +306,10 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     geometric midpoint is the natural fallback). A warm start lands on a
     bracket end, whose phi' and phi'' the bracket kept. A converged row
     keeps phi and the posterior of the evaluation that converged it; the
-    other rows are evaluated once more after the loop.
+    other rows are evaluated once more after the loop. Row i's posterior
+    is written to posterior[dest[i]].
     """
-    n, n_atoms = logq.shape
+    n = logq.shape[0]
     ends, bound = _bracket(logq, f, cfg, lam0)
     lo, hi = ends[0]  # views: Newton narrows the brackets in place
 
@@ -244,7 +324,6 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     kept = interior & ((lam == lo) | (lam == hi))
 
     phi = np.empty(n)
-    posterior = np.empty((n, n_atoms))
     iterations = np.zeros(n, dtype=int)
     active = interior.copy()
     again = ~interior
@@ -258,7 +337,7 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
         done = np.abs(d) <= cfg.grad_tol
         if done.any():
             phi[new[done]] = p[done]
-            posterior[new[done]] = post[done]
+            posterior[dest[new[done]]] = post[done]
         if new.size < rows.size:
             # first step: rows on a bracket end take its terms
             terms = ends[1:, (lam[rows] == hi[rows]).astype(np.intp), rows]
@@ -284,7 +363,7 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     converged = np.ones(n, dtype=bool)
     rows = np.flatnonzero(again | active)
     if rows.size:
-        phi[rows], d, _, posterior[rows] = _phi_terms(
+        phi[rows], d, _, posterior[dest[rows]] = _phi_terms(
             _take(logq, rows), _take(f, rows), lam[rows], cfg)
         converged[rows] = ~interior[rows] | (np.abs(d) <= cfg.grad_tol)
-    return phi, lam, posterior, iterations, converged, bound
+    return phi, lam, iterations, converged, bound

@@ -5,6 +5,9 @@ plus golden-section refinement) and against finite differences of the
 dual objective, never against its own internals.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -431,6 +434,130 @@ class TestSolveDual:
         all_dead = np.full((1, 3), -np.inf)
         with pytest.raises(ValueError):
             solve_dual_batch(all_dead, np.zeros(3), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_or_plus_inf_tilt_weights(self, bad):
+        logw = np.log(np.full((2, 4), 0.25))
+        logw[1, 2] = bad
+        with pytest.raises(ValueError, match="finite or -inf"):
+            solve_dual_batch(logw, np.arange(4.0), DroConfig())
+
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_rejects_lam_init_of_the_wrong_length(self, size):
+        logw = np.log(np.full((2, 4), 0.25))
+        with pytest.raises(ValueError, match=r"lam_init must be \(n,\)"):
+            solve_dual_batch(logw, np.arange(4.0), DroConfig(), lam_init=np.ones(size))
+
+
+def mixed_batch(n):
+    """n rows of 16 atoms with -inf weights, one degenerate row and one
+    row at each end of the lambda box (see test_outputs_are_the_terms_at_lambda_star)."""
+    rng = np.random.default_rng(347)
+    logw = np.vstack([random_instance(rng, n_atoms=16, with_holes=True)[0]
+                      for _ in range(n)])
+    scores = 3.0 * rng.standard_normal((n, 16))
+    scores[n // 2] = 2.0
+    logw[n // 3], scores[n // 3] = np.log(0.1), 0.0
+    logw[n // 3, 0], scores[n // 3, 0] = np.log(0.91), 1.0
+    logw[-1], scores[-1] = uniform_logw(16), 0.0
+    scores[-1, 0] = 1e6
+    return logw, scores
+
+
+FIELDS = ("value", "lambda_star", "posterior", "iterations", "converged",
+          "degenerate", "boundary")
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, capped):
+        # 200 rows of 16 atoms on 1, 2 or 3 threads, in one block per thread
+        # or (capped) in 7 blocks of at most 30 rows that the threads share,
+        # against one block in the calling thread; a short switch interval
+        # makes the threads interleave often
+        logw, scores = mixed_batch(200)
+        rng = np.random.default_rng(349)
+        lam0 = np.exp(rng.uniform(-6.0, 6.0, 200))
+        lam0[::7] = np.nan
+        blocks = []
+        solve_block = dro._solve_block
+
+        def recording(*args):
+            blocks.append(args[-1])
+            return solve_block(*args)
+
+        def solve_all(workers, cells):
+            monkeypatch.setattr(dro, "WORKERS", workers)
+            monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
+            blocks.clear()
+            runs = [solve_dual_batch(logw, scores, DroConfig(newton_iters=iters), lam)
+                    for iters in (1, 8) for lam in (None, lam0)]
+            return runs, len(blocks) // len(runs)
+
+        monkeypatch.setattr(dro, "_solve_block", recording)
+        reference, count = solve_all(1, 200 * 16)
+        assert count == 1
+        assert not reference[0].converged.all()
+        assert reference[0].degenerate[100] and reference[0].boundary[66] == BOUNDARY_MIN
+        assert reference[0].boundary[-1] == BOUNDARY_MAX
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                runs, count = solve_all(workers, 16 * 30 if capped else 200 * 16)
+                assert count == (7 if capped else workers)
+                for want, got in zip(reference, runs):
+                    for name in FIELDS:
+                        a, b = getattr(want, name), getattr(got, name)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_row_starts_no_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise RuntimeError("thread started")
+
+        monkeypatch.setattr(dro, "WORKERS", 3)
+        monkeypatch.setattr(dro.threading, "Thread", no_threads)
+        logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
+        res = solve_dual_batch(logw[:1], scores[0], DroConfig())
+        assert res.converged[0] and res.iterations[0] >= 1
+        # the patch does reach the multi-block path
+        with pytest.raises(RuntimeError, match="thread started"):
+            solve_dual_batch(logw, scores, DroConfig())
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_block_raises_after_every_block_stops(self, monkeypatch, failing):
+        class BlockFailure(Exception):
+            pass
+
+        phi_terms = dro._phi_terms
+        caller = []
+
+        def failing_terms(*args):
+            if (threading.get_ident() == caller[0]) == (failing == "caller"):
+                raise BlockFailure(failing)
+            return phi_terms(*args)
+
+        monkeypatch.setattr(dro, "WORKERS", 2)
+        monkeypatch.setattr(dro, "_phi_terms", failing_terms)
+        logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
+        outcome = []
+
+        def call():
+            caller.append(threading.get_ident())
+            try:
+                outcome.append(solve_dual_batch(logw, scores, DroConfig()))
+            except BlockFailure as exc:
+                outcome.append(exc)
+
+        before = threading.active_count()
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], BlockFailure)
+        assert threading.active_count() == before
 
 
 class TestRobustLogits:
