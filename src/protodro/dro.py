@@ -8,10 +8,15 @@ inner problem reduces to minimizing
 
 over lam >= 0, which is convex with derivatives available in closed form
 from softmax moments of the atom scores. The solver runs Newton steps
-safeguarded by a sign bracket on phi' and falls back to bisection whenever
-a step leaves the bracket or fails to reduce |phi'|. A warm start reuses the
-bracket's terms at the end it lands on, and a converged row keeps phi and
-the posterior of the evaluation that converged it.
+safeguarded by a sign bracket on phi'. A cold row first brackets the root
+by factors of 10 from LAMBDA_INIT and starts at the bracket's geometric
+midpoint. A warm row (a per-row starting multiplier, such as a rescaled
+solution of an earlier solve) is evaluated at its start first and runs
+Newton from there; it steps by factors of 10 only while a Newton step
+leaves toward a side of its bracket that is still open. A step that
+leaves a closed bracket, or fails to shrink, bisects it in log space.
+A converged row keeps phi and the posterior of the evaluation that
+converged it, so an exact warm start costs one evaluation.
 
 Everything here is written over batches of tilted weight rows: one tilt
 (gibbs_tilt_batch), one solver (solve_dual_batch) and one result type
@@ -62,7 +67,7 @@ class DroConfig:
 
     rho: float = 1.0
     epsilon: float = 1.0
-    newton_iters: int = 8
+    newton_iters: int = 16
 
     def __post_init__(self) -> None:
         if self.rho < 0:
@@ -149,9 +154,11 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         tilt_log_weights: (n, A) normalized log weights, each finite or -inf.
         scores: (A,) shared scores or (n, A) per-row scores.
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
-        lam_init: optional (n,) per-row starting multipliers; defaults to
-            LAMBDA_INIT everywhere. Warm starts from a previous solve
-            shorten the bracket search without changing the minimizer.
+        lam_init: optional (n,) per-row starting multipliers. Each row runs
+            Newton from its start, clipped to the box; a start that is NaN
+            or not positive means LAMBDA_INIT. Without lam_init every row
+            is bracketed first (the cold path). Either way the minimizer is
+            the same, to the tolerance.
 
     Returns:
         BatchDualResult with one solution per row. Rows whose weighted
@@ -258,40 +265,35 @@ def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
         posterior, solve_rows)
 
 
-def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
-             lam0: np.ndarray | None = None):
+def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig):
     """Find [lo, hi] with phi'(lo) < 0 <= phi'(hi), stepping by factors of 10.
 
-    Each row steps one way from its start, down from a nonnegative phi' and
-    up from a negative one, until the sign flips. A row that reaches the box
-    edge unflipped is a boundary row; the far end of its bracket is NaN.
-    Returns (ends, bound), where ends[:, 0] holds lambda, phi' and phi'' at
-    each row's lo and ends[:, 1] those at its hi.
+    Each row steps one way from LAMBDA_INIT, down from a nonnegative phi'
+    and up from a negative one, until the sign flips. A row that reaches the
+    box edge unflipped is a boundary row; the far end of its bracket is NaN.
+    Returns (lo, hi, bound).
     """
     n = logq.shape[0]
-    if lam0 is None:
-        probe = np.full(n, LAMBDA_INIT)
-    else:
-        probe = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
-                        LAMBDA_MIN, LAMBDA_MAX)
-    ends = np.full((3, 2, n), np.nan)
+    probe = np.full(n, LAMBDA_INIT)
+    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
     bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
     rows = np.arange(n)
     while rows.size:
         p = probe[rows]
-        # keep phi' and phi'' only, so the (rows, A) posterior is freed right away
-        d, dd = _phi_terms(_take(logq, rows), _take(f, rows), p, cfg)[1:3]
-        ends[:, (d >= 0).astype(np.intp), rows] = p, d, dd
-        down = np.isnan(ends[0, 0, rows])
+        # keep phi' only, so the (rows, A) posterior is freed right away
+        d = _phi_terms(_take(logq, rows), _take(f, rows), p, cfg)[1]
+        lo[rows[d < 0]] = p[d < 0]
+        hi[rows[d >= 0]] = p[d >= 0]
+        down = np.isnan(lo[rows])
         nxt = np.where(down, np.maximum(p / 10.0, LAMBDA_MIN),
                        np.minimum(p * 10.0, LAMBDA_MAX))
         # stop at a sign flip (both ends set) or at the box edge (no move)
-        going = (down | np.isnan(ends[0, 1, rows])) & (nxt != p)
+        going = (down | np.isnan(hi[rows])) & (nxt != p)
         rows = rows[going]
         probe[rows] = nxt[going]
-    bound[np.isnan(ends[0, 0])] = BOUNDARY_MIN
-    bound[np.isnan(ends[0, 1])] = BOUNDARY_MAX
-    return ends, bound
+    bound[np.isnan(lo)] = BOUNDARY_MIN
+    bound[np.isnan(hi)] = BOUNDARY_MAX
+    return lo, hi, bound
 
 
 def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
@@ -299,69 +301,89 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
                    dest: np.ndarray):
     """Safeguarded Newton refinement for rows with genuinely spread scores.
 
-    One evaluation per iteration from the bracket's geometric midpoint:
-    the Newton step is taken when it lands strictly inside the sign
-    bracket and at most halves the previous step, otherwise the bracket
-    is bisected in log space (lambda lives across decades, so the
-    geometric midpoint is the natural fallback). A warm start lands on a
-    bracket end, whose phi' and phi'' the bracket kept. A converged row
-    keeps phi and the posterior of the evaluation that converged it; the
-    other rows are evaluated once more after the loop. Row i's posterior
-    is written to posterior[dest[i]].
+    Every evaluation narrows each row's sign bracket on phi'. The Newton
+    step is taken when it lands strictly inside the bracket and at most
+    halves the previous step; otherwise the row steps by a factor of 10
+    toward the root while that side of its bracket is still open, and
+    bisects the bracket in log space once both ends are known (lambda
+    lives across decades, so the geometric midpoint is the natural
+    fallback).
+
+    A cold row (lam0 None) starts at the geometric midpoint of _bracket's
+    [lo, hi]. A warm row starts at its clipped lam0 (LAMBDA_INIT where lam0
+    is not a positive number) with an open bracket: an exact start
+    converges on its first evaluation, and a row whose walk reaches the box
+    edge with phi' pointing beyond it is a boundary row. The factor-10
+    steps are bracket probes, as in _bracket: they count neither in
+    `iterations` nor against cfg.newton_iters, so a boundary row is found
+    whatever the cap.
+
+    A converged row keeps phi and the posterior of the evaluation that
+    converged it; cold boundary rows and rows still active at the cap are
+    evaluated once more after the loop. Row i's posterior is written to
+    posterior[dest[i]].
     """
     n = logq.shape[0]
-    ends, bound = _bracket(logq, f, cfg, lam0)
-    lo, hi = ends[0]  # views: Newton narrows the brackets in place
-
-    interior = bound == BOUNDARY_NONE
-    lam = np.where(bound == BOUNDARY_MIN, LAMBDA_MIN, LAMBDA_MAX)
     if lam0 is None:
+        lo, hi, bound = _bracket(logq, f, cfg)
+        interior = bound == BOUNDARY_NONE
+        lam = np.where(bound == BOUNDARY_MIN, LAMBDA_MIN, LAMBDA_MAX)
         lam[interior] = np.sqrt(lo[interior] * hi[interior])
+        step_old = np.where(interior, hi - lo, 0.0)
     else:
-        # a warm start sits on one bracket edge; Newton moves inward from it
-        lam[interior] = np.clip(lam0[interior], lo[interior], hi[interior])
-    step_old = np.where(interior, hi - lo, 0.0)
-    kept = interior & ((lam == lo) | (lam == hi))
+        lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+        bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
+        interior = np.ones(n, dtype=bool)
+        lam = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
+                      LAMBDA_MIN, LAMBDA_MAX)
+        step_old = np.full(n, np.inf)
 
     phi = np.empty(n)
     iterations = np.zeros(n, dtype=int)
+    probe = np.zeros(n, dtype=bool)  # the row's next lambda is a bracket probe
     active = interior.copy()
-    again = ~interior
-    for _ in range(cfg.newton_iters):
-        rows = np.flatnonzero(active)
+    while True:
+        rows = np.flatnonzero(active & (probe | (iterations < cfg.newton_iters)))
         if not rows.size:
             break
-        iterations[rows] += 1
-        new = rows[~kept[rows]] if kept.any() else rows
-        p, d, dd, post = _phi_terms(_take(logq, new), _take(f, new), lam[new], cfg)
-        done = np.abs(d) <= cfg.grad_tol
+        iterations[rows] += ~probe[rows]
+        p, d, dd, post = _phi_terms(_take(logq, rows), _take(f, rows), lam[rows], cfg)
+        at = lam[rows]
+        edge_min = (at == LAMBDA_MIN) & (d > 0)
+        edge_max = (at == LAMBDA_MAX) & (d < 0)
+        bound[rows[edge_min]] = BOUNDARY_MIN
+        bound[rows[edge_max]] = BOUNDARY_MAX
+        done = (np.abs(d) <= cfg.grad_tol) | edge_min | edge_max
         if done.any():
-            phi[new[done]] = p[done]
-            posterior[dest[new[done]]] = post[done]
-        if new.size < rows.size:
-            # first step: rows on a bracket end take its terms
-            terms = ends[1:, (lam[rows] == hi[rows]).astype(np.intp), rows]
-            terms[:, ~kept[rows]] = d, dd
-            d, dd = terms
-            done = np.abs(d) <= cfg.grad_tol
-            again[rows[done & kept[rows]]] = True
-            kept[:] = False
-        active[rows[done]] = False
-        rows, d, dd = rows[~done], d[~done], dd[~done]
+            phi[rows[done]] = p[done]
+            posterior[dest[rows[done]]] = post[done]
+            active[rows[done]] = False
+        keep = ~done
+        rows, at, d, dd = rows[keep], at[keep], d[keep], dd[keep]
         if not rows.size:
             continue
-        lo[rows] = np.where(d < 0, lam[rows], lo[rows])
-        hi[rows] = np.where(d >= 0, lam[rows], hi[rows])
+        lo[rows] = np.where(d < 0, at, lo[rows])
+        hi[rows] = np.where(d >= 0, at, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = lam[rows] - d / dd
-        inside = np.isfinite(newton) & (newton > lo[rows]) & (newton < hi[rows])
-        shrinking = np.abs(2.0 * d) <= np.abs(step_old[rows] * dd)
-        nxt = np.where(inside & shrinking, newton, np.sqrt(lo[rows] * hi[rows]))
-        step_old[rows] = np.abs(nxt - lam[rows])
+            newton = at - d / dd
+            shrinking = np.abs(2.0 * d) <= np.abs(step_old[rows] * dd)
+        lo_r, hi_r = lo[rows], hi[rows]
+        # the box edge stands in for an open end of the bracket, and a step
+        # need not shrink until both ends are known
+        inside = (np.isfinite(newton) & (newton > np.fmax(lo_r, LAMBDA_MIN))
+                  & (newton < np.fmin(hi_r, LAMBDA_MAX)))
+        newton_ok = inside & (shrinking | np.isnan(lo_r) | np.isnan(hi_r))
+        # a step that fails toward an open end probes a factor of 10 that way
+        opened = np.isnan(np.where(d < 0, hi_r, lo_r)) & ~newton_ok
+        nxt = np.where(newton_ok, newton, np.sqrt(lo_r * hi_r))
+        nxt[opened] = np.where(d[opened] < 0, np.minimum(at[opened] * 10.0, LAMBDA_MAX),
+                               np.maximum(at[opened] / 10.0, LAMBDA_MIN))
+        probe[rows] = opened
+        step_old[rows] = np.abs(nxt - at)
         lam[rows] = nxt
 
     converged = np.ones(n, dtype=bool)
-    rows = np.flatnonzero(again | active)
+    rows = np.flatnonzero(~interior | active)
     if rows.size:
         phi[rows], d, _, posterior[dest[rows]] = _phi_terms(
             _take(logq, rows), _take(f, rows), lam[rows], cfg)

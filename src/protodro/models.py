@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro import LAMBDA_INIT, DroConfig, gibbs_tilt_batch, solve_dual_batch
+from .dro import DroConfig, gibbs_tilt_batch, solve_dual_batch
 from .numkit import SeededRng, log_sum_exp, sq_distances
 from .priors import MixturePrior, SupportSet, shared_atoms
 from .sinkhorn import OtProblem, solve_entropic_ot
@@ -275,16 +275,56 @@ def _class_tilts(priors: list[MixturePrior], x: np.ndarray, epsilon: float) -> n
     return tilts
 
 
+@dataclass
+class MultiplierCache:
+    """Warm starts for the training duals, in units of each class's score spread.
+
+    The dual is homogeneous: scores a*f + b have lambda* = a * lambda*(f).
+    So kappa[i, c] = lambda* / s_c of row i's last solve for class c, with
+    s_c the std over atoms of class c's scores at that solve, carries over
+    as the head's score scale grows from epoch to epoch. kappa is NaN until
+    the row has a solve with lambda* > 0 and s_c > 0; median[c] is class c's
+    median kappa over the last batch that had one (NaN before any).
+    """
+
+    kappa: np.ndarray
+    median: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, n_classes: int) -> "MultiplierCache":
+        return cls(np.full((n, n_classes), np.nan), np.full(n_classes, np.nan))
+
+    def starts(self, idx: np.ndarray, spread: np.ndarray) -> np.ndarray:
+        """(n * C,) starting multipliers of rows idx at class spreads (C,).
+
+        A row without kappa starts at its class median; NaN or 0, where the
+        median or the spread is missing, makes the solver start at
+        LAMBDA_INIT.
+        """
+        kappa = self.kappa[idx]
+        return (np.where(np.isnan(kappa), self.median, kappa) * spread).reshape(-1)
+
+    def update(self, idx: np.ndarray, lam_star: np.ndarray, spread: np.ndarray) -> None:
+        """Record the (n, C) multipliers solved at class spreads (C,)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = np.where((lam_star > 0) & (spread > 0), lam_star / spread, np.nan)
+        self.kappa[idx] = kappa
+        solved = ~np.isnan(kappa).all(axis=0)
+        if solved.any():
+            self.median[solved] = np.nanmedian(kappa[:, solved], axis=0)
+
+
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
                           atoms: np.ndarray, tilts: np.ndarray,
                           idx: np.ndarray, dro_cfg: DroConfig,
-                          lam_cache: np.ndarray | None = None):
+                          lam_cache: MultiplierCache | None = None):
     """Dual solves for every (sample, class) of a batch in one call.
 
     atoms is the (A, d) array every class prior shares (shared_atoms) and
     tilts the (N, C, A) normalized tilt log-weights; idx selects the batch
-    rows. lam_cache (N, C), when given, warm-starts each row's bracket and
-    is updated in place with the solved multipliers.
+    rows. lam_cache, when given, sets each row's starting multiplier (see
+    MultiplierCache) and records the solved ones; without it every row is
+    solved cold.
 
     Returns (values (n, C), posteriors (n, C, A)).
     """
@@ -293,10 +333,13 @@ def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
     scores = np.einsum("ad,cd->ca", atoms, weights) + biases[:, None]
     rows = tilts[idx].reshape(n * n_classes, n_atoms)
     flat = np.broadcast_to(scores[None], (n, n_classes, n_atoms)).reshape(-1, n_atoms)
-    lam0 = None if lam_cache is None else lam_cache[idx].reshape(-1)
+    lam0 = spread = None
+    if lam_cache is not None:
+        spread = scores.std(axis=1)
+        lam0 = lam_cache.starts(idx, spread)
     batch = solve_dual_batch(rows, flat, dro_cfg, lam_init=lam0)
     if lam_cache is not None:
-        lam_cache[idx] = batch.lambda_star.reshape(n, n_classes)
+        lam_cache.update(idx, batch.lambda_star.reshape(n, n_classes), spread)
     values = batch.value.reshape(n, n_classes)
     posteriors = batch.posterior.reshape(n, n_classes, n_atoms)
     return values, posteriors
@@ -306,7 +349,7 @@ def robust_ce_objective_stacked(weights: np.ndarray, biases: np.ndarray,
                                 atoms: np.ndarray, tilts: np.ndarray,
                                 idx: np.ndarray, labels: np.ndarray,
                                 dro_cfg: DroConfig,
-                                lam_cache: np.ndarray | None = None):
+                                lam_cache: MultiplierCache | None = None):
     """Cross-entropy over robust scores; gradients through the envelope.
 
     With the dual multiplier held at its optimum each robust score's
@@ -332,9 +375,11 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     data carries every labeled sample the robust loss sees; callers stack
     base samples with the target supports. The Gibbs tilts are
     parameter-free, so they are computed once up front; each batch then
-    solves the per-sample duals with the current atom scores (multipliers
-    warm-started across epochs) and chains softmax-minus-onehot through
-    the envelope gradient.
+    solves the per-sample duals with the current atom scores and chains
+    softmax-minus-onehot through the envelope gradient. A MultiplierCache
+    keeps each (row, class) multiplier over its class's score spread, so a
+    row's next solve starts at that ratio times the class's spread then and
+    runs Newton from there, however the score scale has grown.
     """
     x = np.asarray(data.features, dtype=float)
     y = np.asarray(data.labels)
@@ -346,7 +391,7 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     params = [head.weights, head.biases]
     atoms = shared_atoms(priors)
     tilts = _class_tilts(priors, x, dro_cfg.epsilon)
-    lam_cache = np.full((n, n_classes), LAMBDA_INIT)
+    lam_cache = MultiplierCache.empty(n, n_classes)
 
     def batch_fn(idx):
         return robust_ce_objective_stacked(

@@ -66,6 +66,47 @@ def solve_dual_oracle(log_weights, scores, rho, epsilon,
     return lam, dual_value_oracle(log_weights, scores, lam, rho, epsilon)
 
 
+def primal_worst_case_oracle(log_weights, scores, rho, epsilon, steps=200):
+    """sup E_p f over eps * KL(p || q) <= rho, from the primal side.
+
+    The maximizer is the exponential tilt p ~ q * exp(beta * f) whose
+    budget binds, eps * KL(p || q) = rho; KL grows with beta, so beta is
+    found by plain bisection. When even the limit beta -> inf (q restricted
+    to the top-scoring atoms) stays within the budget, the supremum is the
+    top score and beta is inf. Returns (value, beta); the dual multiplier
+    is lambda* = 1 / (beta * eps).
+    """
+    logw = np.asarray(log_weights, dtype=float)
+    live = logw > -np.inf
+    q = np.exp(logw[live])
+    q = q / q.sum()
+    f = np.asarray(scores, dtype=float)[live]
+    top = f == f.max()
+    if epsilon * -np.log(q[top].sum()) <= rho:
+        return float(f.max()), np.inf
+
+    def tilt(beta):
+        w = q * np.exp(beta * (f - f.max()))
+        return w / w.sum()
+
+    def spent(beta):
+        p = tilt(beta)
+        held = p > 0
+        return epsilon * np.sum(p[held] * np.log(p[held] / q[held]))
+
+    lo, hi = 0.0, 1.0
+    while spent(hi) < rho:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if spent(mid) < rho:
+            lo = mid
+        else:
+            hi = mid
+    beta = 0.5 * (lo + hi)
+    return float(tilt(beta) @ f), beta
+
+
 def central_difference(fn, x, h=1e-5):
     """Central-difference gradient; scalar x gives a scalar back."""
     x = np.asarray(x, dtype=float)

@@ -27,7 +27,12 @@ from protodro.dro import (
 from protodro.numkit import log_sum_exp
 from protodro.priors import MixturePrior
 
-from oracles import central_difference, dual_value_oracle, solve_dual_oracle
+from oracles import (
+    central_difference,
+    dual_value_oracle,
+    primal_worst_case_oracle,
+    solve_dual_oracle,
+)
 
 
 def uniform_logw(n_atoms):
@@ -401,10 +406,10 @@ class TestSolveDual:
         if newton_iters == 1:
             assert not cold.converged.all()
 
-    def test_warm_start_at_the_solution_takes_three_evaluations(self, monkeypatch):
-        # a warm start at a converged lambda* sits on a bracket end: two
-        # bracket probes, a first Newton step on the bracket's terms and
-        # one evaluation for the value and posterior
+    def test_warm_start_at_the_solution_takes_one_evaluation(self, monkeypatch):
+        # a warm row starts with an evaluation at its start, so a start at a
+        # converged lambda* converges there and keeps that evaluation's value
+        # and posterior: no bracket probe and no evaluation after the loop
         rng = np.random.default_rng(337)
         logw = np.vstack([random_instance(rng, n_atoms=12)[0] for _ in range(40)])
         scores = 2.0 * rng.standard_normal((40, 12))
@@ -421,7 +426,9 @@ class TestSolveDual:
         monkeypatch.setattr(dro, "_phi_terms", counting)
         again = solve_dual_batch(logw, scores, cfg, lam_init=first.lambda_star)
         np.testing.assert_array_equal(again.value, first.value)
-        assert sum(evaluated) <= 3 * 40
+        np.testing.assert_array_equal(again.posterior, first.posterior)
+        assert evaluated == [40]
+        assert (again.iterations == 1).all() and again.converged.all()
 
     def test_rejects_bad_inputs(self):
         cfg = DroConfig()
@@ -447,6 +454,61 @@ class TestSolveDual:
         logw = np.log(np.full((2, 4), 0.25))
         with pytest.raises(ValueError, match=r"lam_init must be \(n,\)"):
             solve_dual_batch(logw, np.arange(4.0), DroConfig(), lam_init=np.ones(size))
+
+
+def binding_instance(rng):
+    """A row with -inf weights, its (rho, eps) and the primal oracle's answer."""
+    logw, scores = random_instance(rng, n_atoms=int(rng.integers(4, 41)), with_holes=True)
+    rho, eps = float(rng.choice([0.05, 0.3, 1.0])), float(rng.choice([0.5, 1.0, 2.0]))
+    value, beta = primal_worst_case_oracle(logw, scores, rho, eps)
+    return logw, scores, rho, eps, value, beta
+
+
+class TestWarmStarts:
+    @pytest.mark.parametrize("start", ["1e-3", "1e3", "nan", "0"])
+    def test_warm_solves_match_the_primal_oracle(self, start):
+        # starts far below or above lambda* = 1 / (beta * eps), or none at
+        # all; rows whose budget never binds end at the lower box edge
+        rng = np.random.default_rng(353)
+        edge = 0
+        for _ in range(60):
+            logw, scores, rho, eps, value, beta = binding_instance(rng)
+            lam_star = LAMBDA_MIN if np.isinf(beta) else 1.0 / (beta * eps)
+            lam0 = {"1e-3": 1e-3 * lam_star, "1e3": 1e3 * lam_star,
+                    "nan": np.nan, "0": 0.0}[start]
+            cfg = DroConfig(rho=rho, epsilon=eps)
+            res = solve_dual_batch(logw[None, :], scores, cfg, lam_init=np.array([lam0]))
+            assert res.converged[0] and not res.degenerate[0]
+            assert res.iterations[0] <= cfg.newton_iters
+            if np.isinf(beta):
+                edge += 1
+                assert res.boundary[0] == BOUNDARY_MIN
+                assert 0.0 <= res.value[0] - value <= LAMBDA_MIN * rho
+            else:
+                assert res.boundary[0] == BOUNDARY_NONE
+                assert res.value[0] == pytest.approx(value, rel=1e-12, abs=1e-12)
+                assert res.lambda_star[0] == pytest.approx(lam_star, rel=1e-6)
+        assert 0 < edge < 60
+
+    def test_scaled_and_shifted_scores_scale_lambda_star(self):
+        # the dual is homogeneous: scores a * f + b (a > 0) have lambda*
+        # a * lambda*(f) and value a * v + b, the property the training
+        # cache of lambda* / score spread rests on
+        rng = np.random.default_rng(359)
+        rows = [random_instance(rng, n_atoms=16, with_holes=True) for _ in range(30)]
+        logw = np.vstack([r[0] for r in rows])
+        scores = np.vstack([r[1] for r in rows])
+        cfg = DroConfig(rho=0.5, epsilon=1.0)
+        base = solve_dual_batch(logw, scores, cfg)
+        interior = base.boundary == BOUNDARY_NONE
+        assert interior.sum() >= 20
+        for a, b in ((0.1, -5.0), (3.0, 0.0), (250.0, 7.0)):
+            moved = solve_dual_batch(logw, a * scores + b, cfg)
+            np.testing.assert_array_equal(moved.boundary, base.boundary)
+            np.testing.assert_allclose(moved.lambda_star[interior],
+                                       a * base.lambda_star[interior], rtol=1e-6)
+            np.testing.assert_allclose(moved.value[interior], a * base.value[interior] + b,
+                                       rtol=1e-12, atol=1e-12 * (abs(b) + a))
 
 
 def mixed_batch(n):

@@ -9,7 +9,8 @@ import pytest
 import protodro.models as models
 import protodro.sweeps as sweeps
 from protodro.config import ExperimentConfig, GeneratorConfig
-from protodro.dro import DroConfig
+from protodro import dro
+from protodro.dro import BOUNDARY_NONE, DroConfig
 from protodro.models import (
     LinearHead,
     RobustClassifier,
@@ -382,6 +383,58 @@ class TestRobustClassifier:
         n = data.features.shape[0]
         assert sum(sizes) == cfg.epochs * n
         assert len(sizes) == cfg.epochs * math.ceil(n / cfg.batch_size)
+
+    def test_cached_rows_start_at_the_rescaled_multiplier(self, monkeypatch):
+        # a head scaled by 3 scales each class's scores and their spread by
+        # 3, so every cached row starts at 3 x its last lambda*, which is the
+        # new lambda* (the dual is homogeneous): one evaluation per row
+        rng = np.random.default_rng(103)
+        data = two_blob_data(rng, n_per=20)
+        priors = blob_priors(data, atoms_per=12)
+        dro_cfg = DroConfig(rho=0.5, epsilon=1.0)
+        atoms = shared_atoms(priors)
+        tilts = np.stack(
+            [gibbs_tilt_batch(p, data.features, dro_cfg.epsilon) for p in priors], axis=1
+        )
+        idx = np.arange(data.features.shape[0])
+        w, b = rng.standard_normal((2, 2)), rng.standard_normal(2)
+        cache = models.MultiplierCache.empty(idx.size, 2)
+        calls, evaluated = [], []
+        solve, phi_terms = models.solve_dual_batch, dro._phi_terms
+
+        def recording(rows, f, cfg, lam_init=None):
+            calls.append((lam_init, solve(rows, f, cfg, lam_init=lam_init)))
+            return calls[-1][1]
+
+        def counting(logq, *args):
+            evaluated.append(logq.shape[0])
+            return phi_terms(logq, *args)
+
+        monkeypatch.setattr(models, "solve_dual_batch", recording)
+        models.robust_scores_stacked(w, b, atoms, tilts, idx, dro_cfg, cache)
+        first = calls[0][1]
+        assert np.isnan(calls[0][0]).all()  # no multiplier yet: LAMBDA_INIT
+        assert first.converged.all() and (first.boundary == BOUNDARY_NONE).all()
+        assert not first.degenerate.any()
+        monkeypatch.setattr(dro, "_phi_terms", counting)
+        models.robust_scores_stacked(3.0 * w, 3.0 * b, atoms, tilts, idx, dro_cfg, cache)
+        np.testing.assert_allclose(calls[1][0], 3.0 * first.lambda_star, rtol=1e-12)
+        assert evaluated == [2 * idx.size]
+        assert calls[1][1].converged.all()
+
+    def test_rows_without_a_multiplier_start_at_their_class_median(self):
+        # a degenerate row (lambda* = 0) or a class without score spread
+        # leaves no multiplier; such rows start at their class's median over
+        # the last batch, and NaN (no median yet) means LAMBDA_INIT
+        cache = models.MultiplierCache.empty(4, 2)
+        assert np.isnan(cache.starts(np.arange(4), np.array([2.0, 1.0]))).all()
+        lam_star = np.array([[1.0, 0.3], [3.0, 0.5], [0.0, 0.2]])
+        cache.update(np.array([0, 1, 2]), lam_star, np.array([2.0, 0.0]))
+        np.testing.assert_array_equal(cache.kappa[:3, 0], [0.5, 1.5, np.nan])
+        assert np.isnan(cache.kappa[:, 1]).all()
+        np.testing.assert_array_equal(cache.median, [1.0, np.nan])
+        starts = cache.starts(np.array([3, 0]), np.array([4.0, 1.0]))
+        np.testing.assert_array_equal(starts, [4.0, np.nan, 2.0, np.nan])
 
     def test_loss_descends(self):
         rng = np.random.default_rng(97)
