@@ -349,6 +349,7 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
         iterations[rows] += ~probe[rows]
         p, d, dd, post = _phi_terms(_take(logq, rows), _take(f, rows), lam[rows], cfg)
         at = lam[rows]
+        # only a warm row can sit on a box edge with phi' pointing beyond it
         edge_min = (at == LAMBDA_MIN) & (d > 0)
         edge_max = (at == LAMBDA_MAX) & (d < 0)
         bound[rows[edge_min]] = BOUNDARY_MIN

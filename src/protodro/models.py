@@ -309,9 +309,10 @@ class MultiplierCache:
         with np.errstate(divide="ignore", invalid="ignore"):
             kappa = np.where((lam_star > 0) & (spread > 0), lam_star / spread, np.nan)
         self.kappa[idx] = kappa
-        solved = ~np.isnan(kappa).all(axis=0)
-        if solved.any():
-            self.median[solved] = np.nanmedian(kappa[:, solved], axis=0)
+        for c, column in enumerate(kappa.T):
+            known = column[~np.isnan(column)]
+            if known.size:
+                self.median[c] = np.median(known)
 
 
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
