@@ -302,12 +302,12 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     """Safeguarded Newton refinement for rows with genuinely spread scores.
 
     Every evaluation narrows each row's sign bracket on phi'. The Newton
-    step is taken when it lands strictly inside the bracket and at most
-    halves the previous step; otherwise the row steps by a factor of 10
-    toward the root while that side of its bracket is still open, and
-    bisects the bracket in log space once both ends are known (lambda
-    lives across decades, so the geometric midpoint is the natural
-    fallback).
+    step is taken when it lands strictly inside the bracket (the box edge
+    stands in for an end not yet known) and, once both ends are known, at
+    most halves the previous step. Otherwise the row steps by a factor of
+    10 toward the root while that end is still open, and bisects the
+    bracket in log space once it is closed (lambda lives across decades,
+    so the geometric midpoint is the natural fallback).
 
     A cold row (lam0 None) starts at the geometric midpoint of _bracket's
     [lo, hi]. A warm row starts at its clipped lam0 (LAMBDA_INIT where lam0
@@ -347,39 +347,38 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
         if not rows.size:
             break
         iterations[rows] += ~probe[rows]
-        p, d, dd, post = _phi_terms(_take(logq, rows), _take(f, rows), lam[rows], cfg)
         at = lam[rows]
-        # only a warm row can sit on a box edge with phi' pointing beyond it
-        edge_min = (at == LAMBDA_MIN) & (d > 0)
-        edge_max = (at == LAMBDA_MAX) & (d < 0)
-        bound[rows[edge_min]] = BOUNDARY_MIN
-        bound[rows[edge_max]] = BOUNDARY_MAX
-        done = (np.abs(d) <= cfg.grad_tol) | edge_min | edge_max
+        p, d, dd, post = _phi_terms(_take(logq, rows), _take(f, rows), at, cfg)
+        done = np.abs(d) <= cfg.grad_tol
+        if lam0 is not None:
+            # a warm row on a box edge with phi' pointing beyond it is a boundary row
+            edge = ~done & (at == np.where(d > 0, LAMBDA_MIN, LAMBDA_MAX))
+            bound[rows[edge]] = np.where(d[edge] > 0, BOUNDARY_MIN, BOUNDARY_MAX)
+            done |= edge
         if done.any():
             phi[rows[done]] = p[done]
             posterior[dest[rows[done]]] = post[done]
             active[rows[done]] = False
-        keep = ~done
-        rows, at, d, dd = rows[keep], at[keep], d[keep], dd[keep]
-        if not rows.size:
-            continue
-        lo[rows] = np.where(d < 0, at, lo[rows])
-        hi[rows] = np.where(d >= 0, at, hi[rows])
+            keep = ~done
+            rows, at, d, dd = rows[keep], at[keep], d[keep], dd[keep]
+            if not rows.size:
+                continue
+        lo[rows] = lo_r = np.where(d < 0, at, lo[rows])
+        hi[rows] = hi_r = np.where(d >= 0, at, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = at - d / dd
-            shrinking = np.abs(2.0 * d) <= np.abs(step_old[rows] * dd)
-        lo_r, hi_r = lo[rows], hi[rows]
-        # the box edge stands in for an open end of the bracket, and a step
-        # need not shrink until both ends are known
-        inside = (np.isfinite(newton) & (newton > np.fmax(lo_r, LAMBDA_MIN))
-                  & (newton < np.fmin(hi_r, LAMBDA_MAX)))
-        newton_ok = inside & (shrinking | np.isnan(lo_r) | np.isnan(hi_r))
+            step_ok = np.abs(2.0 * d) <= np.abs(step_old[rows] * dd)
+        open_lo, open_hi = np.isnan(lo_r), np.isnan(hi_r)
+        if open_lo.any() or open_hi.any():  # only warm rows have an open end
+            step_ok |= open_lo | open_hi
+            lo_r, hi_r = np.fmax(lo_r, LAMBDA_MIN), np.fmin(hi_r, LAMBDA_MAX)
+        step_ok &= np.isfinite(newton) & (newton > lo_r) & (newton < hi_r)
+        nxt = np.where(step_ok, newton, np.sqrt(lo_r * hi_r))
         # a step that fails toward an open end probes a factor of 10 that way
-        opened = np.isnan(np.where(d < 0, hi_r, lo_r)) & ~newton_ok
-        nxt = np.where(newton_ok, newton, np.sqrt(lo_r * hi_r))
-        nxt[opened] = np.where(d[opened] < 0, np.minimum(at[opened] * 10.0, LAMBDA_MAX),
-                               np.maximum(at[opened] / 10.0, LAMBDA_MIN))
-        probe[rows] = opened
+        probe[rows] = opened = ~step_ok & np.where(d < 0, open_hi, open_lo)
+        if opened.any():
+            nxt[opened] = np.where(d[opened] < 0, np.minimum(at[opened] * 10.0, LAMBDA_MAX),
+                                   np.maximum(at[opened] / 10.0, LAMBDA_MIN))
         step_old[rows] = np.abs(nxt - at)
         lam[rows] = nxt
 
