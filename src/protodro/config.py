@@ -91,12 +91,13 @@ class ExperimentConfig:
         return os.environ.get(OUTPUT_DIR_ENV, "results")
 
 
+# each section is read into the ExperimentConfig field of the same name
 _SECTION_TYPES = {
-    "generator": ("generator", GeneratorConfig),
-    "shift": ("shift", ShiftSpec),
-    "prior": ("prior", PriorConfig),
-    "dro": ("dro", DroConfig),
-    "train": ("train", TrainConfig),
+    "generator": GeneratorConfig,
+    "shift": ShiftSpec,
+    "prior": PriorConfig,
+    "dro": DroConfig,
+    "train": TrainConfig,
 }
 
 def _format_value(value) -> str:
@@ -122,9 +123,9 @@ def canonical_text(cfg: ExperimentConfig) -> str:
     out.write(f"seeds = {','.join(str(s) for s in cfg.seeds)}\n")
     out.write(f"levels = {','.join(_format_value(l) for l in cfg.levels)}\n")
     out.write(f"output_dir = {cfg.output_dir}\n")
-    for section, (attr, cls) in _SECTION_TYPES.items():
+    for section, cls in _SECTION_TYPES.items():
         out.write(f"\n[{section}]\n")
-        obj = getattr(cfg, attr)
+        obj = getattr(cfg, section)
         for f in fields(cls):
             out.write(f"{f.name} = {_format_value(getattr(obj, f.name))}\n")
     return out.getvalue()
@@ -168,7 +169,7 @@ def load_config(path) -> ExperimentConfig:
         if "output_dir" in exp:
             kwargs["output_dir"] = exp["output_dir"].strip()
 
-    for section, (attr, cls) in _SECTION_TYPES.items():
+    for section, cls in _SECTION_TYPES.items():
         if not parser.has_section(section):
             continue
         sub = {}
@@ -178,7 +179,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
             default = getattr(cls(), key)
             sub[key] = _parse_like(type(default), raw)
-        kwargs[attr] = cls(**sub)
+        kwargs[section] = cls(**sub)
 
     return ExperimentConfig(**kwargs)
 

@@ -7,16 +7,18 @@ inner problem reduces to minimizing
     phi(lam) = lam * rho + lam * eps * log E_{y ~ q} exp(f(y) / (lam * eps))
 
 over lam >= 0, which is convex with derivatives available in closed form
-from softmax moments of the atom scores. The solver runs Newton steps
-safeguarded by a sign bracket on phi'. A cold row first brackets the root
-by factors of 10 from LAMBDA_INIT and starts at the bracket's geometric
-midpoint. A warm row (a per-row starting multiplier, such as a rescaled
-solution of an earlier solve) is evaluated at its start first and runs
-Newton from there; it steps by factors of 10 only while a Newton step
-leaves toward a side of its bracket that is still open. A step that
-leaves a closed bracket, or fails to shrink, bisects it in log space.
-A converged row keeps phi and the posterior of the evaluation that
-converged it, so an exact warm start costs one evaluation.
+from softmax moments of the atom scores. Every row runs one loop of
+Newton steps safeguarded by a sign bracket on phi'. A cold row starts at
+LAMBDA_INIT with its bracket open, probes by factors of 10 toward the
+root until phi' changes sign, and then starts Newton at the bracket's
+geometric midpoint. A warm row (a per-row starting multiplier, such as a
+rescaled solution of an earlier solve) runs Newton from its start and
+probes by a factor of 10 only when a Newton step fails toward a side of
+its bracket that is still open. A step that leaves a closed bracket, or
+fails to shrink, bisects it in log space. A row whose probes reach the
+box edge is a boundary row. A converged row keeps phi and the posterior
+of the evaluation that converged it, so an exact warm start costs one
+evaluation.
 
 Everything here is written over batches of tilted weight rows: one tilt
 (gibbs_tilt_batch), one solver (solve_dual_batch) and one result type
@@ -157,8 +159,9 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         lam_init: optional (n,) per-row starting multipliers. Each row runs
             Newton from its start, clipped to the box; a start that is NaN
             or not positive means LAMBDA_INIT. Without lam_init every row
-            is bracketed first (the cold path). Either way the minimizer is
-            the same, to the tolerance.
+            starts cold: it probes from LAMBDA_INIT until its bracket closes
+            and runs Newton from the bracket's midpoint. Either way the
+            minimizer is the same, to the tolerance.
 
     Returns:
         BatchDualResult with one solution per row. Rows whose weighted
@@ -265,102 +268,64 @@ def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
         posterior, solve_rows)
 
 
-def _bracket(logq: np.ndarray, f: np.ndarray, cfg: DroConfig):
-    """Find [lo, hi] with phi'(lo) < 0 <= phi'(hi), stepping by factors of 10.
-
-    Each row steps one way from LAMBDA_INIT, down from a nonnegative phi'
-    and up from a negative one, until the sign flips. A row that reaches the
-    box edge unflipped is a boundary row; the far end of its bracket is NaN.
-    Returns (lo, hi, bound).
-    """
-    n = logq.shape[0]
-    probe = np.full(n, LAMBDA_INIT)
-    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
-    bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
-    rows = np.arange(n)
-    while rows.size:
-        p = probe[rows]
-        # keep phi' only, so the (rows, A) posterior is freed right away
-        d = _phi_terms(_take(logq, rows), _take(f, rows), p, cfg)[1]
-        lo[rows[d < 0]] = p[d < 0]
-        hi[rows[d >= 0]] = p[d >= 0]
-        down = np.isnan(lo[rows])
-        nxt = np.where(down, np.maximum(p / 10.0, LAMBDA_MIN),
-                       np.minimum(p * 10.0, LAMBDA_MAX))
-        # stop at a sign flip (both ends set) or at the box edge (no move)
-        going = (down | np.isnan(hi[rows])) & (nxt != p)
-        rows = rows[going]
-        probe[rows] = nxt[going]
-    bound[np.isnan(lo)] = BOUNDARY_MIN
-    bound[np.isnan(hi)] = BOUNDARY_MAX
-    return lo, hi, bound
-
-
 def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
                    lam0: np.ndarray | None, posterior: np.ndarray,
                    dest: np.ndarray):
-    """Safeguarded Newton refinement for rows with genuinely spread scores.
+    """Safeguarded Newton on phi' for rows with genuinely spread scores.
 
-    Every evaluation narrows each row's sign bracket on phi'. The Newton
-    step is taken when it lands strictly inside the bracket (the box edge
-    stands in for an end not yet known) and, once both ends are known, at
-    most halves the previous step. Otherwise the row steps by a factor of
-    10 toward the root while that end is still open, and bisects the
-    bracket in log space once it is closed (lambda lives across decades,
-    so the geometric midpoint is the natural fallback).
+    Cold and warm rows run one loop. Every evaluation narrows each row's
+    sign bracket on phi' (the box edge stands in for an end not yet known).
+    A cold row (lam0 None) starts at LAMBDA_INIT with its bracket open and
+    only probes by factors of 10 toward the open end until phi' changes
+    sign; then it moves to the geometric midpoint of [lo, hi] with that
+    width as its previous step. A warm row starts at its clipped lam0
+    (LAMBDA_INIT where lam0 is not a positive number) and runs Newton from
+    there, so an exact start converges on its first evaluation; it probes
+    by a factor of 10 only when a Newton step fails toward an open end.
+    The Newton step is taken when it lands strictly inside the bracket
+    and, once both ends are known, at most halves the previous step;
+    otherwise a closed bracket is bisected in log space (lambda lives
+    across decades, so the geometric midpoint is the natural fallback).
 
-    A cold row (lam0 None) starts at the geometric midpoint of _bracket's
-    [lo, hi]. A warm row starts at its clipped lam0 (LAMBDA_INIT where lam0
-    is not a positive number) with an open bracket: an exact start
-    converges on its first evaluation, and a row whose walk reaches the box
-    edge with phi' pointing beyond it is a boundary row. The factor-10
-    steps are bracket probes, as in _bracket: they count neither in
-    `iterations` nor against cfg.newton_iters, so a boundary row is found
-    whatever the cap.
-
+    Probes count neither in `iterations` nor against cfg.newton_iters, and
+    a cold row's probes never converge it, so a row evaluated on a box
+    edge with phi' pointing beyond it is a boundary row whatever the cap.
     A converged row keeps phi and the posterior of the evaluation that
-    converged it; cold boundary rows and rows still active at the cap are
-    evaluated once more after the loop. Row i's posterior is written to
-    posterior[dest[i]].
+    converged it; rows still active at the cap are evaluated once more
+    after the loop. Row i's posterior is written to posterior[dest[i]].
     """
     n = logq.shape[0]
+    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+    bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
     if lam0 is None:
-        lo, hi, bound = _bracket(logq, f, cfg)
-        interior = bound == BOUNDARY_NONE
-        lam = np.where(bound == BOUNDARY_MIN, LAMBDA_MIN, LAMBDA_MAX)
-        lam[interior] = np.sqrt(lo[interior] * hi[interior])
-        step_old = np.where(interior, hi - lo, 0.0)
+        lam = np.full(n, LAMBDA_INIT)
     else:
-        lo, hi = np.full(n, np.nan), np.full(n, np.nan)
-        bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
-        interior = np.ones(n, dtype=bool)
         lam = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
                       LAMBDA_MIN, LAMBDA_MAX)
-        step_old = np.full(n, np.inf)
-
+    step_old = np.full(n, np.inf)
+    seek = np.full(n, lam0 is None)  # a cold row whose bracket is still open
+    probe = seek.copy()  # the row's next lambda is a bracket probe
     phi = np.empty(n)
     iterations = np.zeros(n, dtype=int)
-    probe = np.zeros(n, dtype=bool)  # the row's next lambda is a bracket probe
-    active = interior.copy()
+    active = np.ones(n, dtype=bool)
     while True:
         rows = np.flatnonzero(active & (probe | (iterations < cfg.newton_iters)))
         if not rows.size:
             break
         iterations[rows] += ~probe[rows]
-        at = lam[rows]
+        at, seeking = lam[rows], seek[rows]
         p, d, dd, post = _phi_terms(_take(logq, rows), _take(f, rows), at, cfg)
-        done = np.abs(d) <= cfg.grad_tol
-        if lam0 is not None:
-            # a warm row on a box edge with phi' pointing beyond it is a boundary row
-            edge = ~done & (at == np.where(d > 0, LAMBDA_MIN, LAMBDA_MAX))
-            bound[rows[edge]] = np.where(d[edge] > 0, BOUNDARY_MIN, BOUNDARY_MAX)
-            done |= edge
+        done = (np.abs(d) <= cfg.grad_tol) & ~seeking
+        # a row on a box edge with phi' pointing beyond it is a boundary row
+        edge = ~done & (at == np.where(d >= 0, LAMBDA_MIN, LAMBDA_MAX))
+        bound[rows[edge]] = np.where(d[edge] >= 0, BOUNDARY_MIN, BOUNDARY_MAX)
+        done |= edge
         if done.any():
             phi[rows[done]] = p[done]
             posterior[dest[rows[done]]] = post[done]
             active[rows[done]] = False
             keep = ~done
-            rows, at, d, dd = rows[keep], at[keep], d[keep], dd[keep]
+            rows, at, seeking, d, dd = rows[keep], at[keep], seeking[keep], d[keep], dd[keep]
             if not rows.size:
                 continue
         lo[rows] = lo_r = np.where(d < 0, at, lo[rows])
@@ -369,23 +334,26 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
             newton = at - d / dd
             step_ok = np.abs(2.0 * d) <= np.abs(step_old[rows] * dd)
         open_lo, open_hi = np.isnan(lo_r), np.isnan(hi_r)
-        if open_lo.any() or open_hi.any():  # only warm rows have an open end
+        if open_lo.any() or open_hi.any():
             step_ok |= open_lo | open_hi
             lo_r, hi_r = np.fmax(lo_r, LAMBDA_MIN), np.fmin(hi_r, LAMBDA_MAX)
-        step_ok &= np.isfinite(newton) & (newton > lo_r) & (newton < hi_r)
+        step_ok &= np.isfinite(newton) & (newton > lo_r) & (newton < hi_r) & ~seeking
         nxt = np.where(step_ok, newton, np.sqrt(lo_r * hi_r))
         # a step that fails toward an open end probes a factor of 10 that way
         probe[rows] = opened = ~step_ok & np.where(d < 0, open_hi, open_lo)
         if opened.any():
             nxt[opened] = np.where(d[opened] < 0, np.minimum(at[opened] * 10.0, LAMBDA_MAX),
                                    np.maximum(at[opened] / 10.0, LAMBDA_MIN))
-        step_old[rows] = np.abs(nxt - at)
+        # a cold row whose bracket closes moves to its midpoint, with the
+        # bracket's width as the previous step
+        step_old[rows] = np.where(seeking, hi_r - lo_r, np.abs(nxt - at))
+        seek[rows] = seeking & opened
         lam[rows] = nxt
 
     converged = np.ones(n, dtype=bool)
-    rows = np.flatnonzero(~interior | active)
+    rows = np.flatnonzero(active)
     if rows.size:
         phi[rows], d, _, posterior[dest[rows]] = _phi_terms(
             _take(logq, rows), _take(f, rows), lam[rows], cfg)
-        converged[rows] = ~interior[rows] | (np.abs(d) <= cfg.grad_tol)
+        converged[rows] = np.abs(d) <= cfg.grad_tol
     return phi, lam, iterations, converged, bound

@@ -35,6 +35,10 @@ from oracles import (
 )
 
 
+FIELDS = ("value", "lambda_star", "posterior", "iterations", "converged",
+          "degenerate", "boundary")
+
+
 def uniform_logw(n_atoms):
     return np.full(n_atoms, -np.log(n_atoms))
 
@@ -340,22 +344,31 @@ class TestSolveDual:
         np.testing.assert_allclose(batch.posterior.sum(axis=1), np.ones(6), atol=1e-10)
         assert np.all(batch.posterior[logw == -np.inf] == 0)
 
-    def test_batch_matches_scalar_rows(self):
-        # a batch solves each row as a one-row batch would, bit for bit
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_batch_matches_scalar_rows(self, warm):
+        # a batch solves each row as a one-row batch would, bit for bit, cold
+        # or from per-row starts (the harnesses batch their solves on this)
         rng = np.random.default_rng(311)
         n, n_atoms = 12, 15
         logw = np.vstack([random_instance(rng, n_atoms=n_atoms)[0] for _ in range(n)])
         scores = rng.standard_normal((n, n_atoms))
         scores[3] = 1.25  # one degenerate row inside the batch
+        logw[5], scores[5] = np.log(0.1 / (n_atoms - 1)), 0.0
+        logw[5, 0], scores[5, 0] = np.log(0.9), 1.0  # one boundary row
         cfg = DroConfig(rho=0.9, epsilon=0.8)
-        batch = solve_dual_batch(logw, scores, cfg)
+        lam0 = None
+        if warm:
+            lam_star = solve_dual_batch(logw, scores, cfg).lambda_star
+            lam0 = lam_star * rng.choice([1e-3, 1e3], n)
+            lam0[[0, 7]] = np.nan, 0.0
+        batch = solve_dual_batch(logw, scores, cfg, lam_init=lam0)
+        assert batch.degenerate[3] and batch.boundary[5] == BOUNDARY_MIN
         for i in range(n):
-            single = solve_one(logw[i], scores[i], cfg)
-            assert batch.value[i] == single.value[0]
-            assert batch.lambda_star[i] == single.lambda_star[0]
-            np.testing.assert_array_equal(batch.posterior[i], single.posterior[0])
-            assert batch.iterations[i] == single.iterations[0]
-        assert batch.degenerate[3]
+            single = solve_dual_batch(logw[i:i + 1], scores[i], cfg,
+                                      lam_init=None if lam0 is None else lam0[i:i + 1])
+            for name in FIELDS:
+                a, b = getattr(batch, name)[i:i + 1], getattr(single, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)
 
     def test_shared_scores_broadcast(self):
         rng = np.random.default_rng(313)
@@ -456,6 +469,69 @@ class TestSolveDual:
             solve_dual_batch(logw, np.arange(4.0), DroConfig(), lam_init=np.ones(size))
 
 
+class TestColdStart:
+    @pytest.mark.parametrize("kind", ["below", "above", "min", "max"])
+    def test_probes_by_tens_then_runs_newton_from_the_midpoint(self, kind, monkeypatch):
+        # a cold row is evaluated at LAMBDA_INIT, then at factors of 10
+        # toward the root until phi' changes sign or the box edge is
+        # reached; an interior row then moves to the geometric midpoint of
+        # the last two probes and runs Newton (or bisects) from there. The
+        # probes do not count as iterations.
+        rng = np.random.default_rng(367)
+        logw, scores = random_instance(rng, n_atoms=12)
+        if kind == "below":
+            scores = 1e-2 * scores
+        elif kind == "above":
+            scores = 1e3 * scores
+        elif kind == "min":
+            logw = np.log(np.full(12, 0.1 / 11))
+            logw[0], scores = np.log(0.9), np.arange(12.0)[::-1]
+        else:
+            logw, scores = uniform_logw(12), np.zeros(12)
+            scores[0] = 1e6
+        cfg = DroConfig(rho=1.0, epsilon=1.0)
+        calls = []
+        phi_terms = dro._phi_terms
+
+        def recording(logq, f, lam, cfg):
+            terms = phi_terms(logq, f, lam, cfg)
+            calls.append((lam[0], *(t[0] for t in terms[:3])))
+            return terms
+
+        monkeypatch.setattr(dro, "_phi_terms", recording)
+        res = solve_one(logw, scores, cfg)
+        lams, phi, d, dd = (np.array(c) for c in zip(*calls))
+        down = d[0] >= 0
+        edge = LAMBDA_MIN if down else LAMBDA_MAX
+        assert lams[0] == dro.LAMBDA_INIT
+        probes = 1
+        while (d[probes - 1] >= 0) == down and lams[probes - 1] != edge:
+            step = lams[probes - 1] / 10.0 if down else lams[probes - 1] * 10.0
+            assert lams[probes] == np.clip(step, LAMBDA_MIN, LAMBDA_MAX)
+            probes += 1
+        assert probes >= 3
+        if kind in ("min", "max"):
+            assert lams[probes - 1] == edge and len(calls) == probes
+            assert res.boundary[0] == (BOUNDARY_MIN if down else BOUNDARY_MAX)
+            assert res.iterations[0] == 0 and res.converged[0]
+            assert res.lambda_star[0] == edge and res.value[0] == phi[-1]
+            return
+        assert (res.lambda_star[0] < 1.0) == (kind == "below") == down
+        lo, hi = sorted(lams[probes - 2:probes])
+        assert lams[probes] == np.sqrt(lo * hi)
+        newton_steps = 0
+        for j in range(probes, len(calls) - 1):
+            lo, hi = (lams[j], hi) if d[j] < 0 else (lo, lams[j])
+            newton = lams[j] - d[j] / dd[j]
+            assert lams[j + 1] in (newton, np.sqrt(lo * hi))
+            assert lo < lams[j + 1] < hi
+            newton_steps += lams[j + 1] == newton
+        assert newton_steps > 0
+        assert res.iterations[0] == len(calls) - probes and res.converged[0]
+        assert res.lambda_star[0] == lams[-1] and res.value[0] == phi[-1]
+        assert res.boundary[0] == BOUNDARY_NONE
+
+
 def binding_instance(rng):
     """A row with -inf weights, its (rho, eps) and the primal oracle's answer."""
     logw, scores = random_instance(rng, n_atoms=int(rng.integers(4, 41)), with_holes=True)
@@ -524,10 +600,6 @@ def mixed_batch(n):
     logw[-1], scores[-1] = uniform_logw(16), 0.0
     scores[-1, 0] = 1e6
     return logw, scores
-
-
-FIELDS = ("value", "lambda_star", "posterior", "iterations", "converged",
-          "degenerate", "boundary")
 
 
 class TestRowBlocks:

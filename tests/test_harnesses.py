@@ -23,6 +23,23 @@ from protodro.harnesses import (
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def assert_reproduces_results(out, names, monkeypatch):
+    """The benchmark's harness check, run here first: each committed CSV in
+    results/ comes back value by value within its tolerance, so a change in
+    the path of a harness dual solve fails this."""
+    monkeypatch.syspath_prepend(ROOT)
+    from perfbench import checks
+
+    for name in names:
+        got_head, got = checks.read_csv(os.path.join(out, name))
+        want_head, want = checks.read_csv(os.path.join(ROOT, "results", name))
+        assert got_head == want_head
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got, want):
+            assert all(checks._close(a, b, checks.HARNESS_REL_TOL)
+                       for a, b in zip(got_row, want_row)), (name, got_row, want_row)
+
+
 @pytest.fixture(scope="module")
 def contraction_cfg():
     return replace(ExperimentConfig(), task="contraction")
@@ -98,6 +115,7 @@ class TestContraction:
         assert "jacobian_norm = " in manifest
         assert "fixed_point_gap = " in manifest
         assert "floor_fixed_point_gap_max = " in manifest
+        assert "dual_unconverged = 0\n" in manifest
 
     def test_fixed_point_reports_an_unfinished_iteration(self):
         rng = np.random.default_rng(7)
@@ -119,23 +137,11 @@ class TestContraction:
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
     def test_committed_results_reproduce(self, tmp_path, monkeypatch):
-        # the benchmark's harness check, run here first: the committed
-        # contraction CSVs come back value by value within its tolerance,
-        # so a change in the path of a one-row dual solve fails this test
-        monkeypatch.syspath_prepend(ROOT)
-        from perfbench import checks
-
         out = tmp_path / "contraction"
         assert cli.main(["contraction", "--eta", "1", "--seeds", "0",
                          "--out", str(out)]) == 0
-        for name in ("contraction_trace.csv", "contraction_floor.csv"):
-            got_head, got = checks.read_csv(out / name)
-            want_head, want = checks.read_csv(os.path.join(ROOT, "results", name))
-            assert got_head == want_head
-            assert len(got) == len(want)
-            for got_row, want_row in zip(got, want):
-                assert all(checks._close(a, b, checks.HARNESS_REL_TOL)
-                           for a, b in zip(got_row, want_row)), (name, got_row, want_row)
+        assert_reproduces_results(
+            out, ("contraction_trace.csv", "contraction_floor.csv"), monkeypatch)
 
 
 class TestConsistency:
@@ -167,3 +173,10 @@ class TestConsistency:
         assert curve[0] == "budget,v_gap_mean,lambda_gap_mean"
         manifest = (out / "consistency_manifest.txt").read_text()
         assert "v_monotone_fraction = " in manifest
+        assert "dual_unconverged = 0\n" in manifest
+
+    def test_committed_results_reproduce(self, consistency, monkeypatch):
+        # the fixture runs the committed settings: seed 0, 32 replicates
+        _, out = consistency
+        assert_reproduces_results(
+            out, ("consistency_trace.csv", "consistency_curve.csv"), monkeypatch)
