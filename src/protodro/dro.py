@@ -21,8 +21,9 @@ of the evaluation that converged it, so an exact warm start costs one
 evaluation.
 
 Everything here is written over batches of tilted weight rows: one tilt
-(gibbs_tilt_batch), one solver (solve_dual_batch) and one result type
-(BatchDualResult). A single query is a batch of one row.
+(ClassTilts, with gibbs_tilt_batch its one-prior case), one solver
+(solve_dual_batch) and one result type (BatchDualResult). A single query
+is a batch of one row.
 
 Each row's solve depends on that row alone, bit for bit, so the solver
 splits a batch into contiguous row blocks and solves them on one thread
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import log_sum_exp, sq_distances
-from .priors import MixturePrior
+from .priors import MixturePrior, shared_atoms
 
 GRAD_TOL_SCALE = 1e-8
 # the multiplier box [LAMBDA_MIN, LAMBDA_MAX] and the cold start inside it
@@ -97,15 +98,50 @@ class BatchDualResult:
     boundary: np.ndarray
 
 
+@dataclass
+class ClassTilts:
+    """Tilt log-weights of N query rows toward C priors over one atom array.
+
+    Stored in factored form: the (N, A) squared distances over epsilon,
+    computed once for every class, the priors' (C, A) atom log-weights and
+    the (N, C) log-normalizers. tilts[idx] builds the (n, C, A) normalized
+    tilts of rows idx with one prior's operations in their order, so its
+    [:, c] equals gibbs_tilt_batch(priors[c], queries[idx], epsilon) bit for
+    bit without the (N, C, A) tensor ever being stored.
+    """
+
+    scaled_sq: np.ndarray
+    atom_log_weights: np.ndarray
+    log_norm: np.ndarray
+
+    @classmethod
+    def build(cls, priors: list[MixturePrior], queries: np.ndarray,
+              epsilon: float) -> "ClassTilts":
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        atoms = shared_atoms(priors)
+        q = np.asarray(queries, dtype=float)
+        if q.ndim != 2 or q.shape[1] != atoms.shape[1]:
+            raise ValueError("queries must be (n, d) matching the atom dimension")
+        scaled_sq = sq_distances(q, atoms) / epsilon
+        alw = np.stack([p.atom_log_weights for p in priors])
+        log_norm = np.stack(
+            [log_sum_exp(w[None, :] - scaled_sq, axis=1) for w in alw], axis=1
+        )
+        return cls(scaled_sq, alw, log_norm)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        """(n, C, A) normalized tilts of the query rows idx selects."""
+        return ((self.atom_log_weights[None] - self.scaled_sq[idx][:, None])
+                - self.log_norm[idx][:, :, None])
+
+
 def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -> np.ndarray:
-    """Normalized tilt log-weights for many query points at once: (n, A)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    q = np.asarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[1] != prior.atoms.shape[1]:
-        raise ValueError("queries must be (n, d) matching the atom dimension")
-    logs = prior.atom_log_weights[None, :] - sq_distances(q, prior.atoms) / epsilon
-    return logs - log_sum_exp(logs, axis=1)[:, None]
+    """Normalized tilt log-weights for many query points at once: (n, A).
+
+    The one-prior case of ClassTilts.
+    """
+    return ClassTilts.build([prior], queries, epsilon)[:][:, 0]
 
 
 def _phi_terms(logq: np.ndarray, scores: np.ndarray, lam: np.ndarray, cfg: DroConfig):

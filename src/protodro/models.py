@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro import DroConfig, gibbs_tilt_batch, solve_dual_batch
+from .dro import ClassTilts, DroConfig, gibbs_tilt_batch, solve_dual_batch
 from .numkit import SeededRng, log_sum_exp, sq_distances
 from .priors import MixturePrior, SupportSet, shared_atoms
 from .sinkhorn import OtProblem, solve_entropic_ot
@@ -35,8 +35,10 @@ _NOISE_STREAM = 202
 SAA_NOISE_SCALE = 0.1
 SAA_NOISE_DRAWS = 64
 # RobustClassifier scores this many rows per dual call, which bounds the
-# (rows * classes, atoms) workspace
-_PREDICT_CHUNK = 1024
+# (rows * classes, atoms) workspace; 256 rows make the dual call of one
+# training batch at the default batch_size, so predict needs no more memory
+# than training
+_PREDICT_CHUNK = 256
 
 
 @dataclass
@@ -267,14 +269,6 @@ def train_saa(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainRe
     return train_ce_head(augmented, labels, n_classes, cfg)
 
 
-def _class_tilts(priors: list[MixturePrior], x: np.ndarray, epsilon: float) -> np.ndarray:
-    """(n, C, A) tilt log-weights, filled class by class: no stacked copy."""
-    tilts = np.empty((x.shape[0], len(priors), priors[0].atoms.shape[0]))
-    for c, prior in enumerate(priors):
-        tilts[:, c] = gibbs_tilt_batch(prior, x, epsilon)
-    return tilts
-
-
 @dataclass
 class MultiplierCache:
     """Warm starts for the training duals, in units of each class's score spread.
@@ -321,9 +315,10 @@ def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
                           lam_cache: MultiplierCache | None = None):
     """Dual solves for every (sample, class) of a batch in one call.
 
-    atoms is the (A, d) array every class prior shares (shared_atoms) and
-    tilts the (N, C, A) normalized tilt log-weights; idx selects the batch
-    rows. lam_cache, when given, sets each row's starting multiplier (see
+    atoms is the (A, d) array every class prior shares (shared_atoms).
+    tilts holds the normalized tilt log-weights of N rows toward each class
+    prior: a ClassTilts, or any (N, C, A) array; tilts[idx] gives the batch
+    rows' (n, C, A) tilts. lam_cache, when given, sets each row's starting multiplier (see
     MultiplierCache) and records the solved ones; without it every row is
     solved cold.
 
@@ -375,8 +370,9 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
 
     data carries every labeled sample the robust loss sees; callers stack
     base samples with the target supports. The Gibbs tilts are
-    parameter-free, so they are computed once up front; each batch then
-    solves the per-sample duals with the current atom scores and chains
+    parameter-free, so their ClassTilts factors are computed once up front
+    (one (N, A) distance array, not N * C * A tilts); each batch then builds
+    its own tilts from them and solves the per-sample duals with the current atom scores and chains
     softmax-minus-onehot through the envelope gradient. A MultiplierCache
     keeps each (row, class) multiplier over its class's score spread, so a
     row's next solve starts at that ratio times the class's spread then and
@@ -391,7 +387,7 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     head = zero_head(n_classes, x.shape[1])
     params = [head.weights, head.biases]
     atoms = shared_atoms(priors)
-    tilts = _class_tilts(priors, x, dro_cfg.epsilon)
+    tilts = ClassTilts.build(priors, x, dro_cfg.epsilon)
     lam_cache = MultiplierCache.empty(n, n_classes)
 
     def batch_fn(idx):
@@ -417,12 +413,14 @@ class RobustClassifier:
     dro_cfg: DroConfig
 
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
+        """(n, C) robust scores, solved _PREDICT_CHUNK rows at a time; each
+        chunk's ClassTilts takes one distance array for all classes."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
         atoms = shared_atoms(self.priors)
         values = np.empty((x.shape[0], len(self.priors)))
         for start in range(0, x.shape[0], _PREDICT_CHUNK):
             block = x[start : start + _PREDICT_CHUNK]
-            tilts = _class_tilts(self.priors, block, self.dro_cfg.epsilon)
+            tilts = ClassTilts.build(self.priors, block, self.dro_cfg.epsilon)
             block_values, _ = robust_scores_stacked(
                 self.head.weights, self.head.biases, atoms, tilts,
                 np.arange(block.shape[0]), self.dro_cfg,

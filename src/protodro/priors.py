@@ -49,6 +49,8 @@ class SupportSet:
             raise ValueError("features must be an (N, d) array")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with features")
+        if np.any(self.labels < 0):
+            raise ValueError("labels must be nonnegative")
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -19,6 +19,7 @@ from protodro.dro import (
     BOUNDARY_NONE,
     LAMBDA_MAX,
     LAMBDA_MIN,
+    ClassTilts,
     DroConfig,
     _phi_terms,
     gibbs_tilt_batch,
@@ -139,6 +140,45 @@ class TestGibbsTilt:
             gibbs_tilt_batch(prior, np.zeros((2, 3)), epsilon=1.0)
         with pytest.raises(ValueError):
             gibbs_tilt_batch(prior, np.zeros((2, 2)), epsilon=0.0)
+
+
+class TestClassTilts:
+    """The factored tilts give each class prior's own tilt, byte for byte."""
+
+    @staticmethod
+    def priors_and_queries(rng, zero_weight=False):
+        # three priors over one pool of 4 components x 6 atoms in 3-D
+        atoms = rng.standard_normal((24, 3))
+        weights = [rng.dirichlet(np.ones(4)) for _ in range(3)]
+        if zero_weight:
+            weights[1] = np.array([0.5, 0.0, 0.5, 0.0])
+        priors = [MixturePrior(w, atoms) for w in weights]
+        return priors, 2.0 * rng.standard_normal((40, 3))
+
+    @pytest.mark.parametrize("rows", ["unsorted", "all"])
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    def test_rows_equal_each_priors_tilt(self, rows, zero_weight):
+        rng = np.random.default_rng(17)
+        priors, x = self.priors_and_queries(rng, zero_weight)
+        idx = rng.permutation(40)[:17] if rows == "unsorted" else np.arange(40)
+        got = ClassTilts.build(priors, x, 0.7)[idx]
+        want = np.stack([gibbs_tilt_batch(p, x[idx], 0.7) for p in priors], axis=1)
+        assert got.shape == (idx.size, 3, 24)
+        assert got.tobytes() == want.tobytes()
+        if zero_weight:
+            # the zero-weight components' atoms carry -inf log-weight
+            assert np.isneginf(got[:, 1, 6:12]).all()
+            assert np.isfinite(got[:, 1, :6]).all()
+
+    def test_rejects_bad_inputs(self):
+        rng = np.random.default_rng(19)
+        priors, x = self.priors_and_queries(rng)
+        with pytest.raises(ValueError):
+            ClassTilts.build(priors, x[:, :2], 1.0)
+        with pytest.raises(ValueError):
+            ClassTilts.build(priors, x, 0.0)
+        with pytest.raises(ValueError):
+            ClassTilts.build([priors[0], make_prior(priors[1].atoms[::-1])], x, 1.0)
 
 
 class TestDualObjective:

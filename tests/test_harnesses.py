@@ -21,16 +21,22 @@ from protodro.harnesses import (
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# manifest lines that differ between runs or with --out
+RUN_KEYS = ("config_hash", "version", "wall_seconds")
 
 
-def assert_reproduces_results(out, names, monkeypatch):
-    """The benchmark's harness check, run here first: each committed CSV in
-    results/ comes back value by value within its tolerance, so a change in
-    the path of a harness dual solve fails this."""
+def assert_reproduces_results(out, task, monkeypatch):
+    """The benchmark's harness check, run here first: each committed CSV of
+    the task in results/ comes back value by value within its tolerance, so
+    a change in the path of a harness dual solve fails this. The committed
+    manifest comes back too: the same keys, the same verdicts, and every
+    other value within that tolerance except the RUN_KEYS."""
     monkeypatch.syspath_prepend(ROOT)
     from perfbench import checks
 
-    for name in names:
+    for name in checks.HARNESS_CSVS:
+        if not name.startswith(task):
+            continue
         got_head, got = checks.read_csv(os.path.join(out, name))
         want_head, want = checks.read_csv(os.path.join(ROOT, "results", name))
         assert got_head == want_head
@@ -38,6 +44,15 @@ def assert_reproduces_results(out, names, monkeypatch):
         for got_row, want_row in zip(got, want):
             assert all(checks._close(a, b, checks.HARNESS_REL_TOL)
                        for a, b in zip(got_row, want_row)), (name, got_row, want_row)
+    name = f"{task}_manifest.txt"
+    got = checks.read_manifest(os.path.join(out, name))
+    want = checks.read_manifest(os.path.join(ROOT, "results", name))
+    assert got.keys() == want.keys()
+    for key in checks.HARNESS_VERDICTS[name]:
+        assert got[key] == want[key], (name, key)
+    for key in want.keys() - set(RUN_KEYS):
+        assert checks._close(got[key], want[key], checks.HARNESS_REL_TOL), (
+            name, key, got[key], want[key])
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +155,7 @@ class TestContraction:
         out = tmp_path / "contraction"
         assert cli.main(["contraction", "--eta", "1", "--seeds", "0",
                          "--out", str(out)]) == 0
-        assert_reproduces_results(
-            out, ("contraction_trace.csv", "contraction_floor.csv"), monkeypatch)
+        assert_reproduces_results(out, "contraction", monkeypatch)
 
 
 class TestConsistency:
@@ -178,5 +192,4 @@ class TestConsistency:
     def test_committed_results_reproduce(self, consistency, monkeypatch):
         # the fixture runs the committed settings: seed 0, 32 replicates
         _, out = consistency
-        assert_reproduces_results(
-            out, ("consistency_trace.csv", "consistency_curve.csv"), monkeypatch)
+        assert_reproduces_results(out, "consistency", monkeypatch)

@@ -1,6 +1,7 @@
 """Tests for heads, losses, training loops, and baseline equivalences."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -477,6 +478,40 @@ class TestRobustClassifier:
         priors = blob_priors(data, atoms_per=6)
         result = train_pgdro_classifier(data, priors, TrainConfig(epochs=0), DroConfig())
         np.testing.assert_array_equal(result.head.weights, np.zeros((2, 2)))
+
+    def test_training_never_holds_every_tilt(self):
+        # the training tilts stay factored: one epoch's peak of traced
+        # memory (numpy's buffers included) stays below the N * C * A
+        # float64 tensor that would hold every row's tilt toward every class
+        rng = np.random.default_rng(107)
+        n, n_classes, n_components, per_component, dim = 4000, 8, 8, 32, 5
+        atoms = rng.standard_normal((n_components * per_component, dim))
+        priors = [MixturePrior(rng.dirichlet(np.ones(n_components)), atoms)
+                  for _ in range(n_classes)]
+        data = SupportSet(rng.standard_normal((n, dim)),
+                          rng.integers(0, n_classes, n))
+        tracemalloc.start()
+        try:
+            train_pgdro_classifier(data, priors, TrainConfig(epochs=1), DroConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_classes * atoms.shape[0] * 8
+
+    def test_prediction_chunks_give_the_same_bytes(self, monkeypatch):
+        # 2.5 chunks of 256 rows: each row's score is its own, whatever
+        # chunk it is solved in
+        rng = np.random.default_rng(109)
+        data = two_blob_data(rng, n_per=320, dim=3)
+        priors = blob_priors(data, atoms_per=16)
+        head = LinearHead(rng.standard_normal((2, 3)), rng.standard_normal(2))
+        model = RobustClassifier(head, priors, DroConfig())
+        scores = []
+        for chunk in (1024, 512, 256):
+            monkeypatch.setattr(models, "_PREDICT_CHUNK", chunk)
+            scores.append(model.decision_scores(data.features))
+        assert scores[0].shape == (640, 2)
+        assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
 
 
 class TestWdro:

@@ -176,6 +176,12 @@ class TestBuildPriors:
         with pytest.raises(ValueError):
             build_priors(stats, protos, bad, PriorConfig())
 
+    def test_negative_label_rejected(self):
+        # a label of -1 would index the last class from the end in training
+        # and drop out of per_class()
+        with pytest.raises(ValueError, match="labels must be nonnegative"):
+            SupportSet(np.zeros((3, 2)), np.array([0, -1, 1]))
+
 
 class TestUpdateWeightsDamped:
     def test_full_step_returns_target(self):
