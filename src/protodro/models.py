@@ -317,10 +317,10 @@ def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
 
     atoms is the (A, d) array every class prior shares (shared_atoms).
     tilts holds the normalized tilt log-weights of N rows toward each class
-    prior: a ClassTilts, or any (N, C, A) array; tilts[idx] gives the batch
-    rows' (n, C, A) tilts. lam_cache, when given, sets each row's starting multiplier (see
-    MultiplierCache) and records the solved ones; without it every row is
-    solved cold.
+    prior, a ClassTilts or any (N, C, A) array: tilts[idx] gives the (n, C,
+    A) tilts of the batch rows idx selects. lam_cache, when given, sets each
+    row's starting multiplier (see MultiplierCache) and records the solved
+    ones; without it every row is solved cold.
 
     Returns (values (n, C), posteriors (n, C, A)).
     """
@@ -372,8 +372,9 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     base samples with the target supports. The Gibbs tilts are
     parameter-free, so their ClassTilts factors are computed once up front
     (one (N, A) distance array, not N * C * A tilts); each batch then builds
-    its own tilts from them and solves the per-sample duals with the current atom scores and chains
-    softmax-minus-onehot through the envelope gradient. A MultiplierCache
+    its own tilts from them, solves the per-sample duals with the current
+    atom scores and chains softmax-minus-onehot through the envelope
+    gradient. A MultiplierCache
     keeps each (row, class) multiplier over its class's score spread, so a
     row's next solve starts at that ratio times the class's spread then and
     runs Newton from there, however the score scale has grown.
