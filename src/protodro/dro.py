@@ -132,8 +132,9 @@ class ClassTilts:
 
     def __getitem__(self, idx) -> np.ndarray:
         """(n, C, A) normalized tilts of the query rows idx selects."""
-        return ((self.atom_log_weights[None] - self.scaled_sq[idx][:, None])
-                - self.log_norm[idx][:, :, None])
+        tilts = self.atom_log_weights[None] - self.scaled_sq[idx][:, None]
+        tilts -= self.log_norm[idx][:, :, None]
+        return tilts
 
 
 def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -> np.ndarray:

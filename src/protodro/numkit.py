@@ -36,8 +36,11 @@ def log_sum_exp(values, axis: int | None = None):
     m = np.max(v, axis=axis, keepdims=True)
     # -inf slices would produce inf - inf = nan under the shift; pin them.
     shift = np.where(np.isfinite(m), m, 0.0)
+    # one work array: exp in place over the shifted values
+    e = np.subtract(v, shift)
+    np.exp(e, out=e)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(v - shift), axis=axis, keepdims=True)) + shift
+        out = np.log(np.sum(e, axis=axis, keepdims=True)) + shift
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)

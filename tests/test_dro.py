@@ -170,16 +170,6 @@ class TestClassTilts:
             assert np.isneginf(got[:, 1, 6:12]).all()
             assert np.isfinite(got[:, 1, :6]).all()
 
-    def test_rejects_bad_inputs(self):
-        rng = np.random.default_rng(19)
-        priors, x = self.priors_and_queries(rng)
-        with pytest.raises(ValueError):
-            ClassTilts.build(priors, x[:, :2], 1.0)
-        with pytest.raises(ValueError):
-            ClassTilts.build(priors, x, 0.0)
-        with pytest.raises(ValueError):
-            ClassTilts.build([priors[0], make_prior(priors[1].atoms[::-1])], x, 1.0)
-
 
 class TestDualObjective:
     def test_constant_scores_closed_form(self):
