@@ -140,14 +140,20 @@ class TrainResult:
 def huber(residuals: np.ndarray, beta: float):
     """Huber value and its derivative in the residual.
 
-    Quadratic r^2/2 inside |r| <= beta, linear beta(|r| - beta/2) outside.
+    Quadratic r^2/2 inside |r| <= beta, linear beta(|r| - beta/2) outside,
+    with no masked select: c = min(|r|, beta) gives the value c(|r| - c/2)
+    and clipping r to [-beta, beta] the derivative. Its bits equal the
+    piecewise formula's: inside, |r|(|r| - |r|/2) is (r/2)r; outside it
+    runs beta(|r| - beta/2), and the clip gives exactly beta * sign(r).
+    Residuals outside the knee are never squared, so huge ones do not
+    overflow.
     """
     r = np.asarray(residuals, dtype=float)
     a = np.abs(r)
-    inside = a <= beta
-    value = np.where(inside, 0.5 * r * r, beta * (a - 0.5 * beta))
-    deriv = np.where(inside, r, beta * np.sign(r))
-    return value, deriv
+    c = np.minimum(a, beta)
+    a -= 0.5 * c
+    a *= c
+    return a, np.clip(r, -beta, beta)
 
 
 def _ce_batch(logits: np.ndarray, labels: np.ndarray):
@@ -414,19 +420,19 @@ class RobustClassifier:
     dro_cfg: DroConfig
 
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        """(n, C) robust scores, solved _PREDICT_CHUNK rows at a time; each
-        chunk's ClassTilts takes one distance array for all classes."""
+        """(n, C) robust scores, solved _PREDICT_CHUNK rows at a time from
+        one ClassTilts over every row, so a row's score never depends on
+        the chunk it lands in."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
+        n = x.shape[0]
         atoms = shared_atoms(self.priors)
-        values = np.empty((x.shape[0], len(self.priors)))
-        for start in range(0, x.shape[0], _PREDICT_CHUNK):
-            block = x[start : start + _PREDICT_CHUNK]
-            tilts = ClassTilts.build(self.priors, block, self.dro_cfg.epsilon)
-            block_values, _ = robust_scores_stacked(
-                self.head.weights, self.head.biases, atoms, tilts,
-                np.arange(block.shape[0]), self.dro_cfg,
+        tilts = ClassTilts.build(self.priors, x, self.dro_cfg.epsilon)
+        values = np.empty((n, len(self.priors)))
+        for start in range(0, n, _PREDICT_CHUNK):
+            idx = np.arange(start, min(start + _PREDICT_CHUNK, n))
+            values[idx], _ = robust_scores_stacked(
+                self.head.weights, self.head.biases, atoms, tilts, idx, self.dro_cfg
             )
-            values[start : start + block.shape[0]] = block_values
         return values
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -520,14 +526,19 @@ def robust_huber_objective(weights: np.ndarray, biases: np.ndarray,
     for c in np.unique(labels):
         rows = np.flatnonzero(labels == c)
         atom_residual = responses[rows, None] - atom_fit[None, :]
-        atom_value, atom_deriv = huber(atom_residual, cfg.huber_beta)
-        logits = tilts[rows] + atom_value / temp
+        # the Huber value array becomes the logits, then the softmax
+        # weighted by the Huber derivative, in place
+        logits, atom_deriv = huber(atom_residual, cfg.huber_beta)
+        logits /= temp
+        logits += tilts[rows]
         log_norm = log_sum_exp(logits, axis=1)
         if not np.all(np.isfinite(log_norm)):
             raise RuntimeError("non-finite robust penalty")
         penalty_total += temp * log_norm.sum()
-        soft = np.exp(logits - log_norm[:, None])
-        folded = (soft * atom_deriv).sum(axis=0)
+        logits -= log_norm[:, None]
+        np.exp(logits, out=logits)
+        logits *= atom_deriv
+        folded = logits.sum(axis=0)
         grad_w += -weight * (folded @ atoms)
         grad_b += -weight * folded.sum()
     loss = float((base_value.sum() + weight * penalty_total) / n)

@@ -107,6 +107,21 @@ def primal_worst_case_oracle(log_weights, scores, rho, epsilon, steps=200):
     return float(tilt(beta) @ f), beta
 
 
+def huber_piecewise_oracle(residuals, beta):
+    """Huber value and derivative by masked select between the two pieces.
+
+    The quadratic piece is evaluated everywhere, so residuals far outside
+    the knee overflow there; the select discards those entries.
+    """
+    r = np.asarray(residuals, dtype=float)
+    a = np.abs(r)
+    inside = a <= beta
+    with np.errstate(over="ignore"):
+        value = np.where(inside, 0.5 * r * r, beta * (a - 0.5 * beta))
+    deriv = np.where(inside, r, beta * np.sign(r))
+    return value, deriv
+
+
 def central_difference(fn, x, h=1e-5):
     """Central-difference gradient; scalar x gives a scalar back."""
     x = np.asarray(x, dtype=float)

@@ -36,7 +36,7 @@ from protodro.numkit import SeededRng
 from protodro.priors import MixturePrior, PriorConfig, SupportSet, shared_atoms
 from protodro.synthgen import ShiftSpec
 
-from oracles import central_difference
+from oracles import central_difference, huber_piecewise_oracle
 
 
 def two_blob_data(rng, n_per=40, gap=4.0, dim=2):
@@ -145,6 +145,37 @@ class TestLosses:
         _, deriv = huber(r, beta=1.0)
         numeric = central_difference(lambda u: huber(u, 1.0)[0].sum(), r)
         np.testing.assert_allclose(deriv, numeric, rtol=1e-6, atol=1e-9)
+
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0, 7.0])
+    def test_huber_bits_equal_the_piecewise_formula(self, beta):
+        knee = [np.nextafter(beta, 0.0), beta, np.nextafter(beta, np.inf)]
+        edges = np.array(
+            [0.0, 5e-324, 3 * 5e-324, 2.2e-308, 1e300, np.inf] + knee + [-k for k in knee]
+        )
+        rng = np.random.default_rng(41)
+        r = np.concatenate([
+            edges, -edges,
+            rng.standard_normal(20000) * 3 * beta,
+            np.exp(rng.uniform(-740, 690, 20000)) * rng.choice([-1.0, 1.0], 20000),
+        ])
+        for grid in (r, r.reshape(-1, 2)):
+            value, deriv = huber(grid, beta)
+            want_value, want_deriv = huber_piecewise_oracle(grid, beta)
+            assert value.tobytes() == want_value.tobytes()
+            assert deriv.tobytes() == want_deriv.tobytes()
+        for x in edges:
+            value, deriv = huber(np.array(-x), beta)
+            want_value, want_deriv = huber_piecewise_oracle(-x, beta)
+            assert np.shape(value) == np.shape(deriv) == ()
+            assert np.asarray(value).tobytes() == want_value.tobytes()
+            assert np.asarray(deriv).tobytes() == want_deriv.tobytes()
+
+    def test_huber_far_outside_the_knee_does_not_overflow(self):
+        with np.errstate(over="raise"):
+            value, deriv = huber(np.array([1e300]), 1.0)
+        assert value[0] == 1e300 - 0.5
+        assert deriv[0] == 1.0
 
 
 class TestObjectiveGradients:
@@ -499,19 +530,22 @@ class TestRobustClassifier:
         assert peak < n * n_classes * atoms.shape[0] * 8
 
     def test_prediction_chunks_give_the_same_bytes(self, monkeypatch):
-        # 2.5 chunks of 256 rows: each row's score is its own, whatever
-        # chunk it is solved in
-        rng = np.random.default_rng(109)
-        data = two_blob_data(rng, n_per=320, dim=3)
-        priors = blob_priors(data, atoms_per=16)
-        head = LinearHead(rng.standard_normal((2, 3)), rng.standard_normal(2))
-        model = RobustClassifier(head, priors, DroConfig())
-        scores = []
-        for chunk in (1024, 512, 256):
-            monkeypatch.setattr(models, "_PREDICT_CHUNK", chunk)
-            scores.append(model.decision_scores(data.features))
-        assert scores[0].shape == (640, 2)
-        assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
+        # each row's score is its own, whatever chunk it is solved in: 640
+        # rows are 2.5 chunks of 256; of 257 rows (d = 10, A = 512) the last
+        # is alone in its chunk of 256
+        for n_rows, dim, atoms_per in [(640, 3, 16), (257, 10, 256)]:
+            rng = np.random.default_rng(109)
+            data = two_blob_data(rng, n_per=(n_rows + 1) // 2, dim=dim)
+            priors = blob_priors(data, atoms_per=atoms_per)
+            head = LinearHead(rng.standard_normal((2, dim)), rng.standard_normal(2))
+            model = RobustClassifier(head, priors, DroConfig())
+            x = data.features[:n_rows]
+            scores = []
+            for chunk in (1024, 512, 256):
+                monkeypatch.setattr(models, "_PREDICT_CHUNK", chunk)
+                scores.append(model.decision_scores(x))
+            assert scores[0].shape == (n_rows, 2)
+            assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
 
 
 class TestWdro:
