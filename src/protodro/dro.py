@@ -283,8 +283,11 @@ def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
                  out: BatchDualResult, block: slice) -> None:
     """Solve rows `block` of the batch into the same rows of `out`."""
     logq, f, live = logq[block], f[block], live[block]
-    f_hi = np.where(live, f, -np.inf).max(axis=1)
-    f_lo = np.where(live, f, np.inf).min(axis=1)
+    if live.all():
+        f_hi, f_lo = f.max(axis=1), f.min(axis=1)
+    else:
+        f_hi = np.where(live, f, -np.inf).max(axis=1)
+        f_lo = np.where(live, f, np.inf).min(axis=1)
     mag = np.maximum(1.0, np.maximum(np.abs(f_hi), np.abs(f_lo)))
     degenerate = out.degenerate[block]
     np.less_equal(f_hi - f_lo, FLAT_TOL * mag, out=degenerate)

@@ -232,15 +232,14 @@ def train_ce_head(features: np.ndarray, labels: np.ndarray, n_classes: int,
 
 
 def barycentric_transport(source: SupportSet, supports: SupportSet,
-                          epsilon: float = 0.2, tol: float = 1e-5,
-                          max_iters: int = 20000) -> np.ndarray:
+                          epsilon: float = 0.2, tol: float = 1e-5) -> np.ndarray:
     """Map each source point onto the coupling-weighted support average.
 
     One entropic OT problem per class between that class's source samples
-    and its target supports, uniform marginals on both sides. The plan is
-    row-normalized before projecting, so the default tolerance is looser
-    than the solver's: small epsilon against wide clouds converges slowly
-    and the projection only needs row-relative mass.
+    and its target supports, uniform marginals on both sides, solved with
+    the solver's iteration budget. The plan is row-normalized before
+    projecting, and the projection only needs row-relative mass, so the
+    default tolerance is looser than the solver's.
     """
     n_classes = int(source.labels.max()) + 1
     transported = np.empty_like(np.asarray(source.features, dtype=float))
@@ -257,7 +256,7 @@ def barycentric_transport(source: SupportSet, supports: SupportSet,
             col_marginal=np.full(tgt.shape[0], 1.0 / tgt.shape[0]),
             epsilon=epsilon,
         )
-        plan = solve_entropic_ot(problem, tol=tol, max_iters=max_iters).plan
+        plan = solve_entropic_ot(problem, tol=tol).plan
         transported[source.labels == c] = (plan / plan.sum(axis=1, keepdims=True)) @ tgt
     return transported
 

@@ -2,8 +2,13 @@
 
 Couplings are solved through dual potentials and soft-min updates, so the
 Gibbs kernel exp(-C/eps) is never materialized directly and small epsilon
-or large costs cannot overflow. The module also provides the soft-min
-point-to-class costs that feed the class-level transport problem.
+or large costs cannot overflow. The solver runs Newton on the semi-dual
+(Cuturi & Peyre 2016; Brauer et al. 2017, arXiv:1710.06635): the
+potentials of the smaller side are the variables and the other side's
+potential is their soft-min. One iteration is one damped Newton step, or
+one alternating (Sinkhorn) update when the step would not lower the
+marginal violation. The module also provides the soft-min point-to-class
+costs that feed the class-level transport problem.
 """
 
 from __future__ import annotations
@@ -15,10 +20,15 @@ import numpy as np
 from .numkit import log_sum_exp, sq_distances
 
 MARGINAL_SUM_TOL = 1e-12
+# Levenberg-Marquardt damping of the semi-dual Newton step (solve_entropic_ot):
+# divided by DAMPING_FACTOR after a step that is taken, down to DAMPING_MIN,
+# and multiplied by it after one that is not
+DAMPING_FACTOR = 4.0
+DAMPING_MIN = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """Sinkhorn ran out of iterations; carries the last marginal violation."""
+    """The OT solver ran out of iterations; carries the last marginal violation."""
 
     def __init__(self, message: str, violation: float, iterations: int):
         super().__init__(message)
@@ -62,28 +72,33 @@ class TransportPlan:
     marginal_violation: float
 
 
-def _materialize(problem: OtProblem, f: np.ndarray, g: np.ndarray,
-                 log_row: np.ndarray, log_col: np.ndarray) -> np.ndarray:
-    logs = (
-        log_row[:, None]
-        + log_col[None, :]
-        + (f[:, None] + g[None, :] - problem.cost) / problem.epsilon
-    )
-    return np.exp(logs)
-
-
 def solve_entropic_ot(problem: OtProblem, tol: float = 1e-6,
                       max_iters: int = 1000) -> TransportPlan:
-    """Solve the entropic coupling by alternating log-domain potential updates.
+    """Solve the entropic coupling by damped Newton on the semi-dual.
+
+    The Newton variables are the potentials f of the smaller side (a
+    problem with more rows than columns is solved transposed). The large
+    side's potential is the soft-min given f, so its marginal holds exactly
+    and the violation is the small side's. One iteration is one trial
+    Newton step on f, or one alternating (Sinkhorn) update where the trial
+    fails: the step is taken only if it lowers the L1 violation. The
+    Hessian is damped by mu * diag(a) / eps (Levenberg-Marquardt), with mu
+    starting at 1, falling after a step that is taken and rising after one
+    that is not. Far from the answer a small-side mass is flat in f and
+    then changes steeply, so undamped steps overshoot; near it mu is small
+    and the steps are Newton's. The damping also keeps the system positive
+    definite when a small-side point has no mass. The first iteration is an
+    alternating update from f = 0.
 
     Args:
         problem: validated OtProblem.
         tol: maximum L1 marginal violation of the returned plan.
-        max_iters: budget of full (column, row) update sweeps.
+        max_iters: budget of iterations, trial steps and alternating
+            updates alike.
 
     Returns:
         TransportPlan whose plan is nonnegative with marginals matched to
-        within tol in L1.
+        within tol in L1; rows and columns of zero mass are zero.
 
     Raises:
         ConvergenceError: the budget ran out; carries the last violation.
@@ -93,30 +108,61 @@ def solve_entropic_ot(problem: OtProblem, tol: float = 1e-6,
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     eps = problem.epsilon
+    cost, a, b = problem.cost, problem.row_marginal, problem.col_marginal
+    transposed = cost.shape[0] > cost.shape[1]
+    if transposed:
+        cost, a, b = cost.T, b, a
+    # zero-mass points of the small side get zero plan rows, outside the system
+    live = a > 0
+    cost, a_live = cost[live], a[live]
+    log_a = np.log(a_live)
     with np.errstate(divide="ignore"):
-        log_row = np.log(problem.row_marginal)
-        log_col = np.log(problem.col_marginal)
+        log_b = np.log(b)
 
-    f = np.zeros(problem.cost.shape[0])
-    violation = np.inf
-    for it in range(1, max_iters + 1):
-        # given f, this g matches every column marginal exactly
-        g = -eps * log_sum_exp(log_row[:, None] + (f[:, None] - problem.cost) / eps, axis=0)
-        # the f that would match the rows; the gap to the current f is the
-        # row violation of the plan induced by (f, g)
-        f_next = -eps * log_sum_exp(log_col[None, :] + (g[None, :] - problem.cost) / eps, axis=1)
-        row_mass = problem.row_marginal * np.exp((f - f_next) / eps)
-        violation = float(np.sum(np.abs(row_mass - problem.row_marginal)))
-        if violation <= tol:
-            plan = _materialize(problem, f, g, log_row, log_col)
-            return TransportPlan(plan, it, violation)
-        f = f_next
-    raise ConvergenceError(
-        f"entropic OT did not reach violation {tol} in {max_iters} iterations "
-        f"(last violation {violation:.3e})",
-        violation,
-        max_iters,
-    )
+    def evaluate(f):
+        # softmax over the small side, column by column: the large side's
+        # soft-min potential given f matches every column marginal
+        logits = log_a[:, None] + (f[:, None] - cost) / eps
+        log_soft = logits - log_sum_exp(logits, axis=0)
+        soft = np.exp(log_soft)
+        plan = soft * b
+        return log_soft, soft, plan, float(np.sum(np.abs(plan.sum(axis=1) - a_live)))
+
+    def alternate(f, log_soft):
+        # the f that matches every row against the current large-side potential
+        return f + eps * (log_a - log_sum_exp(log_soft + log_b, axis=1))
+
+    f = alternate(np.zeros(a_live.size), evaluate(np.zeros(a_live.size))[0])
+    log_soft, soft, plan, violation = evaluate(f)
+    mu = 1.0
+    it = 1
+    while violation > tol and it < max_iters:
+        it += 1
+        row_mass = plan.sum(axis=1)
+        # the semi-dual Hessian (diag(P1) - P diag(1/b) P^T) / eps, damped;
+        # P diag(1/b) is the softmax, so a zero-mass column adds nothing.
+        # a a^T pins the constant direction, along which the plan is fixed
+        hessian = ((np.diag(row_mass + mu * a_live) - plan @ soft.T) / eps
+                   + np.outer(a_live, a_live))
+        step = f + np.linalg.solve(hessian, a_live - row_mass)
+        trial = evaluate(step)
+        if trial[3] < violation:
+            f, (log_soft, soft, plan, violation) = step, trial
+            mu = max(mu / DAMPING_FACTOR, DAMPING_MIN)
+        else:
+            f = alternate(f, log_soft)
+            log_soft, soft, plan, violation = evaluate(f)
+            mu *= DAMPING_FACTOR
+    if violation > tol:
+        raise ConvergenceError(
+            f"entropic OT did not reach violation {tol} in {max_iters} iterations "
+            f"(last violation {violation:.3e})",
+            violation,
+            max_iters,
+        )
+    full = np.zeros((a.size, b.size))
+    full[live] = plan
+    return TransportPlan(full.T if transposed else full, it, violation)
 
 
 def build_cost_matrix(supports: np.ndarray, base_prototypes: list[np.ndarray],

@@ -677,6 +677,41 @@ class TestRowBlocks:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_blocks_without_dead_atoms_match_the_masked_score_range(self, monkeypatch):
+        # rows 0-99 have -inf atoms; rows 100-199 have none, among them a
+        # flat row and the row at the upper box edge. As one block every
+        # row takes the masked score max/min; in blocks of 10 rows the
+        # blocks without a dead atom take the plain one, with the same bytes
+        logw, scores = mixed_batch(200)
+        rng = np.random.default_rng(353)
+        logw[100:-1] = np.log(rng.dirichlet(np.ones(16), size=99))
+        scores[150] = 2.0
+        lam0 = np.exp(rng.uniform(-6.0, 6.0, 200))
+        all_live = []
+        solve_block = dro._solve_block
+
+        def recording(logq, f, live, lam_init, cfg, out, block):
+            all_live.append(bool(live[block].all()))
+            return solve_block(logq, f, live, lam_init, cfg, out, block)
+
+        def solve_all(cells):
+            monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
+            all_live.clear()
+            return [solve_dual_batch(logw, scores, DroConfig(newton_iters=iters), lam)
+                    for iters in (1, 8) for lam in (None, lam0)]
+
+        monkeypatch.setattr(dro, "WORKERS", 1)
+        monkeypatch.setattr(dro, "_solve_block", recording)
+        reference = solve_all(200 * 16)
+        assert all_live == [False] * 4
+        runs = solve_all(10 * 16)
+        assert all_live == ([False] * 10 + [True] * 10) * 4
+        assert reference[0].degenerate[150] and reference[0].boundary[-1] == BOUNDARY_MAX
+        for want, got in zip(reference, runs):
+            for name in FIELDS:
+                a, b = getattr(want, name), getattr(got, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_one_row_starts_no_thread(self, monkeypatch):
         def no_threads(*args, **kwargs):
             raise RuntimeError("thread started")

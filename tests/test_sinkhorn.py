@@ -127,6 +127,58 @@ class TestSolveEntropicOt:
         assert np.all(result.plan[0] == 0.0)
         assert np.sum(np.abs(result.plan.sum(axis=0) - b)) <= 1e-6
 
+    def test_tall_problem_and_its_transpose(self):
+        # the solver's variables are the potentials of the smaller side,
+        # whichever way round the problem comes
+        rng = np.random.default_rng(17)
+        cost = rng.uniform(0.0, 4.0, size=(40, 6))
+        a = rng.uniform(0.1, 1.0, size=40)
+        b = rng.uniform(0.1, 1.0, size=6)
+        tall = OtProblem(cost, a / a.sum(), b / b.sum(), 0.3)
+        wide = OtProblem(cost.T, b / b.sum(), a / a.sum(), 0.3)
+        plans = [solve_entropic_ot(p, tol=1e-9).plan for p in (tall, wide)]
+        for plan, p in zip(plans, (tall, wide)):
+            assert np.all(plan >= 0)
+            assert np.sum(np.abs(plan.sum(axis=1) - p.row_marginal)) <= 1e-9
+            assert np.sum(np.abs(plan.sum(axis=0) - p.col_marginal)) <= 1e-9
+        np.testing.assert_allclose(plans[1], plans[0].T, rtol=0.0, atol=1e-15)
+
+    def test_support_far_beyond_every_source(self):
+        # cost / eps exceeds 700 from every source to the last support, so
+        # its kernel column underflows to 0 at equal potentials
+        rng = np.random.default_rng(23)
+        sources = rng.normal(size=(300, 2))
+        supports = np.vstack([rng.normal(size=(4, 2)), [[20.0, 0.0]]])
+        cost = np.sum((sources[:, None, :] - supports[None, :, :]) ** 2, axis=2)
+        eps = 0.2
+        assert cost[:, -1].min() / eps > 700
+        problem = OtProblem(cost, np.full(300, 1 / 300), np.full(5, 0.2), eps)
+        plan = solve_entropic_ot(problem).plan
+        assert np.all(plan >= 0)
+        assert np.sum(np.abs(plan.sum(axis=1) - problem.row_marginal)) <= 1e-6
+        assert np.sum(np.abs(plan.sum(axis=0) - problem.col_marginal)) <= 1e-6
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_zero_mass_points_get_zero_plan_entries(self, transpose):
+        rng = np.random.default_rng(29)
+        cost = rng.uniform(0.0, 3.0, size=(5, 30))
+        small = rng.uniform(0.1, 1.0, size=5)
+        small[[1, 3]] = 0.0
+        large = rng.uniform(0.1, 1.0, size=30)
+        large[[0, 7]] = 0.0
+        small, large = small / small.sum(), large / large.sum()
+        if transpose:
+            problem = OtProblem(cost.T, large, small, 0.2)
+        else:
+            problem = OtProblem(cost, small, large, 0.2)
+        plan = solve_entropic_ot(problem).plan
+        assert np.all(plan >= 0)
+        assert np.sum(np.abs(plan.sum(axis=1) - problem.row_marginal)) <= 1e-6
+        assert np.sum(np.abs(plan.sum(axis=0) - problem.col_marginal)) <= 1e-6
+        by_small_side = plan.T if transpose else plan
+        assert np.all(by_small_side[[1, 3]] == 0.0)
+        assert np.all(by_small_side[:, [0, 7]] == 0.0)
+
 
 def softmin_cost(query, prototypes, eps_sample):
     """The cost of one point against one prototype set: a 1x1 cost matrix."""

@@ -10,9 +10,10 @@ from protodro.config import (
     ExperimentConfig,
     GeneratorConfig,
     config_hash,
+    preset,
 )
 from protodro.dro import DroConfig
-from protodro.models import TrainConfig
+from protodro.models import TrainConfig, barycentric_transport
 from protodro.priors import PriorConfig
 from protodro.synthgen import ShiftSpec
 
@@ -33,6 +34,38 @@ def tiny_config(task="classification", methods=("pgdro", "ot", "erm"),
         seeds=seeds,
         levels=levels,
     )
+
+
+SMALL_GENERATOR = GeneratorConfig(n_train=600, n_test=300)
+
+
+class TestEntropicOtCells:
+    """Cells whose entropic OT ran out of alternating updates: 1,000 in
+    Phase I, 20,000 in the barycentric map of the `ot` baseline."""
+
+    @pytest.mark.parametrize("name, level, seed", [
+        ("paper-classification", 4.0, 1),
+        ("paper-classification", 5.0, 1),
+        ("paper-regression", 0.0, 0),
+        ("paper-regression", 1.0, 0),
+    ])
+    def test_phase1_priors_build(self, name, level, seed):
+        cfg = preset(name)
+        priors = sweeps.build_adapted_priors(sweeps.make_pair(cfg, level, seed), cfg.prior)
+        for prior in priors:
+            assert np.all(np.isfinite(prior.weights))
+            assert prior.weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("cfg, level, seed", [
+        (preset("paper-classification"), 3.0, 22),
+        (ExperimentConfig(generator=SMALL_GENERATOR), 3.0, 1),
+        (ExperimentConfig(task="regression", generator=SMALL_GENERATOR), 2.0, 1),
+    ], ids=["paper-classification", "small-classification", "small-regression"])
+    def test_barycentric_transport_is_finite(self, cfg, level, seed):
+        pair = sweeps.make_pair(cfg, level, seed)
+        moved = barycentric_transport(pair.source, pair.target_train_supports)
+        assert moved.shape == pair.source.features.shape
+        assert np.all(np.isfinite(moved))
 
 
 class TestTable1Sweep:
