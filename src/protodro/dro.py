@@ -7,18 +7,38 @@ inner problem reduces to minimizing
     phi(lam) = lam * rho + lam * eps * log E_{y ~ q} exp(f(y) / (lam * eps))
 
 over lam >= 0, which is convex with derivatives available in closed form
-from softmax moments of the atom scores. Every row runs one loop of
-Newton steps safeguarded by a sign bracket on phi'. A cold row starts at
-LAMBDA_INIT with its bracket open, probes by factors of 10 toward the
-root until phi' changes sign, and then starts Newton at the bracket's
-geometric midpoint. A warm row (a per-row starting multiplier, such as a
-rescaled solution of an earlier solve) runs Newton from its start and
-probes by a factor of 10 only when a Newton step fails toward a side of
-its bracket that is still open. A step that leaves a closed bracket, or
-fails to shrink, bisects it in log space. A row whose probes reach the
-box edge is a boundary row. A converged row keeps phi and the posterior
-of the evaluation that converged it, so an exact warm start costs one
-evaluation.
+from softmax moments of the atom scores. solve_dual_batch solves each row
+by safeguarded steps on phi' inside a sign bracket, with one of two
+evaluators, chosen by the form of its scores:
+
+* Per-row scores ((A,) shared or (n, A)): the harnesses, the benchmark's
+  harness check and tools/dual_identity.py. _phi_terms gives phi, phi',
+  phi'' and the posterior, and _newton_bisect takes Newton steps. A cold
+  row starts at LAMBDA_INIT with its bracket open, probes by factors of
+  10 toward the root until phi' changes sign, and then starts Newton at
+  the bracket's geometric midpoint. A warm row (a per-row starting
+  multiplier, such as a rescaled solution of an earlier solve) runs
+  Newton from its start and probes by a factor of 10 only when a Newton
+  step fails toward a side of its bracket that is still open. A step
+  that leaves a closed bracket, or fails to shrink, bisects it in log
+  space. This path keeps its bytes until the harness check copes with
+  last-bit changes; then the harnesses move to the table path and this
+  one goes (ROADMAP).
+* A (K, A) score table with a row -> class index (row_class): the rows
+  models solves, warm in training and cold in predict. Each row's scores
+  are one of K class rows, so _table_terms builds no per-row score copy:
+  per run of rows of one class it takes one exp and the three raw
+  moments against the class's centered scores, their squares and cubes,
+  which gives phi''' as well. _halley_bisect takes the Halley step, then
+  Newton from either bracket end, then log-bisection or a probe; a step
+  is trusted only where phi'' changes little over it, and a step that
+  did not halve |phi'| sends the row to bisection or a probe.
+
+On both paths a row whose probes reach the box edge is a boundary row,
+and a converged row keeps phi and the posterior of the evaluation that
+converged it, so an exact warm start costs one evaluation. Rows still
+unconverged at the cap are flagged; check_converged turns them into a
+DualConvergenceError, which models raises rather than use such a row.
 
 Everything here is written over batches of tilted weight rows: one tilt
 (ClassTilts, with gibbs_tilt_batch its one-prior case), one solver
@@ -62,6 +82,9 @@ BOUNDARY_MAX = 1
 WORKERS = len(os.sched_getaffinity(0))
 MIN_BLOCK = 64
 BLOCK_CELLS = 1 << 20
+# a Halley or Newton step on the table path is trusted where the bend
+# |phi' phi'''| / phi''^2 at its base is at most BEND_MAX
+BEND_MAX = 4.0
 
 
 @dataclass
@@ -136,6 +159,17 @@ class ClassTilts:
         tilts -= self.log_norm[idx][:, :, None]
         return tilts
 
+    def class_major(self, idx) -> np.ndarray:
+        """(C, n, A) normalized tilts of the query rows idx selects.
+
+        The same operations as tilts[idx], built in class-major order, so
+        class_major(idx)[c] equals tilts[idx][:, c] bit for bit and each
+        class's rows are one contiguous run.
+        """
+        tilts = self.atom_log_weights[:, None] - self.scaled_sq[idx][None]
+        tilts -= self.log_norm[idx].T[:, :, None]
+        return tilts
+
 
 def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -> np.ndarray:
     """Normalized tilt log-weights for many query points at once: (n, A).
@@ -175,7 +209,8 @@ def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
                      cfg: DroConfig,
-                     lam_init: np.ndarray | None = None) -> BatchDualResult:
+                     lam_init: np.ndarray | None = None, *,
+                     row_class: np.ndarray | None = None) -> BatchDualResult:
     """Minimize phi row-by-row over [LAMBDA_MIN, LAMBDA_MAX].
 
     The rows run on k = max(1, min(WORKERS, n // MIN_BLOCK)) threads (numpy
@@ -189,16 +224,28 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     validated before any block starts; an exception raised in a block is
     raised here once every thread has stopped.
 
+    The two evaluators (module docstring) give the same minimizer to the
+    tolerance, not the same bits: per-row scores take Newton steps over
+    _phi_terms, and a score table with row_class takes safeguarded Halley
+    steps over _table_terms. Both count every evaluation that is not a
+    probe against cfg.newton_iters.
+
     Args:
         tilt_log_weights: (n, A) normalized log weights, each finite or -inf.
-        scores: (A,) shared scores or (n, A) per-row scores.
+        scores: (A,) shared scores or (n, A) per-row scores; with row_class,
+            a (K, A) table of class scores.
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
         lam_init: optional (n,) per-row starting multipliers. Each row runs
-            Newton from its start, clipped to the box; a start that is NaN
-            or not positive means LAMBDA_INIT. Without lam_init every row
-            starts cold: it probes from LAMBDA_INIT until its bracket closes
-            and runs Newton from the bracket's midpoint. Either way the
-            minimizer is the same, to the tolerance.
+            its steps from its start, clipped to the box; a start that is
+            NaN or not positive means LAMBDA_INIT. Without lam_init every
+            row starts cold: with per-row scores it probes from LAMBDA_INIT
+            until its bracket closes and runs Newton from the bracket's
+            midpoint; with a table it starts at LAMBDA_INIT like a warm row.
+            Either way the minimizer is the same, to the tolerance.
+        row_class: keyword-only (n,) integer index of each row's class in
+            the score table. Rows of one class run fastest in contiguous
+            runs (models lays them out class-major), and each row gets the
+            same bytes in any order.
 
     Returns:
         BatchDualResult with one solution per row. Rows whose weighted
@@ -213,9 +260,16 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         raise ValueError("tilt_log_weights must be finite or -inf")
     n, n_atoms = logq.shape
     f = np.asarray(scores, dtype=float)
-    if f.ndim == 1:
+    if row_class is not None:
+        row_class = np.asarray(row_class)
+        if f.ndim != 2 or f.shape[1] != n_atoms:
+            raise ValueError("with row_class, scores must be a (K, A) table")
+        if (row_class.shape != (n,) or not np.issubdtype(row_class.dtype, np.integer)
+                or np.any(row_class < 0) or np.any(row_class >= f.shape[0])):
+            raise ValueError("row_class must be (n,) indices into the score table")
+    elif f.ndim == 1:
         f = np.broadcast_to(f[None, :], (n, n_atoms))
-    if f.shape != (n, n_atoms):
+    if row_class is None and f.shape != (n, n_atoms):
         raise ValueError("scores must be (A,) or (n, A)")
     if not np.all(np.isfinite(f)):
         raise ValueError("scores must be finite")
@@ -235,9 +289,18 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         degenerate=np.empty(n, dtype=bool),
         boundary=np.full(n, BOUNDARY_NONE, dtype=np.int8),
     )
+    if row_class is None:
+        def solve(block):
+            _solve_block(logq, f, live, lam0, cfg, out, block)
+    else:
+        table = _ScoreTable.build(f)
+
+        def solve(block):
+            _solve_table_block(logq, table, row_class, live, lam0, cfg, out, block)
+
     k = max(1, min(WORKERS, n // MIN_BLOCK))
     if k == 1 and n * n_atoms <= BLOCK_CELLS:
-        _solve_block(logq, f, live, lam0, cfg, out, slice(None))
+        solve(slice(None))
         return out
     m = max(k, -(-(n * n_atoms) // BLOCK_CELLS))
     ends = [n * i // m for i in range(m + 1)]
@@ -245,7 +308,7 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
 
     def solve_blocks(t):
         for block in blocks[t::k]:
-            _solve_block(logq, f, live, lam0, cfg, out, block)
+            solve(block)
 
     _on_threads(solve_blocks, k)
     return out
@@ -288,24 +351,32 @@ def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
     else:
         f_hi = np.where(live, f, -np.inf).max(axis=1)
         f_lo = np.where(live, f, np.inf).min(axis=1)
+    solve_rows = _settle_flat_rows(logq, f_hi, f_lo, out, block)
+    lam0 = None if lam_init is None else lam_init[block][solve_rows]
+    (out.value[block][solve_rows], out.lambda_star[block][solve_rows],
+     out.iterations[block][solve_rows], out.converged[block][solve_rows],
+     out.boundary[block][solve_rows]) = _newton_bisect(
+        _take(logq, solve_rows), _take(f, solve_rows), cfg, lam0,
+        out.posterior[block], solve_rows)
+
+
+def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,
+                      out: BatchDualResult, block: slice) -> np.ndarray:
+    """Settle the rows of `block` whose live scores span [f_lo, f_hi] within
+    the flat tolerance, and return the indices of the others in the block.
+
+    A flat row is degenerate: its value is f_hi, at lambda = 0, with the
+    tilt itself as posterior.
+    """
     mag = np.maximum(1.0, np.maximum(np.abs(f_hi), np.abs(f_lo)))
     degenerate = out.degenerate[block]
     np.less_equal(f_hi - f_lo, FLAT_TOL * mag, out=degenerate)
-    value, lam_star, posterior = (out.value[block], out.lambda_star[block],
-                                  out.posterior[block])
-    converged = out.converged[block]
     if degenerate.any():
-        value[degenerate] = f_hi[degenerate]
-        lam_star[degenerate] = 0.0
-        converged[degenerate] = True
-        posterior[degenerate] = np.exp(logq[degenerate])
-
-    solve_rows = np.flatnonzero(~degenerate)
-    lam0 = None if lam_init is None else lam_init[block][solve_rows]
-    (value[solve_rows], lam_star[solve_rows], out.iterations[block][solve_rows],
-     converged[solve_rows], out.boundary[block][solve_rows]) = _newton_bisect(
-        _take(logq, solve_rows), _take(f, solve_rows), cfg, lam0,
-        posterior, solve_rows)
+        out.value[block][degenerate] = f_hi[degenerate]
+        out.lambda_star[block][degenerate] = 0.0
+        out.converged[block][degenerate] = True
+        out.posterior[block][degenerate] = np.exp(logq[degenerate])
+    return np.flatnonzero(~degenerate)
 
 
 def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
@@ -395,5 +466,253 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
     if rows.size:
         phi[rows], d, _, posterior[dest[rows]] = _phi_terms(
             _take(logq, rows), _take(f, rows), lam[rows], cfg)
+        converged[rows] = np.abs(d) <= cfg.grad_tol
+    return phi, lam, iterations, converged, bound
+
+
+@dataclass
+class _ScoreTable:
+    """A (K, A) class score table, centered for the table evaluator.
+
+    Each class row is shifted by the midpoint of its range: the dual is
+    shift-equivariant (phi of f - c is phi of f minus c, with the same
+    lambda*), and centered scores keep the raw moments' differences, the
+    variance and the third central moment, free of cancellation. scores is
+    the table itself, s, s2 and s3 the centered scores and their squares
+    and cubes, and hi and lo each class's score range.
+    """
+
+    scores: np.ndarray
+    center: np.ndarray
+    s: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+
+    @classmethod
+    def build(cls, table: np.ndarray) -> "_ScoreTable":
+        hi, lo = table.max(axis=1), table.min(axis=1)
+        center = 0.5 * (hi + lo)
+        s = table - center[:, None]
+        s2 = s * s
+        return cls(table, center, s, s2, s2 * s, hi, lo)
+
+
+class DualConvergenceError(RuntimeError):
+    """Dual rows that ended unconverged at the Newton cap."""
+
+
+def check_converged(result: BatchDualResult, tilt_log_weights: np.ndarray,
+                    table: np.ndarray, row_class: np.ndarray,
+                    cfg: DroConfig) -> None:
+    """Raise DualConvergenceError if any row of a table solve is unconverged.
+
+    The message gives the count, the largest |phi'| left and its lambda,
+    and the cap, so a failed cell says how far its worst row was from the
+    tolerance.
+    """
+    bad = np.flatnonzero(~result.converged)
+    if not bad.size:
+        return
+    lam = result.lambda_star[bad]
+    _, dphi, _, _, _, _ = _table_terms(
+        np.asarray(tilt_log_weights)[bad], _ScoreTable.build(np.asarray(table, dtype=float)),
+        np.asarray(row_class)[bad], lam, cfg)
+    worst = int(np.argmax(np.abs(dphi)))
+    raise DualConvergenceError(
+        f"{bad.size} of {result.converged.size} dual rows unconverged after "
+        f"{cfg.newton_iters} steps: worst |phi'| {abs(dphi[worst]):.3g} at "
+        f"lambda {lam[worst]:.6g} (tolerance {cfg.grad_tol:.3g})")
+
+
+def _class_runs(cls: np.ndarray):
+    """(start, stop, class) of each run of equal entries of cls."""
+    cuts = np.flatnonzero(cls[1:] != cls[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.concatenate((cuts, [cls.size]))
+    return zip(starts.tolist(), stops.tolist(), cls[starts].tolist())
+
+
+def _table_terms(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
+                 lam: np.ndarray, cfg: DroConfig):
+    """phi, phi', phi'', phi''' and the posterior at each row's lambda.
+
+    Row i scores with class row cls[i] of the table. Per run of rows of one
+    class: a = (1/(lam eps)) s_k + log q in one (rows, A) work array, one
+    exp to e = exp(a - max a), and the three raw moments of the centered
+    scores by einsum of e against s_k, s_k^2 and s_k^3, over z = sum e.
+    The posterior is e / z; it is returned as e and z, and the solver
+    divides only the rows it keeps. Every step is elementwise or a
+    reduction along one row, so each row's terms depend on that row alone,
+    bit for bit, whatever rows share the call (a BLAS product would not
+    be: its bits follow the length of the run).
+    """
+    n = logq.shape[0]
+    inv = 1.0 / (lam * cfg.epsilon)
+    e = np.empty(logq.shape)
+    runs = list(_class_runs(cls))
+    for a, b, k in runs:
+        np.multiply(inv[a:b, None], table.s[k], out=e[a:b])
+    e += logq
+    m = e.max(axis=1)
+    e -= m[:, None]
+    np.exp(e, out=e)
+    z = e.sum(axis=1)
+    log_z = np.log(z) + m
+    mean, second, third = np.empty((3, n))
+    for a, b, k in runs:
+        mean[a:b] = np.einsum("na,a->n", e[a:b], table.s[k])
+        second[a:b] = np.einsum("na,a->n", e[a:b], table.s2[k])
+        third[a:b] = np.einsum("na,a->n", e[a:b], table.s3[k])
+    mean /= z
+    second /= z
+    third /= z
+    var = np.maximum(second - mean**2, 0.0)
+    kappa3 = third - mean * (3.0 * second - 2.0 * mean**2)
+    phi = lam * (cfg.rho + cfg.epsilon * log_z) + table.center[cls]
+    dphi = cfg.rho + cfg.epsilon * log_z - mean / lam
+    d2phi = var / (lam**3 * cfg.epsilon)
+    d3phi = -(kappa3 * inv + 3.0 * var) / (lam**4 * cfg.epsilon)
+    return phi, dphi, d2phi, d3phi, e, z
+
+
+def _solve_table_block(logq: np.ndarray, table: _ScoreTable, row_class: np.ndarray,
+                       live: np.ndarray, lam_init: np.ndarray | None,
+                       cfg: DroConfig, out: BatchDualResult, block: slice) -> None:
+    """Solve rows `block` of a table batch into the same rows of `out`."""
+    logq, cls, live = logq[block], row_class[block], live[block]
+    if live.all():
+        f_hi, f_lo = table.hi[cls], table.lo[cls]
+    else:
+        f = table.scores[cls]
+        f_hi = np.where(live, f, -np.inf).max(axis=1)
+        f_lo = np.where(live, f, np.inf).min(axis=1)
+    solve_rows = _settle_flat_rows(logq, f_hi, f_lo, out, block)
+    lam0 = None if lam_init is None else lam_init[block][solve_rows]
+    (out.value[block][solve_rows], out.lambda_star[block][solve_rows],
+     out.iterations[block][solve_rows], out.converged[block][solve_rows],
+     out.boundary[block][solve_rows]) = _halley_bisect(
+        _take(logq, solve_rows), table, cls[solve_rows], cfg, lam0,
+        out.posterior[block], solve_rows)
+
+
+def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
+                   cfg: DroConfig, lam0: np.ndarray | None,
+                   posterior: np.ndarray, dest: np.ndarray):
+    """Safeguarded Halley on phi' for table rows with spread scores.
+
+    Every row starts at its clipped lam0 (LAMBDA_INIT where lam0 is None or
+    not a positive number) and each evaluation narrows its sign bracket on
+    phi' (the box edge stands in for an end not yet known), keeping phi',
+    phi'' and phi''' at both ends. The next lambda is the first of these
+    that is trusted and lands strictly inside the bracket:
+
+      1. the Halley step -2 phi' phi'' / (2 phi''^2 - phi' phi''') from the
+         current lambda;
+      2. the Newton step -phi' / phi'' from it;
+      3. the Newton step from the other end of a closed bracket: where
+         phi' bends away from the current side, steps from there overshoot
+         the root, while steps from the other end approach it;
+      4. log-bisection of a closed bracket, or a probe by a factor of 10
+         toward an open end.
+
+    A step is trusted where the bend |phi' phi'''| / phi''^2 at its base
+    is at most BEND_MAX (Halley also needs 2 phi''^2 > phi' phi''', or it
+    points the wrong way): the bend is how much phi'' changes over a
+    Newton step, and beyond it the local model says nothing about the
+    root. Such rows sit on a cliff of phi', where the tilt's mass jumps
+    between atoms within a few percent of lambda; only bisection finds the
+    cliff. A step that did not halve |phi'| from its base's value sends
+    the row straight to 4: Halley creeps from an open end, and a step from
+    a far end next to a cliff gains nothing.
+
+    Probes count neither in `iterations` nor against cfg.newton_iters, so
+    a row evaluated on a box edge with phi' pointing beyond it is a
+    boundary row whatever the cap. A converged row keeps phi and the
+    posterior of the evaluation that converged it; rows still active at
+    the cap are evaluated once more after the loop. Row i's posterior is
+    written to posterior[dest[i]].
+    """
+    n = logq.shape[0]
+    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+    # (phi', phi'', phi''') at each bracket end
+    at_lo, at_hi = np.full((3, n), np.nan), np.full((3, n), np.nan)
+    bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
+    if lam0 is None:
+        lam = np.full(n, LAMBDA_INIT)
+    else:
+        lam = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
+                      LAMBDA_MIN, LAMBDA_MAX)
+    # |phi'| at the base of the row's last step; inf after a bisection or probe
+    d_base = np.full(n, np.inf)
+    probe = np.zeros(n, dtype=bool)  # the row's next lambda is a bracket probe
+    phi = np.empty(n)
+    iterations = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    while True:
+        rows = np.flatnonzero(active & (probe | (iterations < cfg.newton_iters)))
+        if not rows.size:
+            break
+        iterations[rows] += ~probe[rows]
+        at = lam[rows]
+        p, d, dd, ddd, e, z = _table_terms(_take(logq, rows), table, cls[rows], at, cfg)
+        done = np.abs(d) <= cfg.grad_tol
+        # a row on a box edge with phi' pointing beyond it is a boundary row
+        edge = ~done & (at == np.where(d >= 0, LAMBDA_MIN, LAMBDA_MAX))
+        bound[rows[edge]] = np.where(d[edge] >= 0, BOUNDARY_MIN, BOUNDARY_MAX)
+        done |= edge
+        if done.any():
+            phi[rows[done]] = p[done]
+            posterior[dest[rows[done]]] = e[done] / z[done, None]
+            active[rows[done]] = False
+            keep = ~done
+            rows, at, d, dd, ddd = rows[keep], at[keep], d[keep], dd[keep], ddd[keep]
+            if not rows.size:
+                continue
+        below = d < 0
+        terms = np.stack([d, dd, ddd])
+        lo[rows] = lo_r = np.where(below, at, lo[rows])
+        hi[rows] = hi_r = np.where(below, hi[rows], at)
+        at_lo[:, rows] = np.where(below, terms, at_lo[:, rows])
+        at_hi[:, rows] = np.where(below, at_hi[:, rows], terms)
+        far = np.where(below, hi_r, lo_r)
+        d_far, dd_far, ddd_far = np.where(below, at_hi[:, rows], at_lo[:, rows])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bend = d * ddd / (dd * dd)
+            halley = np.where((np.abs(bend) <= BEND_MAX) & (bend < 2.0),
+                              at - 2.0 * d * dd / (2.0 * dd * dd - d * ddd), np.nan)
+            newton = np.where(np.abs(bend) <= BEND_MAX, at - d / dd, np.nan)
+            other = np.where(np.abs(d_far * ddd_far) <= BEND_MAX * dd_far * dd_far,
+                             far - d_far / dd_far, np.nan)
+            # a row whose last step did not halve |phi'| falls back to 4
+            free = np.abs(d) <= 0.5 * d_base[rows]
+        open_lo, open_hi = np.isnan(lo_r), np.isnan(hi_r)
+        box_lo, box_hi = np.fmax(lo_r, LAMBDA_MIN), np.fmin(hi_r, LAMBDA_MAX)
+
+        def inside(x):
+            with np.errstate(invalid="ignore"):
+                return free & (x > box_lo) & (x < box_hi)
+
+        take_h = inside(halley)
+        take_n = ~take_h & inside(newton)
+        take_o = ~take_h & ~take_n & ~open_lo & ~open_hi & inside(other)
+        stepped = take_h | take_n | take_o
+        nxt = np.select([take_h, take_n, take_o], [halley, newton, other],
+                        np.sqrt(box_lo * box_hi))
+        # no trusted step and the root lies toward an open end: probe that way
+        probe[rows] = opened = ~stepped & np.where(below, open_hi, open_lo)
+        if opened.any():
+            nxt[opened] = np.where(below[opened], np.minimum(at[opened] * 10.0, LAMBDA_MAX),
+                                   np.maximum(at[opened] / 10.0, LAMBDA_MIN))
+        d_base[rows] = np.where(take_o, np.abs(d_far), np.where(stepped, np.abs(d), np.inf))
+        lam[rows] = nxt
+
+    converged = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(active)
+    if rows.size:
+        phi[rows], d, _, _, e, z = _table_terms(
+            _take(logq, rows), table, cls[rows], lam[rows], cfg)
+        posterior[dest[rows]] = e / z[:, None]
         converged[rows] = np.abs(d) <= cfg.grad_tol
     return phi, lam, iterations, converged, bound

@@ -4,7 +4,9 @@ One linear head type serves classification (C rows of weights) and
 regression (a single row). Training objectives:
 
   * robust classifier: softmax cross-entropy over per-class robust
-    scores, gradients chained through the dual envelope
+    scores, gradients chained through the dual envelope; each batch's
+    duals are laid out class-major, one contiguous run of rows per class,
+    and solved against the (C, A) class score table
   * robust regressor: Huber loss plus a tilted log-mean-exp penalty over
     the sample's class prior
   * baselines: `train_ce_head` and `train_huber_head` fit plain affine
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro import ClassTilts, DroConfig, gibbs_tilt_batch, solve_dual_batch
+from .dro import (ClassTilts, DroConfig, check_converged, gibbs_tilt_batch,
+                  solve_dual_batch)
 from .numkit import SeededRng, log_sum_exp, sq_distances
 from .priors import MixturePrior, SupportSet, shared_atoms
 from .sinkhorn import OtProblem, solve_entropic_ot
@@ -315,39 +318,45 @@ class MultiplierCache:
 
 
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
-                          atoms: np.ndarray, tilts: np.ndarray,
+                          atoms: np.ndarray, tilts: ClassTilts,
                           idx: np.ndarray, dro_cfg: DroConfig,
                           lam_cache: MultiplierCache | None = None):
     """Dual solves for every (sample, class) of a batch in one call.
 
-    atoms is the (A, d) array every class prior shares (shared_atoms).
-    tilts holds the normalized tilt log-weights of N rows toward each class
-    prior, a ClassTilts or any (N, C, A) array: tilts[idx] gives the (n, C,
-    A) tilts of the batch rows idx selects. lam_cache, when given, sets each
-    row's starting multiplier (see MultiplierCache) and records the solved
-    ones; without it every row is solved cold.
+    atoms is the (A, d) array every class prior shares (shared_atoms), and
+    tilts the ClassTilts of N rows toward each class prior. The dual rows
+    are laid out class-major: row c * n + i is sample idx[i] toward class
+    c, built by tilts.class_major(idx), so each class is one contiguous
+    run of rows that scores with one row of the (C, A) score table, which
+    the solver reads through its row -> class index. lam_cache, when
+    given, sets each row's starting multiplier (see MultiplierCache) and
+    records the solved ones; without it every row is solved cold.
 
-    Returns (values (n, C), posteriors (n, C, A)).
+    Raises dro.DualConvergenceError when a row ends unconverged at the cap.
+
+    Returns (values (n, C), posteriors (C, n, A)).
     """
     n = idx.size
     n_classes, n_atoms = weights.shape[0], atoms.shape[0]
     scores = np.einsum("ad,cd->ca", atoms, weights) + biases[:, None]
-    rows = tilts[idx].reshape(n * n_classes, n_atoms)
-    flat = np.broadcast_to(scores[None], (n, n_classes, n_atoms)).reshape(-1, n_atoms)
+    rows = tilts.class_major(idx).reshape(n_classes * n, n_atoms)
+    row_class = np.repeat(np.arange(n_classes), n)
     lam0 = spread = None
     if lam_cache is not None:
         spread = scores.std(axis=1)
-        lam0 = lam_cache.starts(idx, spread)
-    batch = solve_dual_batch(rows, flat, dro_cfg, lam_init=lam0)
+        lam0 = lam_cache.starts(idx, spread).reshape(n, n_classes).T.reshape(-1)
+    batch = solve_dual_batch(rows, scores, dro_cfg, lam_init=lam0, row_class=row_class)
+    check_converged(batch, rows, scores, row_class, dro_cfg)
+    lam_star = batch.lambda_star.reshape(n_classes, n).T
     if lam_cache is not None:
-        lam_cache.update(idx, batch.lambda_star.reshape(n, n_classes), spread)
-    values = batch.value.reshape(n, n_classes)
-    posteriors = batch.posterior.reshape(n, n_classes, n_atoms)
+        lam_cache.update(idx, lam_star, spread)
+    values = batch.value.reshape(n_classes, n).T
+    posteriors = batch.posterior.reshape(n_classes, n, n_atoms)
     return values, posteriors
 
 
 def robust_ce_objective_stacked(weights: np.ndarray, biases: np.ndarray,
-                                atoms: np.ndarray, tilts: np.ndarray,
+                                atoms: np.ndarray, tilts: ClassTilts,
                                 idx: np.ndarray, labels: np.ndarray,
                                 dro_cfg: DroConfig,
                                 lam_cache: MultiplierCache | None = None):
@@ -355,15 +364,15 @@ def robust_ce_objective_stacked(weights: np.ndarray, biases: np.ndarray,
 
     With the dual multiplier held at its optimum each robust score's
     parameter gradient is the posterior-weighted atom average, so the
-    chain rule folds softmax-minus-onehot into those averages. Solving all
-    classes of a batch in one dual call keeps the per-batch overhead flat
-    in the class count.
+    chain rule folds softmax-minus-onehot into those averages, class by
+    class over the class-major posteriors. Solving all classes of a batch
+    in one dual call keeps the per-batch overhead flat in the class count.
     """
     values, posteriors = robust_scores_stacked(
         weights, biases, atoms, tilts, idx, dro_cfg, lam_cache
     )
     loss, dv = _ce_batch(values, labels)
-    folded = np.einsum("nc,nca->ca", dv, posteriors)
+    folded = np.einsum("nc,cna->ca", dv, posteriors)
     grad_w = np.einsum("ca,ad->cd", folded, atoms)
     grad_b = dv.sum(axis=0)
     return loss, [grad_w, grad_b]
@@ -377,12 +386,13 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     base samples with the target supports. The Gibbs tilts are
     parameter-free, so their ClassTilts factors are computed once up front
     (one (N, A) distance array, not N * C * A tilts); each batch then builds
-    its own tilts from them, solves the per-sample duals with the current
-    atom scores and chains softmax-minus-onehot through the envelope
-    gradient. A MultiplierCache
-    keeps each (row, class) multiplier over its class's score spread, so a
-    row's next solve starts at that ratio times the class's spread then and
-    runs Newton from there, however the score scale has grown.
+    its own class-major tilts from them, solves the per-sample duals against
+    the current (C, A) atom score table and chains softmax-minus-onehot
+    through the envelope gradient. A MultiplierCache keeps each (row,
+    class) multiplier over its class's score spread, so a row's next solve
+    starts at that ratio times the class's spread then and runs the dual's
+    steps from there, however the score scale has grown. A dual row left
+    unconverged stops training with dro.DualConvergenceError.
     """
     x = np.asarray(data.features, dtype=float)
     y = np.asarray(data.labels)
@@ -421,7 +431,9 @@ class RobustClassifier:
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
         """(n, C) robust scores, solved _PREDICT_CHUNK rows at a time from
         one ClassTilts over every row, so a row's score never depends on
-        the chunk it lands in."""
+        the chunk it lands in. Each chunk's duals are solved cold, laid out
+        class-major as in training; a row left unconverged raises
+        dro.DualConvergenceError."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
         n = x.shape[0]
         atoms = shared_atoms(self.priors)

@@ -783,3 +783,193 @@ class TestRobustLogits:
 
                 fd = central_difference(slice_k, theta[k], h=1e-6)
                 assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def table_batch(rng, n=120, n_classes=4, n_atoms=24):
+    """A (K, A) class score table and n tilted rows with a row -> class index.
+
+    Classes have spread scores at different scales and offsets, and a class
+    whose table row is constant makes its rows degenerate. Some rows have
+    -inf weights; one row is degenerate through its weights alone (only
+    atoms of equal score are live); one sits at each end of the lambda box.
+    """
+    table = (10.0 ** rng.uniform(-1.0, 1.0, (n_classes, 1))
+             * rng.standard_normal((n_classes, n_atoms))
+             + rng.normal(0.0, 5.0, (n_classes, 1)))
+    table[n_classes - 1] = 1.5
+    table[0, :3] = table[0, 0]
+    row_class = rng.integers(0, n_classes - 1, n)
+    row_class[::17] = n_classes - 1
+    logw = np.vstack([random_instance(rng, n_atoms=n_atoms, with_holes=i % 3 == 0)[0]
+                      for i in range(n)])
+    # live atoms 0-2 only, which share one score in class 0
+    row_class[5] = 0
+    logw[5] = -np.inf
+    logw[5, :3] = np.log([0.2, 0.3, 0.5])
+    # most mass on the class's top atom: phi' > 0 down to LAMBDA_MIN
+    row_class[7] = 1
+    logw[7] = np.log(0.02 / (n_atoms - 1))
+    logw[7, np.argmax(table[1])] = np.log(0.98)
+    # the top atom far above the rest with little weight: lambda* > LAMBDA_MAX
+    table[2, 0] = table[2].max() + 1e6
+    row_class[9] = 2
+    logw[9] = uniform_logw(n_atoms)
+    return logw, table, row_class
+
+
+class TestClassTable:
+    """solve_dual_batch with a (K, A) score table and a row -> class index."""
+
+    CFG = DroConfig(rho=0.6, epsilon=0.8)
+
+    def test_agrees_with_the_dual_and_primal_oracles(self):
+        rng = np.random.default_rng(601)
+        logw, table, row_class = table_batch(rng)
+        cfg = self.CFG
+        lam_star = solve_dual_batch(logw, table[row_class], cfg).lambda_star
+        lam0 = lam_star * np.exp(rng.uniform(-3.0, 3.0, lam_star.size))
+        for start in (None, lam0):
+            res = solve_dual_batch(logw, table, cfg, start, row_class=row_class)
+            assert res.converged.all()
+            assert res.degenerate[5] and res.degenerate[row_class == 3].all()
+            assert res.degenerate.sum() == 1 + (row_class == 3).sum()
+            assert res.boundary[7] == BOUNDARY_MIN and res.boundary[9] == BOUNDARY_MAX
+            np.testing.assert_array_equal(res.value[res.degenerate],
+                                          table[row_class[res.degenerate], 0])
+            for i in np.flatnonzero(~res.degenerate):
+                f = table[row_class[i]]
+                if res.boundary[i] == BOUNDARY_NONE:
+                    value, beta = primal_worst_case_oracle(logw[i], f, cfg.rho, cfg.epsilon)
+                    scale = 1.0 + np.abs(f).max()
+                    assert res.value[i] == pytest.approx(value, rel=1e-12, abs=1e-12 * scale)
+                    assert res.lambda_star[i] == pytest.approx(1.0 / (beta * cfg.epsilon),
+                                                               rel=1e-6)
+                assert res.value[i] == pytest.approx(
+                    dual_value_oracle(logw[i], f, res.lambda_star[i], cfg.rho, cfg.epsilon),
+                    rel=1e-12, abs=1e-12 * (1.0 + np.abs(f).max()))
+                np.testing.assert_allclose(res.posterior[i].sum(), 1.0, rtol=1e-12)
+            assert (res.posterior[logw == -np.inf] == 0).all()
+
+    def test_terms_match_finite_differences(self):
+        # phi' and phi'' of the oracle's value by central differences, and
+        # phi''' from phi'' of the table evaluator itself
+        rng = np.random.default_rng(607)
+        cfg = self.CFG
+        for _ in range(8):
+            logw, f = random_instance(rng, n_atoms=12, with_holes=True)
+            lam = float(np.exp(rng.uniform(-1.0, 1.0)))
+
+            def terms(at):
+                return dro._table_terms(logw[None], dro._ScoreTable.build(f[None]),
+                                        np.array([0]), np.array([at]), cfg)
+
+            phi, dphi, d2phi, d3phi = (t[0] for t in terms(lam)[:4])
+            assert phi == pytest.approx(dual_value_oracle(logw, f, lam, cfg.rho, cfg.epsilon),
+                                        rel=1e-12)
+
+            def value(at):
+                return dual_value_oracle(logw, f, at, cfg.rho, cfg.epsilon)
+
+            h = 1e-4 * lam
+            assert dphi == pytest.approx(central_difference(value, lam, h), rel=1e-6, abs=1e-9)
+            assert d3phi == pytest.approx(
+                central_difference(lambda at: terms(at)[2][0], lam, h), rel=1e-5, abs=1e-9)
+            assert d2phi > 0
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_each_row_has_its_own_bytes(self, monkeypatch, warm):
+        # every row gives the same bytes solved alone, inside the batch in
+        # class-major or shuffled order, with the classes of the table
+        # permuted, and on 1 or 2 threads over blocks of any size
+        rng = np.random.default_rng(613)
+        logw, table, row_class = table_batch(rng, n=200)
+        cfg = self.CFG
+        lam0 = None
+        if warm:
+            lam0 = np.exp(rng.uniform(-8.0, 4.0, 200))
+            lam0[::9] = np.nan
+
+        def starts(rows):
+            return None if lam0 is None else lam0[rows]
+
+        major = np.argsort(row_class, kind="stable")
+        reference = solve_dual_batch(logw[major], table, cfg, starts(major),
+                                     row_class=row_class[major])
+        perm = rng.permutation(table.shape[0])
+        inverse = np.argsort(perm)
+        shuffled = rng.permutation(200)
+        runs = []
+        for workers, cells in ((1, 1 << 20), (2, 1 << 20), (2, 24 * 30)):
+            monkeypatch.setattr(dro, "WORKERS", workers)
+            monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
+            runs.append((shuffled, solve_dual_batch(
+                logw[shuffled], table, cfg, starts(shuffled), row_class=row_class[shuffled])))
+            runs.append((major, solve_dual_batch(
+                logw[major], table[perm], cfg, starts(major),
+                row_class=inverse[row_class[major]])))
+        for i in (0, 5, 7, 9, 17, 100, 199):
+            alone = solve_dual_batch(logw[i:i + 1], table, cfg, starts(slice(i, i + 1)),
+                                     row_class=row_class[i:i + 1])
+            runs.append((np.array([i]), alone))
+        position = np.argsort(major)
+        for rows, res in runs:
+            for name in FIELDS:
+                want = getattr(reference, name)[position[rows]]
+                got = getattr(res, name)
+                assert want.dtype == got.dtype and want.tobytes() == got.tobytes(), name
+
+    @pytest.mark.parametrize("shape", ["open-start", "open-crawl", "next-to-probe"])
+    def test_crawl_shapes_converge_within_the_cap(self, shape):
+        # open-start: a first-epoch row started at LAMBDA_INIT, lambda* =
+        # 1.38e-4 at a cliff of phi' (the top atom carries e^-27 of the
+        # mass, the next 0.85); open-crawl: a warm row started at 1.25e-3
+        # below a cliff at 2.46e-3, where Halley moves up by a few percent
+        # per step while the upper end is open; next-to-probe: a cold row
+        # whose lambda* sits just below the probe point 0.1, which the
+        # Newton-and-bisection path takes to its cap of 16 to reach
+        cfg = DroConfig(rho=1.0, epsilon=1.0)
+        rng = np.random.default_rng(617)
+        if shape == "next-to-probe":
+            logw, f = random_instance(rng, n_atoms=16)
+            target, lam0 = 0.099997, None
+        else:
+            logw = np.full(16, np.log(0.15 / 14))
+            logw[:2] = -27.0, np.log(0.85)
+            f = rng.uniform(-1.0, -0.5, 16)
+            f[:2] = 1.0, 0.9
+            target, lam0 = {"open-start": (1.38e-4, np.array([np.nan])),
+                            "open-crawl": (2.46e-3, np.array([1.25e-3]))}[shape]
+        _, beta = primal_worst_case_oracle(logw, f, cfg.rho, cfg.epsilon)
+        f = f * target * beta * cfg.epsilon  # lambda* is homogeneous in the scores
+        value, beta = primal_worst_case_oracle(logw, f, cfg.rho, cfg.epsilon)
+        res = solve_dual_batch(logw[None], f[None], cfg, lam0, row_class=np.array([0]))
+        assert res.converged[0] and res.boundary[0] == BOUNDARY_NONE
+        assert res.iterations[0] <= 8
+        assert res.lambda_star[0] == pytest.approx(target, rel=1e-6)
+        assert res.value[0] == pytest.approx(value, rel=1e-12)
+
+    def test_rejects_a_bad_row_class(self):
+        logw = np.log(np.full((3, 4), 0.25))
+        table = np.arange(8.0).reshape(2, 4)
+        cfg = DroConfig()
+        for row_class in (np.array([0, 1]), np.array([0, 1, 2]), np.array([0, -1, 1]),
+                          np.array([0.0, 1.0, 1.0])):
+            with pytest.raises(ValueError):
+                solve_dual_batch(logw, table, cfg, row_class=row_class)
+        with pytest.raises(ValueError):
+            solve_dual_batch(logw, table[0], cfg, row_class=np.array([0, 0, 0]))
+        res = solve_dual_batch(logw, table, cfg, row_class=np.array([1, 0, 1]))
+        assert res.converged.all()
+
+    def test_unconverged_rows_raise_with_the_worst_row(self):
+        rng = np.random.default_rng(619)
+        logw, table, row_class = table_batch(rng, n=60)
+        cfg = DroConfig(rho=0.6, epsilon=0.8, newton_iters=1)
+        res = solve_dual_batch(logw, table, cfg, row_class=row_class)
+        assert not res.converged.all()
+        with pytest.raises(dro.DualConvergenceError,
+                           match=rf"{(~res.converged).sum()} of 60 dual rows unconverged "
+                                 r"after 1 steps: worst \|phi'\| .* at lambda"):
+            dro.check_converged(res, logw, table, row_class, cfg)
+        full = solve_dual_batch(logw, table, self.CFG, row_class=row_class)
+        dro.check_converged(full, logw, table, row_class, self.CFG)

@@ -31,7 +31,7 @@ from protodro.models import (
     train_pgdro_regressor,
     train_saa,
 )
-from protodro.dro import gibbs_tilt_batch
+from protodro.dro import ClassTilts, DualConvergenceError, gibbs_tilt_batch
 from protodro.numkit import SeededRng
 from protodro.priors import MixturePrior, PriorConfig, SupportSet, shared_atoms
 from protodro.synthgen import ShiftSpec
@@ -204,9 +204,7 @@ class TestObjectiveGradients:
         priors = blob_priors(data, atoms_per=10)
         dro_cfg = DroConfig(rho=0.5, epsilon=1.0)
         atoms = shared_atoms(priors)
-        tilts = np.stack(
-            [gibbs_tilt_batch(p, data.features, dro_cfg.epsilon) for p in priors], axis=1
-        )
+        tilts = ClassTilts.build(priors, data.features, dro_cfg.epsilon)
         idx = np.arange(data.features.shape[0])
         for trial in range(4):
             w = rng.standard_normal((2, 2)) * 0.3
@@ -424,22 +422,21 @@ class TestRobustClassifier:
         priors = blob_priors(data, atoms_per=12)
         dro_cfg = DroConfig(rho=0.5, epsilon=1.0)
         atoms = shared_atoms(priors)
-        tilts = np.stack(
-            [gibbs_tilt_batch(p, data.features, dro_cfg.epsilon) for p in priors], axis=1
-        )
+        tilts = ClassTilts.build(priors, data.features, dro_cfg.epsilon)
         idx = np.arange(data.features.shape[0])
         w, b = rng.standard_normal((2, 2)), rng.standard_normal(2)
         cache = models.MultiplierCache.empty(idx.size, 2)
         calls, evaluated = [], []
-        solve, phi_terms = models.solve_dual_batch, dro._phi_terms
+        solve, table_terms = models.solve_dual_batch, dro._table_terms
 
-        def recording(rows, f, cfg, lam_init=None):
-            calls.append((lam_init, solve(rows, f, cfg, lam_init=lam_init)))
+        def recording(rows, f, cfg, lam_init=None, *, row_class=None):
+            calls.append((lam_init, solve(rows, f, cfg, lam_init=lam_init,
+                                          row_class=row_class)))
             return calls[-1][1]
 
         def counting(logq, *args):
             evaluated.append(logq.shape[0])
-            return phi_terms(logq, *args)
+            return table_terms(logq, *args)
 
         monkeypatch.setattr(models, "solve_dual_batch", recording)
         models.robust_scores_stacked(w, b, atoms, tilts, idx, dro_cfg, cache)
@@ -447,7 +444,7 @@ class TestRobustClassifier:
         assert np.isnan(calls[0][0]).all()  # no multiplier yet: LAMBDA_INIT
         assert first.converged.all() and (first.boundary == BOUNDARY_NONE).all()
         assert not first.degenerate.any()
-        monkeypatch.setattr(dro, "_phi_terms", counting)
+        monkeypatch.setattr(dro, "_table_terms", counting)
         models.robust_scores_stacked(3.0 * w, 3.0 * b, atoms, tilts, idx, dro_cfg, cache)
         np.testing.assert_allclose(calls[1][0], 3.0 * first.lambda_star, rtol=1e-12)
         assert evaluated == [2 * idx.size]
@@ -527,6 +524,20 @@ class TestRobustClassifier:
         finally:
             tracemalloc.stop()
         assert peak < n * n_classes * atoms.shape[0] * 8
+
+    def test_unconverged_dual_rows_fail_training_and_predict(self):
+        # one step per row leaves dual rows unconverged: the fit and the
+        # robust predict stop with the dual's error instead of using them
+        # (the zero head of the first batch makes every row degenerate)
+        rng = np.random.default_rng(113)
+        data = two_blob_data(rng, n_per=10)
+        priors = blob_priors(data, atoms_per=8)
+        capped = DroConfig(newton_iters=1)
+        with pytest.raises(DualConvergenceError, match="unconverged after 1 steps"):
+            train_pgdro_classifier(data, priors, TrainConfig(epochs=2), capped)
+        head = train_pgdro_classifier(data, priors, TrainConfig(epochs=1), DroConfig()).head
+        with pytest.raises(DualConvergenceError, match="unconverged after 1 steps"):
+            RobustClassifier(head, priors, capped).predict(data.features)
 
     def test_prediction_chunks_give_the_same_bytes(self, monkeypatch):
         # each row's score is its own, whatever chunk it is solved in: 640
