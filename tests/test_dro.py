@@ -161,10 +161,15 @@ class TestClassTilts:
         rng = np.random.default_rng(17)
         priors, x = self.priors_and_queries(rng, zero_weight)
         idx = rng.permutation(40)[:17] if rows == "unsorted" else np.arange(40)
-        got = ClassTilts.build(priors, x, 0.7)[idx]
+        tilts = ClassTilts.build(priors, x, 0.7)
+        got = tilts[idx]
         want = np.stack([gibbs_tilt_batch(p, x[idx], 0.7) for p in priors], axis=1)
         assert got.shape == (idx.size, 3, 24)
         assert got.tobytes() == want.tobytes()
+        # the class-major layout the dual rows of models use
+        major = tilts.class_major(idx)
+        assert major.shape == (3, idx.size, 24) and major.flags.c_contiguous
+        assert major.tobytes() == np.ascontiguousarray(want.transpose(1, 0, 2)).tobytes()
         if zero_weight:
             # the zero-weight components' atoms carry -inf log-weight
             assert np.isneginf(got[:, 1, 6:12]).all()
