@@ -8,7 +8,7 @@ regression (a single row). Training objectives:
     duals are laid out class-major, one contiguous run of rows per class,
     and solved against the (C, A) class score table
   * robust regressor: Huber loss plus a tilted log-mean-exp penalty over
-    the sample's class prior
+    the sample's class prior, in row blocks that take one exp per cell
   * baselines: `train_ce_head` and `train_huber_head` fit plain affine
     heads to whatever rows a method hands them (source samples, supports,
     or source features moved by `barycentric_transport`); SAA adds seeded
@@ -42,6 +42,8 @@ SAA_NOISE_DRAWS = 64
 # training batch at the default batch_size, so predict needs no more memory
 # than training
 _PREDICT_CHUNK = 256
+# (row, atom) cells per penalty block of robust_huber_objective: 64 rows at A = 512
+_PENALTY_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -144,19 +146,20 @@ def huber(residuals: np.ndarray, beta: float):
     """Huber value and its derivative in the residual.
 
     Quadratic r^2/2 inside |r| <= beta, linear beta(|r| - beta/2) outside,
-    with no masked select: c = min(|r|, beta) gives the value c(|r| - c/2)
-    and clipping r to [-beta, beta] the derivative. Its bits equal the
-    piecewise formula's: inside, |r|(|r| - |r|/2) is (r/2)r; outside it
-    runs beta(|r| - beta/2), and the clip gives exactly beta * sign(r).
+    with no masked select: the clip c of r to [-beta, beta] is the derivative
+    and c(r - c/2) the value, four passes over two arrays. Its bits equal the
+    piecewise formula's (inside, r(r - r/2) is (r/2)r; outside, beta(|r| -
+    beta/2) up to an exact sign flip) once += 0.0 turns r = -0.0's -0.0 to 0.0.
     Residuals outside the knee are never squared, so huge ones do not
     overflow.
     """
     r = np.asarray(residuals, dtype=float)
-    a = np.abs(r)
-    c = np.minimum(a, beta)
-    a -= 0.5 * c
-    a *= c
-    return a, np.clip(r, -beta, beta)
+    c = np.clip(r, -beta, beta)
+    value = c * -0.5
+    value += r
+    value *= c
+    value += 0.0
+    return value, c
 
 
 def _ce_batch(logits: np.ndarray, labels: np.ndarray):
@@ -487,7 +490,8 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
         H(z - f(x)) + penalty_weight * T * log E_{y ~ Q_x} exp(H(z - f(y)) / T)
 
     with Q_x the Gibbs tilt of prior c toward x and T the penalty
-    temperature; the penalty gradient uses the tilted-softmax weights.
+    temperature; the penalty gradient uses the tilted-softmax weights,
+    taken in row blocks with one exp per (row, atom) cell and no class loop.
     """
     x = np.asarray(data.features, dtype=float)
     y = np.asarray(data.labels)
@@ -508,7 +512,7 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
 
     def batch_fn(idx):
         return robust_huber_objective(
-            params[0], params[1], x[idx], z[idx], y[idx], atoms, tilts[idx], cfg
+            params[0], params[1], x[idx], z[idx], atoms, tilts[idx], cfg
         )
 
     trace = _run_epochs(x.shape[0], cfg, params, batch_fn)
@@ -517,13 +521,17 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
 
 def robust_huber_objective(weights: np.ndarray, biases: np.ndarray,
                            features: np.ndarray, responses: np.ndarray,
-                           labels: np.ndarray, atoms: np.ndarray,
-                           tilts: np.ndarray, cfg: TrainConfig):
+                           atoms: np.ndarray, tilts: np.ndarray, cfg: TrainConfig):
     """Mean Huber-plus-penalty loss and its parameter gradients.
 
-    atoms is the (A, d) array every class prior shares (shared_atoms);
-    tilts must hold each row's tilt toward its own class prior over them.
-    The penalty softmax reweights those tilts by exp(Huber / temperature).
+    atoms is the (A, d) array every class prior shares (shared_atoms) and
+    tilts holds each row's tilt toward its own class prior, so nothing here
+    depends on the class. Each block of _PENALTY_BLOCK_CELLS (row, atom)
+    cells takes one exp, e = exp(l - max) of the logits l = H / T + tilt:
+    max + log sum e is a row's log-normalizer, and e / sum e times the Huber
+    derivative folds into one (A,) vector per block; the blocks' vectors add
+    in order and meet the atoms in one product. A non-finite penalty raises
+    RuntimeError with the count of such rows and the first.
     """
     temp = cfg.penalty_temperature
     weight = cfg.penalty_weight
@@ -533,24 +541,26 @@ def robust_huber_objective(weights: np.ndarray, biases: np.ndarray,
     grad_w = -(base_deriv @ features)
     grad_b = -base_deriv.sum()
     atom_fit = atoms @ weights[0] + biases[0]
-    penalty_total = 0.0
-    for c in np.unique(labels):
-        rows = np.flatnonzero(labels == c)
-        atom_residual = responses[rows, None] - atom_fit[None, :]
-        # the Huber value array becomes the logits, then the softmax
-        # weighted by the Huber derivative, in place
-        logits, atom_deriv = huber(atom_residual, cfg.huber_beta)
+    log_norm = np.empty(n)
+    folded = np.zeros(atoms.shape[0])
+    step = max(1, _PENALTY_BLOCK_CELLS // atoms.shape[0])
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        logits, atom_deriv = huber(responses[block, None] - atom_fit, cfg.huber_beta)
         logits /= temp
-        logits += tilts[rows]
-        log_norm = log_sum_exp(logits, axis=1)
-        if not np.all(np.isfinite(log_norm)):
-            raise RuntimeError("non-finite robust penalty")
-        penalty_total += temp * log_norm.sum()
-        logits -= log_norm[:, None]
+        logits += tilts[block]
+        top = logits.max(axis=1)
+        logits -= top[:, None]
         np.exp(logits, out=logits)
+        norm = logits.sum(axis=1)
+        log_norm[block] = top + np.log(norm)
         logits *= atom_deriv
-        folded = logits.sum(axis=0)
-        grad_w += -weight * (folded @ atoms)
-        grad_b += -weight * folded.sum()
-    loss = float((base_value.sum() + weight * penalty_total) / n)
+        folded += (1.0 / norm) @ logits
+    bad = np.flatnonzero(~np.isfinite(log_norm))
+    if bad.size:
+        raise RuntimeError(f"non-finite robust penalty in {bad.size} of {n} rows, "
+                           f"first at row {bad[0]}")
+    grad_w += -weight * (folded @ atoms)
+    grad_b += -weight * folded.sum()
+    loss = float((base_value.sum() + weight * temp * log_norm.sum()) / n)
     return loss, [grad_w[None, :] / n, np.array([grad_b / n])]

@@ -122,6 +122,34 @@ def huber_piecewise_oracle(residuals, beta):
     return value, deriv
 
 
+def robust_huber_penalty_oracle(weights, biases, features, responses, atoms,
+                                tilts, beta, weight, temperature):
+    """Huber-plus-penalty loss and gradients of an affine fit, row by row.
+
+    Row i's loss is H(r_i) + weight * T * LSE_a(H(z_i - f(y_a)) / T + tilt_ia)
+    with the log-sum-exp over atoms shifted by its own max; the penalty's
+    gradient weights each atom's Huber derivative by the row's softmax.
+    Returns (mean loss, [(1, d) weight gradient, (1,) bias gradient]).
+    """
+    w = np.asarray(weights, dtype=float)[0]
+    b = float(np.asarray(biases, dtype=float)[0])
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(atoms, dtype=float)
+    n = x.shape[0]
+    total, grad_w, grad_b = 0.0, np.zeros_like(w), 0.0
+    for i in range(n):
+        value, deriv = huber_piecewise_oracle(responses[i] - (x[i] @ w + b), beta)
+        atom_value, atom_deriv = huber_piecewise_oracle(responses[i] - (y @ w + b), beta)
+        logits = atom_value / temperature + tilts[i]
+        top = np.max(logits)
+        probs = np.exp(logits - top)
+        total += value + weight * temperature * (top + np.log(np.sum(probs)))
+        probs /= np.sum(probs)
+        grad_w -= deriv * x[i] + weight * (probs * atom_deriv) @ y
+        grad_b -= deriv + weight * np.sum(probs * atom_deriv)
+    return total / n, [grad_w[None, :] / n, np.array([grad_b / n])]
+
+
 def central_difference(fn, x, h=1e-5):
     """Central-difference gradient; scalar x gives a scalar back."""
     x = np.asarray(x, dtype=float)

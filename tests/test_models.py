@@ -36,7 +36,11 @@ from protodro.numkit import SeededRng
 from protodro.priors import MixturePrior, PriorConfig, SupportSet, shared_atoms
 from protodro.synthgen import ShiftSpec
 
-from oracles import central_difference, huber_piecewise_oracle
+from oracles import (
+    central_difference,
+    huber_piecewise_oracle,
+    robust_huber_penalty_oracle,
+)
 
 
 def two_blob_data(rng, n_per=40, gap=4.0, dim=2):
@@ -233,12 +237,68 @@ class TestObjectiveGradients:
             b = rng.standard_normal(1) * 0.3
             fd_objective_check(
                 lambda W, B: robust_huber_objective(
-                    W, B, data.features, z, data.labels, shared_atoms(priors),
-                    tilts, cfg
+                    W, B, data.features, z, shared_atoms(priors), tilts, cfg
                 ),
                 w,
                 b,
             )
+
+
+class TestRobustHuberPenalty:
+    """robust_huber_objective's row blocks against the per-row oracle."""
+
+    N_ATOMS = 512
+    BLOCK = models._PENALTY_BLOCK_CELLS // N_ATOMS
+
+    def batch(self, n, seed=0, dim=3):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, dim))
+        z = rng.standard_normal(n) * 3
+        atoms = rng.standard_normal((self.N_ATOMS, dim)) * 2
+        tilts = np.log(rng.dirichlet(np.full(self.N_ATOMS, 0.5), size=n))
+        w = rng.standard_normal((1, dim)) * 0.4
+        b = rng.standard_normal(1) * 0.4
+        return w, b, x, z, atoms, tilts
+
+    def check(self, w, b, x, z, atoms, tilts, weight):
+        cfg = TrainConfig(penalty_weight=weight)
+        loss, grads = robust_huber_objective(w, b, x, z, atoms, tilts, cfg)
+        want_loss, want_grads = robust_huber_penalty_oracle(
+            w, b, x, z, atoms, tilts, cfg.huber_beta, weight, cfg.penalty_temperature
+        )
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_block_is_64_rows_at_512_atoms(self):
+        assert self.BLOCK == 64
+
+    @pytest.mark.parametrize("weight", [0.0, 2.0])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 256, 300])
+    def test_matches_the_per_row_oracle(self, n, weight):
+        self.check(*self.batch(n, seed=n), weight)
+
+    @pytest.mark.parametrize("weight", [0.0, 2.0])
+    def test_dead_atoms_and_huge_residuals(self, weight):
+        w, b, x, z, atoms, tilts = self.batch(2 * self.BLOCK + 7, seed=5)
+        rng = np.random.default_rng(6)
+        tilts[rng.random(tilts.shape) < 0.3] = -np.inf
+        tilts[:, 0] = np.log(0.5)  # every row keeps a live atom
+        z[:: 5] = 1e6
+        z[1:: 5] = -1e6
+        self.check(w, b, x, z, atoms, tilts, weight)
+
+    @pytest.mark.parametrize("first", [0, BLOCK - 1, BLOCK, 2 * BLOCK + 6])
+    def test_infinite_response_fails_loudly(self, first):
+        w, b, x, z, atoms, tilts = self.batch(2 * self.BLOCK + 7, seed=7)
+        bad = [first] + [j for j in (first + 3, first + self.BLOCK) if j < z.size]
+        z[bad[0]] = np.inf
+        z[bad[1:]] = -np.inf
+        message = f"non-finite robust penalty in {len(bad)} of {z.size} rows, first at row {first}"
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match=message):
+            robust_huber_objective(w, b, x, z, atoms, tilts, TrainConfig())
 
 
 class TestHeadAndConfig:
