@@ -286,8 +286,8 @@ class TestRobustHuberPenalty:
         rng = np.random.default_rng(6)
         tilts[rng.random(tilts.shape) < 0.3] = -np.inf
         tilts[:, 0] = np.log(0.5)  # every row keeps a live atom
-        z[:: 5] = 1e6
-        z[1:: 5] = -1e6
+        z[::5] = 1e6
+        z[1::5] = -1e6
         self.check(w, b, x, z, atoms, tilts, weight)
 
     @pytest.mark.parametrize("first", [0, BLOCK - 1, BLOCK, 2 * BLOCK + 6])
