@@ -9,24 +9,19 @@ inner problem reduces to minimizing
 over lam >= 0, which is convex with derivatives available in closed form
 from softmax moments of the atom scores. solve_dual_batch solves each row
 by safeguarded steps on phi' inside a sign bracket, with one of two
-evaluators, chosen by the form of its scores:
+evaluators:
 
-* Per-row scores ((A,) shared or (n, A)): the harnesses, the benchmark's
-  harness check and tools/dual_identity.py. _phi_terms gives phi, phi',
-  phi'' and the posterior, and _newton_bisect takes Newton steps. A cold
-  row starts at LAMBDA_INIT with its bracket open, probes by factors of
-  10 toward the root until phi' changes sign, and then starts Newton at
-  the bracket's geometric midpoint. A warm row (a per-row starting
-  multiplier, such as a rescaled solution of an earlier solve) runs
-  Newton from its start and probes by a factor of 10 only when a Newton
-  step fails toward a side of its bracket that is still open. A step
-  that leaves a closed bracket, or fails to shrink, bisects it in log
-  space. This path keeps its bytes until the harness check copes with
-  last-bit changes; then the harnesses move to the table path and this
-  one goes (ROADMAP).
-* A (K, A) score table with a row -> class index (row_class): the rows
-  models solves, warm in training and cold in predict. Each row's scores
-  are one of K class rows, so _table_terms builds no per-row score copy:
+* Cold rows with per-row scores ((A,) shared or (n, A), no lam_init): the
+  harnesses' cold rows, kept for the committed harness bytes until the
+  harness check copes with last-bit changes (ROADMAP). _phi_terms gives
+  phi, phi', phi'' and the posterior; _newton_bisect probes from
+  LAMBDA_INIT by factors of 10 until phi' changes sign, then takes Newton
+  steps from the bracket's geometric midpoint and bisects the bracket in
+  log space where a step leaves it or fails to shrink.
+* Every other row: a (K, A) score table with a row -> class index
+  (row_class), as models solves warm in training and cold in predict, or
+  warm per-row scores as a table of their own. Each row's scores are one
+  of K class rows, so _table_terms builds no per-row score copy:
   per run of rows of one class it takes one exp and the three raw
   moments against the class's centered scores, their squares and cubes,
   which gives phi''' as well. _halley_bisect takes the Halley step, then
@@ -127,10 +122,9 @@ class ClassTilts:
 
     Stored in factored form: the (N, A) squared distances over epsilon,
     computed once for every class, the priors' (C, A) atom log-weights and
-    the (N, C) log-normalizers. tilts[idx] builds the (n, C, A) normalized
-    tilts of rows idx with one prior's operations in their order, so its
-    [:, c] equals gibbs_tilt_batch(priors[c], queries[idx], epsilon) bit for
-    bit without the (N, C, A) tensor ever being stored.
+    the (N, C) log-normalizers. class_major(idx) builds the (C, n, A)
+    normalized tilts of rows idx, one prior's operations in their order for
+    each class, so the (N, C, A) tensor is never stored.
     """
 
     scaled_sq: np.ndarray
@@ -153,18 +147,11 @@ class ClassTilts:
         )
         return cls(scaled_sq, alw, log_norm)
 
-    def __getitem__(self, idx) -> np.ndarray:
-        """(n, C, A) normalized tilts of the query rows idx selects."""
-        tilts = self.atom_log_weights[None] - self.scaled_sq[idx][:, None]
-        tilts -= self.log_norm[idx][:, :, None]
-        return tilts
-
     def class_major(self, idx) -> np.ndarray:
         """(C, n, A) normalized tilts of the query rows idx selects.
 
-        The same operations as tilts[idx], built in class-major order, so
-        class_major(idx)[c] equals tilts[idx][:, c] bit for bit and each
-        class's rows are one contiguous run.
+        Each class's rows are one contiguous run, and class_major(idx)[c]
+        equals gibbs_tilt_batch(priors[c], queries[idx], epsilon) bit for bit.
         """
         tilts = self.atom_log_weights[:, None] - self.scaled_sq[idx][None]
         tilts -= self.log_norm[idx].T[:, :, None]
@@ -176,7 +163,7 @@ def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -
 
     The one-prior case of ClassTilts.
     """
-    return ClassTilts.build([prior], queries, epsilon)[:][:, 0]
+    return ClassTilts.build([prior], queries, epsilon).class_major(slice(None))[0]
 
 
 def _phi_terms(logq: np.ndarray, scores: np.ndarray, lam: np.ndarray, cfg: DroConfig):
@@ -225,8 +212,8 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     raised here once every thread has stopped.
 
     The two evaluators (module docstring) give the same minimizer to the
-    tolerance, not the same bits: per-row scores take Newton steps over
-    _phi_terms, and a score table with row_class takes safeguarded Halley
+    tolerance, not the same bits: cold rows with per-row scores take Newton
+    steps over _phi_terms, and every other row takes safeguarded Halley
     steps over _table_terms. Both count every evaluation that is not a
     probe against cfg.newton_iters.
 
@@ -237,11 +224,14 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
         lam_init: optional (n,) per-row starting multipliers. Each row runs
             its steps from its start, clipped to the box; a start that is
-            NaN or not positive means LAMBDA_INIT. Without lam_init every
-            row starts cold: with per-row scores it probes from LAMBDA_INIT
-            until its bracket closes and runs Newton from the bracket's
-            midpoint; with a table it starts at LAMBDA_INIT like a warm row.
-            Either way the minimizer is the same, to the tolerance.
+            NaN or not positive means LAMBDA_INIT. Warm per-row scores
+            solve as a table of one class per row, or of one shared class
+            for (A,) scores. Without lam_init every row starts cold: with
+            per-row scores (the harnesses' cold rows, kept for the
+            committed harness bytes) it probes from LAMBDA_INIT until its
+            bracket closes and runs Newton from the bracket's midpoint;
+            with a table it starts at LAMBDA_INIT like a warm row. Either
+            way the minimizer is the same, to the tolerance.
         row_class: keyword-only (n,) integer index of each row's class in
             the score table. Rows of one class run fastest in contiguous
             runs (models lays them out class-major), and each row gets the
@@ -267,10 +257,13 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         if (row_class.shape != (n,) or not np.issubdtype(row_class.dtype, np.integer)
                 or np.any(row_class < 0) or np.any(row_class >= f.shape[0])):
             raise ValueError("row_class must be (n,) indices into the score table")
+    elif f.shape not in ((n_atoms,), (n, n_atoms)):
+        raise ValueError("scores must be (A,) or (n, A)")
+    elif lam_init is not None:
+        row_class = np.arange(n) if f.ndim == 2 else np.zeros(n, dtype=np.intp)
+        f = f.reshape(-1, n_atoms)
     elif f.ndim == 1:
         f = np.broadcast_to(f[None, :], (n, n_atoms))
-    if row_class is None and f.shape != (n, n_atoms):
-        raise ValueError("scores must be (A,) or (n, A)")
     if not np.all(np.isfinite(f)):
         raise ValueError("scores must be finite")
     lam0 = None if lam_init is None else np.asarray(lam_init, dtype=float)
@@ -291,7 +284,7 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     )
     if row_class is None:
         def solve(block):
-            _solve_block(logq, f, live, lam0, cfg, out, block)
+            _solve_block(logq, f, live, cfg, out, block)
     else:
         table = _ScoreTable.build(f)
 
@@ -342,9 +335,8 @@ def _on_threads(fn, k: int) -> None:
 
 
 def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
-                 lam_init: np.ndarray | None, cfg: DroConfig,
-                 out: BatchDualResult, block: slice) -> None:
-    """Solve rows `block` of the batch into the same rows of `out`."""
+                 cfg: DroConfig, out: BatchDualResult, block: slice) -> None:
+    """Solve cold rows `block` of the batch into the same rows of `out`."""
     logq, f, live = logq[block], f[block], live[block]
     if live.all():
         f_hi, f_lo = f.max(axis=1), f.min(axis=1)
@@ -352,11 +344,10 @@ def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
         f_hi = np.where(live, f, -np.inf).max(axis=1)
         f_lo = np.where(live, f, np.inf).min(axis=1)
     solve_rows = _settle_flat_rows(logq, f_hi, f_lo, out, block)
-    lam0 = None if lam_init is None else lam_init[block][solve_rows]
     (out.value[block][solve_rows], out.lambda_star[block][solve_rows],
      out.iterations[block][solve_rows], out.converged[block][solve_rows],
      out.boundary[block][solve_rows]) = _newton_bisect(
-        _take(logq, solve_rows), _take(f, solve_rows), cfg, lam0,
+        _take(logq, solve_rows), _take(f, solve_rows), cfg,
         out.posterior[block], solve_rows)
 
 
@@ -380,50 +371,39 @@ def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,
 
 
 def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
-                   lam0: np.ndarray | None, posterior: np.ndarray,
-                   dest: np.ndarray):
-    """Safeguarded Newton on phi' for rows with genuinely spread scores.
+                   posterior: np.ndarray, dest: np.ndarray):
+    """Safeguarded Newton on phi' for cold rows with genuinely spread scores.
 
-    Cold and warm rows run one loop. Every evaluation narrows each row's
-    sign bracket on phi' (the box edge stands in for an end not yet known).
-    A cold row (lam0 None) starts at LAMBDA_INIT with its bracket open and
-    only probes by factors of 10 toward the open end until phi' changes
-    sign; then it moves to the geometric midpoint of [lo, hi] with that
-    width as its previous step. A warm row starts at its clipped lam0
-    (LAMBDA_INIT where lam0 is not a positive number) and runs Newton from
-    there, so an exact start converges on its first evaluation; it probes
-    by a factor of 10 only when a Newton step fails toward an open end.
+    Every evaluation narrows each row's sign bracket on phi'. A row starts
+    at LAMBDA_INIT with its bracket open and only probes by factors of 10
+    toward the open end until phi' changes sign; then it moves to the
+    geometric midpoint of [lo, hi] with that width as its previous step.
     The Newton step is taken when it lands strictly inside the bracket
-    and, once both ends are known, at most halves the previous step;
-    otherwise a closed bracket is bisected in log space (lambda lives
-    across decades, so the geometric midpoint is the natural fallback).
+    and at most halves the previous step; otherwise the bracket is bisected
+    in log space (lambda lives across decades, so the geometric midpoint is
+    the natural fallback).
 
     Probes count neither in `iterations` nor against cfg.newton_iters, and
-    a cold row's probes never converge it, so a row evaluated on a box
-    edge with phi' pointing beyond it is a boundary row whatever the cap.
-    A converged row keeps phi and the posterior of the evaluation that
-    converged it; rows still active at the cap are evaluated once more
-    after the loop. Row i's posterior is written to posterior[dest[i]].
+    never converge a row, so a row evaluated on a box edge with phi'
+    pointing beyond it is a boundary row whatever the cap. A converged row
+    keeps phi and the posterior of the evaluation that converged it; rows
+    still active at the cap are evaluated once more after the loop. Row
+    i's posterior is written to posterior[dest[i]].
     """
     n = logq.shape[0]
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
     bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
-    if lam0 is None:
-        lam = np.full(n, LAMBDA_INIT)
-    else:
-        lam = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
-                      LAMBDA_MIN, LAMBDA_MAX)
+    lam = np.full(n, LAMBDA_INIT)
     step_old = np.full(n, np.inf)
-    seek = np.full(n, lam0 is None)  # a cold row whose bracket is still open
-    probe = seek.copy()  # the row's next lambda is a bracket probe
+    seek = np.ones(n, dtype=bool)  # the bracket is still open: lam is a probe
     phi = np.empty(n)
     iterations = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     while True:
-        rows = np.flatnonzero(active & (probe | (iterations < cfg.newton_iters)))
+        rows = np.flatnonzero(active & (seek | (iterations < cfg.newton_iters)))
         if not rows.size:
             break
-        iterations[rows] += ~probe[rows]
+        iterations[rows] += ~seek[rows]
         at, seeking = lam[rows], seek[rows]
         p, d, dd, post = _phi_terms(_take(logq, rows), _take(f, rows), at, cfg)
         done = (np.abs(d) <= cfg.grad_tol) & ~seeking
@@ -444,21 +424,16 @@ def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = at - d / dd
             step_ok = np.abs(2.0 * d) <= np.abs(step_old[rows] * dd)
-        open_lo, open_hi = np.isnan(lo_r), np.isnan(hi_r)
-        if open_lo.any() or open_hi.any():
-            step_ok |= open_lo | open_hi
-            lo_r, hi_r = np.fmax(lo_r, LAMBDA_MIN), np.fmin(hi_r, LAMBDA_MAX)
         step_ok &= np.isfinite(newton) & (newton > lo_r) & (newton < hi_r) & ~seeking
         nxt = np.where(step_ok, newton, np.sqrt(lo_r * hi_r))
-        # a step that fails toward an open end probes a factor of 10 that way
-        probe[rows] = opened = ~step_ok & np.where(d < 0, open_hi, open_lo)
+        # a bracket still open toward the root probes a factor of 10 that way
+        seek[rows] = opened = np.isnan(np.where(d < 0, hi_r, lo_r))
         if opened.any():
             nxt[opened] = np.where(d[opened] < 0, np.minimum(at[opened] * 10.0, LAMBDA_MAX),
                                    np.maximum(at[opened] / 10.0, LAMBDA_MIN))
-        # a cold row whose bracket closes moves to its midpoint, with the
+        # a row whose bracket closes moves to its midpoint, with the
         # bracket's width as the previous step
         step_old[rows] = np.where(seeking, hi_r - lo_r, np.abs(nxt - at))
-        seek[rows] = seeking & opened
         lam[rows] = nxt
 
     converged = np.ones(n, dtype=bool)

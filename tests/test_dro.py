@@ -161,19 +161,15 @@ class TestClassTilts:
         rng = np.random.default_rng(17)
         priors, x = self.priors_and_queries(rng, zero_weight)
         idx = rng.permutation(40)[:17] if rows == "unsorted" else np.arange(40)
-        tilts = ClassTilts.build(priors, x, 0.7)
-        got = tilts[idx]
-        want = np.stack([gibbs_tilt_batch(p, x[idx], 0.7) for p in priors], axis=1)
-        assert got.shape == (idx.size, 3, 24)
-        assert got.tobytes() == want.tobytes()
         # the class-major layout the dual rows of models use
-        major = tilts.class_major(idx)
-        assert major.shape == (3, idx.size, 24) and major.flags.c_contiguous
-        assert major.tobytes() == np.ascontiguousarray(want.transpose(1, 0, 2)).tobytes()
+        got = ClassTilts.build(priors, x, 0.7).class_major(idx)
+        want = np.stack([gibbs_tilt_batch(p, x[idx], 0.7) for p in priors])
+        assert got.shape == (3, idx.size, 24) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
         if zero_weight:
             # the zero-weight components' atoms carry -inf log-weight
-            assert np.isneginf(got[:, 1, 6:12]).all()
-            assert np.isfinite(got[:, 1, :6]).all()
+            assert np.isneginf(got[1, :, 6:12]).all()
+            assert np.isfinite(got[1, :, :6]).all()
 
 
 class TestDualObjective:
@@ -425,7 +421,8 @@ class TestSolveDual:
     @pytest.mark.parametrize("newton_iters", [1, 8])
     def test_outputs_are_the_terms_at_lambda_star(self, newton_iters):
         # one batch of interior, boundary and degenerate rows, solved cold
-        # and then warm; newton_iters=1 leaves rows unconverged at the cap
+        # (per-row terms) and then warm (table terms, one class per row);
+        # newton_iters=1 leaves rows unconverged at the cap
         rng = np.random.default_rng(331)
         logw = np.vstack([random_instance(rng, n_atoms=10, with_holes=True)[0]
                           for _ in range(24)])
@@ -443,8 +440,13 @@ class TestSolveDual:
             assert res.degenerate[0] and res.degenerate.sum() == 1
             assert res.boundary[1] == BOUNDARY_MIN and res.boundary[2] == BOUNDARY_MAX
             rows = np.flatnonzero(~res.degenerate)
-            phi, dphi, _, posterior = _phi_terms(logw[rows], f[rows],
-                                                 res.lambda_star[rows], cfg)
+            if res is cold:
+                phi, dphi, _, posterior = _phi_terms(logw[rows], f[rows],
+                                                     res.lambda_star[rows], cfg)
+            else:
+                phi, dphi, _, _, e, z = dro._table_terms(
+                    logw[rows], dro._ScoreTable.build(f), rows, res.lambda_star[rows], cfg)
+                posterior = e / z[:, None]
             np.testing.assert_array_equal(res.value[rows], phi)
             np.testing.assert_array_equal(res.posterior[rows], posterior)
             interior = res.boundary[rows] == BOUNDARY_NONE
@@ -456,22 +458,23 @@ class TestSolveDual:
 
     def test_warm_start_at_the_solution_takes_one_evaluation(self, monkeypatch):
         # a warm row starts with an evaluation at its start, so a start at a
-        # converged lambda* converges there and keeps that evaluation's value
-        # and posterior: no bracket probe and no evaluation after the loop
+        # converged lambda* of the table path (where warm per-row rows solve)
+        # converges there and keeps that evaluation's value and posterior:
+        # no bracket probe and no evaluation after the loop
         rng = np.random.default_rng(337)
         logw = np.vstack([random_instance(rng, n_atoms=12)[0] for _ in range(40)])
         scores = 2.0 * rng.standard_normal((40, 12))
         cfg = DroConfig(rho=0.7, epsilon=1.0)
-        first = solve_dual_batch(logw, scores, cfg)
+        first = solve_dual_batch(logw, scores, cfg, row_class=np.arange(40))
         assert first.converged.all()
         evaluated = []
-        phi_terms = dro._phi_terms
+        table_terms = dro._table_terms
 
         def counting(logq, *args):
             evaluated.append(logq.shape[0])
-            return phi_terms(logq, *args)
+            return table_terms(logq, *args)
 
-        monkeypatch.setattr(dro, "_phi_terms", counting)
+        monkeypatch.setattr(dro, "_table_terms", counting)
         again = solve_dual_batch(logw, scores, cfg, lam_init=first.lambda_star)
         np.testing.assert_array_equal(again.value, first.value)
         np.testing.assert_array_equal(again.posterior, first.posterior)
@@ -637,6 +640,22 @@ def mixed_batch(n):
     return logw, scores
 
 
+# each run of the TestRowBlocks tests: (newton_iters, warm) and the block
+# solver its rows take, the per-row one cold and the table one warm
+BLOCK_RUNS = [(iters, warm, "_solve_table_block" if warm else "_solve_block")
+              for iters in (1, 8) for warm in (False, True)]
+
+
+def record_blocks(monkeypatch, record):
+    """Wrap both block solvers so each call first calls record(name, args)."""
+    for name in ("_solve_block", "_solve_table_block"):
+        def recording(*args, name=name, solve_block=getattr(dro, name)):
+            record(name, args)
+            return solve_block(*args)
+
+        monkeypatch.setattr(dro, name, recording)
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("capped", [False, True])
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, capped):
@@ -649,21 +668,21 @@ class TestRowBlocks:
         lam0 = np.exp(rng.uniform(-6.0, 6.0, 200))
         lam0[::7] = np.nan
         blocks = []
-        solve_block = dro._solve_block
-
-        def recording(*args):
-            blocks.append(args[-1])
-            return solve_block(*args)
 
         def solve_all(workers, cells):
             monkeypatch.setattr(dro, "WORKERS", workers)
             monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
-            blocks.clear()
-            runs = [solve_dual_batch(logw, scores, DroConfig(newton_iters=iters), lam)
-                    for iters in (1, 8) for lam in (None, lam0)]
-            return runs, len(blocks) // len(runs)
+            runs, counts = [], set()
+            for iters, warm, name in BLOCK_RUNS:
+                blocks.clear()
+                runs.append(solve_dual_batch(logw, scores, DroConfig(newton_iters=iters),
+                                             lam0 if warm else None))
+                assert {solver for solver, _ in blocks} == {name}
+                counts.add(len(blocks))
+            assert len(counts) == 1
+            return runs, counts.pop()
 
-        monkeypatch.setattr(dro, "_solve_block", recording)
+        record_blocks(monkeypatch, lambda name, args: blocks.append((name, args[-1])))
         reference, count = solve_all(1, 200 * 16)
         assert count == 1
         assert not reference[0].converged.all()
@@ -693,24 +712,26 @@ class TestRowBlocks:
         scores[150] = 2.0
         lam0 = np.exp(rng.uniform(-6.0, 6.0, 200))
         all_live = []
-        solve_block = dro._solve_block
 
-        def recording(logq, f, live, lam_init, cfg, out, block):
-            all_live.append(bool(live[block].all()))
-            return solve_block(logq, f, live, lam_init, cfg, out, block)
+        def recording(name, args):
+            # (logq, f, live, ...) per row; (logq, table, row_class, live, ...)
+            live = args[2] if name == "_solve_block" else args[3]
+            all_live.append((name, bool(live[args[-1]].all())))
 
         def solve_all(cells):
             monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
             all_live.clear()
-            return [solve_dual_batch(logw, scores, DroConfig(newton_iters=iters), lam)
-                    for iters in (1, 8) for lam in (None, lam0)]
+            return [solve_dual_batch(logw, scores, DroConfig(newton_iters=iters),
+                                     lam0 if warm else None)
+                    for iters, warm, _ in BLOCK_RUNS]
 
         monkeypatch.setattr(dro, "WORKERS", 1)
-        monkeypatch.setattr(dro, "_solve_block", recording)
+        record_blocks(monkeypatch, recording)
         reference = solve_all(200 * 16)
-        assert all_live == [False] * 4
+        assert all_live == [(name, False) for _, _, name in BLOCK_RUNS]
         runs = solve_all(10 * 16)
-        assert all_live == ([False] * 10 + [True] * 10) * 4
+        assert all_live == [(name, live) for _, _, name in BLOCK_RUNS
+                            for live in [False] * 10 + [True] * 10]
         assert reference[0].degenerate[150] and reference[0].boundary[-1] == BOUNDARY_MAX
         for want, got in zip(reference, runs):
             for name in FIELDS:
@@ -762,6 +783,52 @@ class TestRowBlocks:
         assert not thread.is_alive()
         assert len(outcome) == 1 and isinstance(outcome[0], BlockFailure)
         assert threading.active_count() == before
+
+
+class TestRouting:
+    """Warm rows with per-row scores solve on the table path, cold ones on
+    the per-row path."""
+
+    @staticmethod
+    def batch(shared):
+        # 150 rows, split over threads where two cores are usable: (n, A)
+        # scores are a table of one class per row, shared (A,) scores a table
+        # of one class
+        logw, scores = mixed_batch(150)
+        rng = np.random.default_rng(359)
+        lam0 = np.exp(rng.uniform(-8.0, 8.0, 150))
+        lam0[::11], lam0[1::13], lam0[2::17] = np.nan, 0.0, -1.0
+        if shared:
+            return logw, scores[0], lam0, scores[:1], np.zeros(150, dtype=int)
+        return logw, scores, lam0, scores, np.arange(150)
+
+    @pytest.mark.parametrize("cap", [1, 16])
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+    def test_warm_rows_have_the_bytes_of_the_explicit_table_call(self, cap, shared):
+        logw, f, lam0, table, row_class = self.batch(shared)
+        cfg = DroConfig(newton_iters=cap)
+        routed = solve_dual_batch(logw, f, cfg, lam0)
+        explicit = solve_dual_batch(logw, table, cfg, lam0, row_class=row_class)
+        assert routed.converged.all() == (cap == 16)
+        for name in FIELDS:
+            a, b = getattr(routed, name), getattr(explicit, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+    def test_each_start_reaches_only_its_evaluator(self, monkeypatch, shared):
+        calls = dict.fromkeys(("_phi_terms", "_table_terms"), 0)
+        for name in calls:
+            def counting(*args, name=name, terms=getattr(dro, name)):
+                calls[name] += 1
+                return terms(*args)
+
+            monkeypatch.setattr(dro, name, counting)
+        logw, f, lam0, _, _ = self.batch(shared)
+        solve_dual_batch(logw, f, DroConfig())
+        assert calls["_phi_terms"] > 0 and calls["_table_terms"] == 0
+        calls["_phi_terms"] = 0
+        solve_dual_batch(logw, f, DroConfig(), lam0)
+        assert calls["_table_terms"] > 0 and calls["_phi_terms"] == 0
 
 
 class TestRobustLogits:

@@ -18,12 +18,19 @@ each), then the batch's settings. The batches mix:
 - one-row batches and, every 50th batch, a batch large enough to be split
   into row blocks.
 
-A last line counts the rows of each kind. Run it at two commits and diff
-the two listings:
+Two last lines count the rows of each kind and the counted steps
+(`iterations`), one line for the cold batches and one for the warm ones.
+Run it at two commits and diff the two listings:
 
     python3 tools/dual_identity.py > after.txt
     (cd ../parent-checkout && python3 tools/dual_identity.py) > before.txt
     diff before.txt after.txt
+
+Cold lines must match the parent's byte for byte: cold batches with
+per-row scores are the harnesses' solves, whose committed outputs rest on
+those bytes. Warm lines move by design whenever the warm path changes
+(warm per-row batches solve on the table evaluator); compare their
+totals instead, and expect no more unconverged rows than the parent's.
 
 To fingerprint a commit that predates this script, copy the script into a
 checkout of that commit: it runs the package in the `src/` beside its own
@@ -117,22 +124,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batches", type=int, default=600)
     args = parser.parse_args(argv)
-    totals = dict.fromkeys(("rows", "interior", "min", "max", "degenerate",
-                            "unconverged"), 0)
+    totals = {start: dict.fromkeys(("rows", "interior", "min", "max", "degenerate",
+                                    "unconverged", "steps"), 0)
+              for start in ("cold", "warm")}
     for i in range(args.batches):
         logw, scores, cfg, lam0 = random_batch(i)
         res = dro.solve_dual_batch(logw, scores, cfg, lam_init=lam0)
         start = "cold" if lam0 is None else "warm"
         print(f"{digest(res)} batch {i} {start} cap {cfg.newton_iters} "
               f"rows {logw.shape[0]} atoms {logw.shape[1]}")
-        totals["rows"] += logw.shape[0]
-        totals["degenerate"] += int(res.degenerate.sum())
-        totals["min"] += int((res.boundary == dro.BOUNDARY_MIN).sum())
-        totals["max"] += int((res.boundary == dro.BOUNDARY_MAX).sum())
-        totals["interior"] += int(((res.boundary == dro.BOUNDARY_NONE)
-                                   & ~res.degenerate).sum())
-        totals["unconverged"] += int((~res.converged).sum())
-    print(" ".join(f"{k} {v}" for k, v in totals.items()))
+        kind = totals[start]
+        kind["rows"] += logw.shape[0]
+        kind["degenerate"] += int(res.degenerate.sum())
+        kind["min"] += int((res.boundary == dro.BOUNDARY_MIN).sum())
+        kind["max"] += int((res.boundary == dro.BOUNDARY_MAX).sum())
+        kind["interior"] += int(((res.boundary == dro.BOUNDARY_NONE)
+                                 & ~res.degenerate).sum())
+        kind["unconverged"] += int((~res.converged).sum())
+        kind["steps"] += int(res.iterations.sum())
+    for start, kind in totals.items():
+        print(start, " ".join(f"{k} {v}" for k, v in kind.items()))
     return 0
 
 
