@@ -7,33 +7,28 @@ inner problem reduces to minimizing
     phi(lam) = lam * rho + lam * eps * log E_{y ~ q} exp(f(y) / (lam * eps))
 
 over lam >= 0, which is convex with derivatives available in closed form
-from softmax moments of the atom scores. solve_dual_batch solves each row
-by safeguarded steps on phi' inside a sign bracket, with one of two
-evaluators:
+from softmax moments of the atom scores. solve_dual_batch solves every
+row by safeguarded steps on phi' inside a sign bracket, on one evaluator
+over a (K, A) score table with a row -> class index (row_class): models
+solves its rows on its class table, warm in training and cold in
+predict, and the harnesses theirs on a table of one or two classes.
+Per-row (n, A) scores are a table of one class per row, and shared (A,)
+scores a table of one class. Each row's scores are one of K class rows,
+so _table_terms builds no per-row score copy: per run of rows of one
+class it takes one exp and the three raw moments against the class's
+centered scores, their squares and cubes, which gives phi''' as well.
+_halley_bisect starts each row at its lam_init (LAMBDA_INIT when cold)
+and takes the Halley step, then Newton from either bracket end, then
+log-bisection or a probe by a factor of 10 toward an open end; a step is
+trusted only where phi'' changes little over it, and a step that did not
+halve |phi'| sends the row to bisection or a probe.
 
-* Cold rows with per-row scores ((A,) shared or (n, A), no lam_init): the
-  harnesses' cold rows, kept for the committed harness bytes until the
-  harness check copes with last-bit changes (ROADMAP). _phi_terms gives
-  phi, phi', phi'' and the posterior; _newton_bisect probes from
-  LAMBDA_INIT by factors of 10 until phi' changes sign, then takes Newton
-  steps from the bracket's geometric midpoint and bisects the bracket in
-  log space where a step leaves it or fails to shrink.
-* Every other row: a (K, A) score table with a row -> class index
-  (row_class), as models solves warm in training and cold in predict, or
-  warm per-row scores as a table of their own. Each row's scores are one
-  of K class rows, so _table_terms builds no per-row score copy:
-  per run of rows of one class it takes one exp and the three raw
-  moments against the class's centered scores, their squares and cubes,
-  which gives phi''' as well. _halley_bisect takes the Halley step, then
-  Newton from either bracket end, then log-bisection or a probe; a step
-  is trusted only where phi'' changes little over it, and a step that
-  did not halve |phi'| sends the row to bisection or a probe.
-
-On both paths a row whose probes reach the box edge is a boundary row,
-and a converged row keeps phi and the posterior of the evaluation that
-converged it, so an exact warm start costs one evaluation. Rows still
-unconverged at the cap are flagged; check_converged turns them into a
-DualConvergenceError, which models raises rather than use such a row.
+A row evaluated on a box edge with phi' pointing beyond it is a boundary
+row, and a converged row keeps phi and the posterior of the evaluation
+that converged it, so an exact warm start costs one evaluation. Rows
+still unconverged at the cap are flagged; check_converged turns them into
+a DualConvergenceError, which models and the harnesses raise rather than
+use such a row.
 
 Everything here is written over batches of tilted weight rows: one tilt
 (ClassTilts, with gibbs_tilt_batch its one-prior case), one solver
@@ -77,8 +72,8 @@ BOUNDARY_MAX = 1
 WORKERS = len(os.sched_getaffinity(0))
 MIN_BLOCK = 64
 BLOCK_CELLS = 1 << 20
-# a Halley or Newton step on the table path is trusted where the bend
-# |phi' phi'''| / phi''^2 at its base is at most BEND_MAX
+# a Halley or Newton step is trusted where the bend |phi' phi'''| / phi''^2
+# at its base is at most BEND_MAX
 BEND_MAX = 4.0
 
 
@@ -166,29 +161,6 @@ def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -
     return ClassTilts.build([prior], queries, epsilon).class_major(slice(None))[0]
 
 
-def _phi_terms(logq: np.ndarray, scores: np.ndarray, lam: np.ndarray, cfg: DroConfig):
-    """phi, phi', phi'' and the posterior at each row's lambda.
-
-    numkit.log_sum_exp's operations, in its order, over two (rows, A) work
-    arrays. Each row's terms depend on that row alone, bit for bit.
-    """
-    a = np.divide(scores, lam[:, None] * cfg.epsilon)
-    a += logq
-    m = a.max(axis=1, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    e = np.subtract(a, shift)
-    np.exp(e, out=e)
-    log_z = (np.log(e.sum(axis=1, keepdims=True)) + shift)[:, 0]
-    posterior = np.exp(np.subtract(a, log_z[:, None], out=e), out=e)
-    mean = np.einsum("na,na->n", posterior, np.broadcast_to(scores, a.shape))
-    second = np.einsum("na,na->n", posterior, np.multiply(scores, scores, out=a))
-    var = np.maximum(second - mean**2, 0.0)
-    phi = lam * (cfg.rho + cfg.epsilon * log_z)
-    dphi = cfg.rho + cfg.epsilon * log_z - mean / lam
-    d2phi = var / (lam**3 * cfg.epsilon)
-    return phi, dphi, d2phi, posterior
-
-
 def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """x[rows] for sorted distinct rows, without a copy when rows is all of x."""
     return x if rows.size == x.shape[0] else x[rows]
@@ -211,27 +183,19 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     validated before any block starts; an exception raised in a block is
     raised here once every thread has stopped.
 
-    The two evaluators (module docstring) give the same minimizer to the
-    tolerance, not the same bits: cold rows with per-row scores take Newton
-    steps over _phi_terms, and every other row takes safeguarded Halley
-    steps over _table_terms. Both count every evaluation that is not a
-    probe against cfg.newton_iters.
+    Every row takes safeguarded Halley steps over _table_terms (module
+    docstring), and every evaluation that is not a probe counts against
+    cfg.newton_iters.
 
     Args:
         tilt_log_weights: (n, A) normalized log weights, each finite or -inf.
-        scores: (A,) shared scores or (n, A) per-row scores; with row_class,
-            a (K, A) table of class scores.
+        scores: (A,) shared scores or (n, A) per-row scores, solved as a
+            table of one class or of one class per row; with row_class, a
+            (K, A) table of class scores.
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
         lam_init: optional (n,) per-row starting multipliers. Each row runs
             its steps from its start, clipped to the box; a start that is
-            NaN or not positive means LAMBDA_INIT. Warm per-row scores
-            solve as a table of one class per row, or of one shared class
-            for (A,) scores. Without lam_init every row starts cold: with
-            per-row scores (the harnesses' cold rows, kept for the
-            committed harness bytes) it probes from LAMBDA_INIT until its
-            bracket closes and runs Newton from the bracket's midpoint;
-            with a table it starts at LAMBDA_INIT like a warm row. Either
-            way the minimizer is the same, to the tolerance.
+            NaN or not positive means LAMBDA_INIT, and so does no lam_init.
         row_class: keyword-only (n,) integer index of each row's class in
             the score table. Rows of one class run fastest in contiguous
             runs (models lays them out class-major), and each row gets the
@@ -259,11 +223,9 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
             raise ValueError("row_class must be (n,) indices into the score table")
     elif f.shape not in ((n_atoms,), (n, n_atoms)):
         raise ValueError("scores must be (A,) or (n, A)")
-    elif lam_init is not None:
+    else:
         row_class = np.arange(n) if f.ndim == 2 else np.zeros(n, dtype=np.intp)
         f = f.reshape(-1, n_atoms)
-    elif f.ndim == 1:
-        f = np.broadcast_to(f[None, :], (n, n_atoms))
     if not np.all(np.isfinite(f)):
         raise ValueError("scores must be finite")
     lam0 = None if lam_init is None else np.asarray(lam_init, dtype=float)
@@ -282,14 +244,10 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         degenerate=np.empty(n, dtype=bool),
         boundary=np.full(n, BOUNDARY_NONE, dtype=np.int8),
     )
-    if row_class is None:
-        def solve(block):
-            _solve_block(logq, f, live, cfg, out, block)
-    else:
-        table = _ScoreTable.build(f)
+    table = _ScoreTable.build(f)
 
-        def solve(block):
-            _solve_table_block(logq, table, row_class, live, lam0, cfg, out, block)
+    def solve(block):
+        _solve_table_block(logq, table, row_class, live, lam0, cfg, out, block)
 
     k = max(1, min(WORKERS, n // MIN_BLOCK))
     if k == 1 and n * n_atoms <= BLOCK_CELLS:
@@ -334,23 +292,6 @@ def _on_threads(fn, k: int) -> None:
         raise errors[0]
 
 
-def _solve_block(logq: np.ndarray, f: np.ndarray, live: np.ndarray,
-                 cfg: DroConfig, out: BatchDualResult, block: slice) -> None:
-    """Solve cold rows `block` of the batch into the same rows of `out`."""
-    logq, f, live = logq[block], f[block], live[block]
-    if live.all():
-        f_hi, f_lo = f.max(axis=1), f.min(axis=1)
-    else:
-        f_hi = np.where(live, f, -np.inf).max(axis=1)
-        f_lo = np.where(live, f, np.inf).min(axis=1)
-    solve_rows = _settle_flat_rows(logq, f_hi, f_lo, out, block)
-    (out.value[block][solve_rows], out.lambda_star[block][solve_rows],
-     out.iterations[block][solve_rows], out.converged[block][solve_rows],
-     out.boundary[block][solve_rows]) = _newton_bisect(
-        _take(logq, solve_rows), _take(f, solve_rows), cfg,
-        out.posterior[block], solve_rows)
-
-
 def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,
                       out: BatchDualResult, block: slice) -> np.ndarray:
     """Settle the rows of `block` whose live scores span [f_lo, f_hi] within
@@ -368,81 +309,6 @@ def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,
         out.converged[block][degenerate] = True
         out.posterior[block][degenerate] = np.exp(logq[degenerate])
     return np.flatnonzero(~degenerate)
-
-
-def _newton_bisect(logq: np.ndarray, f: np.ndarray, cfg: DroConfig,
-                   posterior: np.ndarray, dest: np.ndarray):
-    """Safeguarded Newton on phi' for cold rows with genuinely spread scores.
-
-    Every evaluation narrows each row's sign bracket on phi'. A row starts
-    at LAMBDA_INIT with its bracket open and only probes by factors of 10
-    toward the open end until phi' changes sign; then it moves to the
-    geometric midpoint of [lo, hi] with that width as its previous step.
-    The Newton step is taken when it lands strictly inside the bracket
-    and at most halves the previous step; otherwise the bracket is bisected
-    in log space (lambda lives across decades, so the geometric midpoint is
-    the natural fallback).
-
-    Probes count neither in `iterations` nor against cfg.newton_iters, and
-    never converge a row, so a row evaluated on a box edge with phi'
-    pointing beyond it is a boundary row whatever the cap. A converged row
-    keeps phi and the posterior of the evaluation that converged it; rows
-    still active at the cap are evaluated once more after the loop. Row
-    i's posterior is written to posterior[dest[i]].
-    """
-    n = logq.shape[0]
-    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
-    bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
-    lam = np.full(n, LAMBDA_INIT)
-    step_old = np.full(n, np.inf)
-    seek = np.ones(n, dtype=bool)  # the bracket is still open: lam is a probe
-    phi = np.empty(n)
-    iterations = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    while True:
-        rows = np.flatnonzero(active & (seek | (iterations < cfg.newton_iters)))
-        if not rows.size:
-            break
-        iterations[rows] += ~seek[rows]
-        at, seeking = lam[rows], seek[rows]
-        p, d, dd, post = _phi_terms(_take(logq, rows), _take(f, rows), at, cfg)
-        done = (np.abs(d) <= cfg.grad_tol) & ~seeking
-        # a row on a box edge with phi' pointing beyond it is a boundary row
-        edge = ~done & (at == np.where(d >= 0, LAMBDA_MIN, LAMBDA_MAX))
-        bound[rows[edge]] = np.where(d[edge] >= 0, BOUNDARY_MIN, BOUNDARY_MAX)
-        done |= edge
-        if done.any():
-            phi[rows[done]] = p[done]
-            posterior[dest[rows[done]]] = post[done]
-            active[rows[done]] = False
-            keep = ~done
-            rows, at, seeking, d, dd = rows[keep], at[keep], seeking[keep], d[keep], dd[keep]
-            if not rows.size:
-                continue
-        lo[rows] = lo_r = np.where(d < 0, at, lo[rows])
-        hi[rows] = hi_r = np.where(d >= 0, at, hi[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = at - d / dd
-            step_ok = np.abs(2.0 * d) <= np.abs(step_old[rows] * dd)
-        step_ok &= np.isfinite(newton) & (newton > lo_r) & (newton < hi_r) & ~seeking
-        nxt = np.where(step_ok, newton, np.sqrt(lo_r * hi_r))
-        # a bracket still open toward the root probes a factor of 10 that way
-        seek[rows] = opened = np.isnan(np.where(d < 0, hi_r, lo_r))
-        if opened.any():
-            nxt[opened] = np.where(d[opened] < 0, np.minimum(at[opened] * 10.0, LAMBDA_MAX),
-                                   np.maximum(at[opened] / 10.0, LAMBDA_MIN))
-        # a row whose bracket closes moves to its midpoint, with the
-        # bracket's width as the previous step
-        step_old[rows] = np.where(seeking, hi_r - lo_r, np.abs(nxt - at))
-        lam[rows] = nxt
-
-    converged = np.ones(n, dtype=bool)
-    rows = np.flatnonzero(active)
-    if rows.size:
-        phi[rows], d, _, posterior[dest[rows]] = _phi_terms(
-            _take(logq, rows), _take(f, rows), lam[rows], cfg)
-        converged[rows] = np.abs(d) <= cfg.grad_tol
-    return phi, lam, iterations, converged, bound
 
 
 @dataclass
@@ -633,8 +499,9 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
         at = lam[rows]
         p, d, dd, ddd, e, z = _table_terms(_take(logq, rows), table, cls[rows], at, cfg)
         done = np.abs(d) <= cfg.grad_tol
-        # a row on a box edge with phi' pointing beyond it is a boundary row
-        edge = ~done & (at == np.where(d >= 0, LAMBDA_MIN, LAMBDA_MAX))
+        # a row on a box edge with phi' pointing beyond it is a boundary
+        # row, converged or not
+        edge = at == np.where(d >= 0, LAMBDA_MIN, LAMBDA_MAX)
         bound[rows[edge]] = np.where(d[edge] >= 0, BOUNDARY_MIN, BOUNDARY_MAX)
         done |= edge
         if done.any():

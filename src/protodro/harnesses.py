@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .dro import gibbs_tilt_batch, solve_dual_batch
+from .dro import ClassTilts, check_converged, gibbs_tilt_batch, solve_dual_batch
 from .numkit import GaussianParams, SeededRng, gaussian_sample, log_sum_exp
 from .priors import (
     MixturePrior,
@@ -55,28 +55,11 @@ CONSISTENCY_PAIRS = 50
 CONSISTENCY_SUPPORTS = 48
 
 # both harnesses solve one point set per call (a class's evaluation points,
-# or every consistency pair at one budget) through this module attribute,
-# which stays because the benchmark's dro.scalar_solve layer wraps it
+# or every consistency pair at one budget) on a table of one or two class
+# score rows, and raise dro.DualConvergenceError on a row left unconverged,
+# as models does. The calls go through this module attribute, which stays
+# because the benchmark's dro.scalar_solve layer wraps it.
 solve_dual = solve_dual_batch
-
-
-class _DualSolves:
-    """solve_dual, counting the rows that end unconverged for the manifest."""
-
-    unconverged = 0
-
-    def __call__(self, tilts: np.ndarray, scores: np.ndarray, cfg):
-        res = solve_dual(tilts, scores, cfg)
-        self.unconverged += int(np.count_nonzero(~res.converged))
-        return res
-
-
-def _stacked_tilts(priors, points: np.ndarray, epsilon: float) -> np.ndarray:
-    """One-row tilts of each point under its prior, stacked to (n, A)."""
-    # a many-row gibbs_tilt_batch takes another BLAS kernel in sq_distances
-    # and moves last bits that the committed harness CSVs pin
-    return np.vstack([gibbs_tilt_batch(prior, x[None, :], epsilon)
-                      for prior, x in zip(priors, points)])
 
 
 @dataclass
@@ -238,22 +221,24 @@ def _fixed_point(transport: _TransportMap, start: np.ndarray, tol: float = 1e-14
 
 
 def _values(instance: ContractionInstance, weights: np.ndarray,
-            cfg: ExperimentConfig, dual: _DualSolves) -> np.ndarray:
+            cfg: ExperimentConfig) -> np.ndarray:
     """Robust logit per (eval point, class) for weights on the shared atoms."""
     points = instance.eval_points
+    one_class = np.zeros(len(points), dtype=np.intp)
     out = np.empty((len(points), N_TARGET))
     for c in range(N_TARGET):
         prior = MixturePrior(weights[c], instance.atoms)
-        tilts = _stacked_tilts([prior] * len(points), points, cfg.dro.epsilon)
-        scores = instance.atoms @ instance.score_weights[c]
-        out[:, c] = dual(tilts, scores, cfg.dro).value
+        tilts = gibbs_tilt_batch(prior, points, cfg.dro.epsilon)
+        table = (instance.atoms @ instance.score_weights[c])[None]
+        res = solve_dual(tilts, table, cfg.dro, row_class=one_class)
+        check_converged(res, tilts, table, one_class, cfg.dro)
+        out[:, c] = res.value
     return out
 
 
 def _value_gap(instance: ContractionInstance, weights: np.ndarray,
-               ref_values: np.ndarray, cfg: ExperimentConfig,
-               dual: _DualSolves) -> float:
-    return float(np.abs(_values(instance, weights, cfg, dual) - ref_values).max())
+               ref_values: np.ndarray, cfg: ExperimentConfig) -> float:
+    return float(np.abs(_values(instance, weights, cfg) - ref_values).max())
 
 
 def _simplex_tangent_basis(dim: int) -> np.ndarray:
@@ -306,8 +291,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
 
     uniform = np.full((N_TARGET, N_BASE), 1.0 / N_BASE)
     fixed, fixed_gap = _fixed_point(transport, uniform)
-    dual = _DualSolves()
-    ref_values = _values(instance, fixed, cfg, dual)
+    ref_values = _values(instance, fixed, cfg)
 
     jacobian_norm = _jacobian_norm(transport, fixed)
     contractive = jacobian_norm < 1.0
@@ -317,7 +301,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
         [0.05, 0.05, 0.05, 0.85],
     ])
     w = start.copy()
-    deltas = [_value_gap(instance, w, ref_values, cfg, dual)]
+    deltas = [_value_gap(instance, w, ref_values, cfg)]
     diverged = False
     for t in range(1, steps + 1):
         target = transport(w)
@@ -325,7 +309,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
             update_weights_damped(w[c], target[c], eta)
             for c in range(N_TARGET)
         ])
-        deltas.append(_value_gap(instance, w, ref_values, cfg, dual))
+        deltas.append(_value_gap(instance, w, ref_values, cfg))
         if t >= 20 and deltas[t] > 10.0 * deltas[t - 20]:
             diverged = True
             break
@@ -359,7 +343,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
             f_transport = _TransportMap(f_cost, f_labels, cfg.prior.eps_class)
             f_fixed, f_gap = _fixed_point(f_transport, uniform)
             floor_gap_max = max(floor_gap_max, f_gap)
-            gaps.append(_value_gap(instance, f_fixed, ref_values, cfg, dual))
+            gaps.append(_value_gap(instance, f_fixed, ref_values, cfg))
         floors[n] = float(np.mean(gaps))
     log_n = np.log(np.array(FLOOR_SIZES, dtype=float))
     log_floor = np.log(np.array([floors[n] for n in FLOOR_SIZES]))
@@ -396,7 +380,6 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
         "diverged": int(diverged),
         "steps_run": len(deltas) - 1,
         "final_delta": format_real(deltas[-1]),
-        "dual_unconverged": dual.unconverged,
     }, t_start)
     result.output_files = [trace_path, floor_path, manifest_path]
     return result
@@ -437,18 +420,19 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
     budgets = CONSISTENCY_BUDGETS
     v = np.empty((replicates, len(budgets), CONSISTENCY_PAIRS))
     lam = np.empty_like(v)
-    dual = _DualSolves()
+    pairs = np.arange(CONSISTENCY_PAIRS)
     for r in range(replicates):
         for bi, a in enumerate(budgets):
             prior_cfg = replace(cfg.prior, atoms_per_component=a,
                                 atom_seed=cfg.prior.atom_seed + 1000 * (r + 1))
             priors = build_priors(stats, instance.prototypes, supports,
                                   prior_cfg)
-            tilts = _stacked_tilts([priors[c] for c in classes], xs,
-                                   cfg.dro.epsilon)
-            scores = np.stack([prior.atoms @ instance.score_weights[c]
-                               for c, prior in enumerate(priors)])[classes]
-            res = dual(tilts, scores, cfg.dro)
+            tilts = ClassTilts.build(priors, xs, cfg.dro.epsilon).class_major(
+                slice(None))[classes, pairs]
+            table = np.stack([prior.atoms @ instance.score_weights[c]
+                              for c, prior in enumerate(priors)])
+            res = solve_dual(tilts, table, cfg.dro, row_class=classes)
+            check_converged(res, tilts, table, classes, cfg.dro)
             v[r, bi] = res.value
             lam[r, bi] = res.lambda_star
     v_gaps = np.abs(np.diff(v, axis=1)).mean(axis=0)       # (len-1, pairs)
@@ -491,7 +475,6 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
         "pairs": CONSISTENCY_PAIRS,
         "v_monotone_fraction": format_real(v_fraction),
         "lambda_monotone_fraction": format_real(lam_fraction),
-        "dual_unconverged": dual.unconverged,
     }, t_start)
     result.output_files = [trace_path, curve_path, manifest_path]
     return result

@@ -21,7 +21,6 @@ from protodro.dro import (
     LAMBDA_MIN,
     ClassTilts,
     DroConfig,
-    _phi_terms,
     gibbs_tilt_batch,
     solve_dual_batch,
 )
@@ -74,14 +73,17 @@ def solve_one(logw, scores, cfg):
     return solve_dual_batch(np.asarray(logw, dtype=float)[None, :], scores, cfg)
 
 
+def table_terms(logw, table, row_class, lam, cfg):
+    """The solver's terms of rows logw at lambdas lam over a (K, A) score table."""
+    return dro._table_terms(logw, dro._ScoreTable.build(np.asarray(table, dtype=float)),
+                            row_class, lam, cfg)
+
+
 def dual_terms(logw, scores, lam, cfg):
     """(phi, phi', phi'') of one row at one lambda, from the solver's terms."""
-    phi, dphi, d2phi, _ = _phi_terms(
-        np.asarray(logw, dtype=float)[None, :],
-        np.asarray(scores, dtype=float)[None, :],
-        np.array([lam]),
-        cfg,
-    )
+    phi, dphi, d2phi = table_terms(np.asarray(logw, dtype=float)[None, :],
+                                   np.asarray(scores)[None, :], np.array([0]),
+                                   np.array([lam]), cfg)[:3]
     return float(phi[0]), float(dphi[0]), float(d2phi[0])
 
 
@@ -222,26 +224,29 @@ class TestDualObjective:
         scores = 3.0 * rng.standard_normal((9, 17))
         lam = rng.uniform(0.01, 10.0, 9)
         cfg = DroConfig(rho=0.8, epsilon=1.2)
-        full = _phi_terms(logw, scores, lam, cfg)
+        full = table_terms(logw, scores, np.arange(9), lam, cfg)
         rows = np.array([1, 4, 7])
-        part = _phi_terms(logw[rows], scores[rows], lam[rows], cfg)
+        part = table_terms(logw[rows], scores, rows, lam[rows], cfg)
         for got, want in zip(part, full):
             np.testing.assert_array_equal(got, want[rows])
 
     def test_log_normaliser_is_log_sum_exp_bitwise(self):
-        # -inf weights and exponents near 1e7: the terms are those of
-        # numkit.log_sum_exp's normaliser, bit for bit
+        # -inf weights and exponents near 1e7: phi carries the normaliser of
+        # numkit.log_sum_exp over the centered scores, bit for bit, and the
+        # posterior is the normalised exp of the same exponents
         rng = np.random.default_rng(43)
         logw = np.vstack([random_instance(rng, n_atoms=12, with_holes=True)[0]
                           for _ in range(6)])
         scores = 1e4 * rng.standard_normal((6, 12))
         lam = np.array([1e-3, 1e-2, 0.5, 3.0, 1e2, 1e4])
         cfg = DroConfig(rho=0.6, epsilon=0.9)
-        phi, _, _, posterior = _phi_terms(logw, scores, lam, cfg)
-        a = logw + scores / (lam[:, None] * cfg.epsilon)
+        phi, _, _, _, e, z = table_terms(logw, scores, np.arange(6), lam, cfg)
+        center = 0.5 * (scores.max(axis=1) + scores.min(axis=1))
+        a = logw + 1.0 / (lam[:, None] * cfg.epsilon) * (scores - center[:, None])
         log_z = log_sum_exp(a, axis=1)
-        np.testing.assert_array_equal(phi, lam * (cfg.rho + cfg.epsilon * log_z))
-        np.testing.assert_array_equal(posterior, np.exp(a - log_z[:, None]))
+        np.testing.assert_array_equal(phi, lam * (cfg.rho + cfg.epsilon * log_z) + center)
+        np.testing.assert_allclose(e / z[:, None], np.exp(a - log_z[:, None]),
+                                   rtol=1e-8, atol=0)
 
 
 class TestSolveDual:
@@ -421,7 +426,7 @@ class TestSolveDual:
     @pytest.mark.parametrize("newton_iters", [1, 8])
     def test_outputs_are_the_terms_at_lambda_star(self, newton_iters):
         # one batch of interior, boundary and degenerate rows, solved cold
-        # (per-row terms) and then warm (table terms, one class per row);
+        # and then warm, each on the table terms of one class per row;
         # newton_iters=1 leaves rows unconverged at the cap
         rng = np.random.default_rng(331)
         logw = np.vstack([random_instance(rng, n_atoms=10, with_holes=True)[0]
@@ -440,15 +445,10 @@ class TestSolveDual:
             assert res.degenerate[0] and res.degenerate.sum() == 1
             assert res.boundary[1] == BOUNDARY_MIN and res.boundary[2] == BOUNDARY_MAX
             rows = np.flatnonzero(~res.degenerate)
-            if res is cold:
-                phi, dphi, _, posterior = _phi_terms(logw[rows], f[rows],
-                                                     res.lambda_star[rows], cfg)
-            else:
-                phi, dphi, _, _, e, z = dro._table_terms(
-                    logw[rows], dro._ScoreTable.build(f), rows, res.lambda_star[rows], cfg)
-                posterior = e / z[:, None]
+            phi, dphi, _, _, e, z = table_terms(logw[rows], f, rows,
+                                                res.lambda_star[rows], cfg)
             np.testing.assert_array_equal(res.value[rows], phi)
-            np.testing.assert_array_equal(res.posterior[rows], posterior)
+            np.testing.assert_array_equal(res.posterior[rows], e / z[:, None])
             interior = res.boundary[rows] == BOUNDARY_NONE
             np.testing.assert_array_equal(res.converged[rows][interior],
                                           np.abs(dphi[interior]) <= cfg.grad_tol)
@@ -458,8 +458,7 @@ class TestSolveDual:
 
     def test_warm_start_at_the_solution_takes_one_evaluation(self, monkeypatch):
         # a warm row starts with an evaluation at its start, so a start at a
-        # converged lambda* of the table path (where warm per-row rows solve)
-        # converges there and keeps that evaluation's value and posterior:
+        # converged lambda* converges there and keeps that evaluation's value and posterior:
         # no bracket probe and no evaluation after the loop
         rng = np.random.default_rng(337)
         logw = np.vstack([random_instance(rng, n_atoms=12)[0] for _ in range(40)])
@@ -509,12 +508,14 @@ class TestSolveDual:
 
 class TestColdStart:
     @pytest.mark.parametrize("kind", ["below", "above", "min", "max"])
-    def test_probes_by_tens_then_runs_newton_from_the_midpoint(self, kind, monkeypatch):
-        # a cold row is evaluated at LAMBDA_INIT, then at factors of 10
-        # toward the root until phi' changes sign or the box edge is
-        # reached; an interior row then moves to the geometric midpoint of
-        # the last two probes and runs Newton (or bisects) from there. The
-        # probes do not count as iterations.
+    def test_probes_by_tens_toward_an_open_end(self, kind, monkeypatch):
+        # a cold row is evaluated first at LAMBDA_INIT; every later
+        # evaluation is a probe a factor of 10 from the one before, toward
+        # the root, or a step strictly inside the sign bracket known so far
+        # (the box edge standing in for an open end). The probes do not
+        # count as iterations. A row whose minimizer lies beyond the box
+        # ends on its edge, flagged and converged; an interior row ends on
+        # the side of 1 where its root lies.
         rng = np.random.default_rng(367)
         logw, scores = random_instance(rng, n_atoms=12)
         if kind == "below":
@@ -529,44 +530,37 @@ class TestColdStart:
             scores[0] = 1e6
         cfg = DroConfig(rho=1.0, epsilon=1.0)
         calls = []
-        phi_terms = dro._phi_terms
+        terms_at = dro._table_terms
 
-        def recording(logq, f, lam, cfg):
-            terms = phi_terms(logq, f, lam, cfg)
-            calls.append((lam[0], *(t[0] for t in terms[:3])))
+        def recording(logq, table, cls, lam, cfg):
+            terms = terms_at(logq, table, cls, lam, cfg)
+            calls.append((lam[0], terms[0][0], terms[1][0]))
             return terms
 
-        monkeypatch.setattr(dro, "_phi_terms", recording)
+        monkeypatch.setattr(dro, "_table_terms", recording)
         res = solve_one(logw, scores, cfg)
-        lams, phi, d, dd = (np.array(c) for c in zip(*calls))
+        lams, phi, d = (np.array(c) for c in zip(*calls))
         down = d[0] >= 0
         edge = LAMBDA_MIN if down else LAMBDA_MAX
         assert lams[0] == dro.LAMBDA_INIT
-        probes = 1
-        while (d[probes - 1] >= 0) == down and lams[probes - 1] != edge:
-            step = lams[probes - 1] / 10.0 if down else lams[probes - 1] * 10.0
-            assert lams[probes] == np.clip(step, LAMBDA_MIN, LAMBDA_MAX)
-            probes += 1
-        assert probes >= 3
-        if kind in ("min", "max"):
-            assert lams[probes - 1] == edge and len(calls) == probes
-            assert res.boundary[0] == (BOUNDARY_MIN if down else BOUNDARY_MAX)
-            assert res.iterations[0] == 0 and res.converged[0]
-            assert res.lambda_star[0] == edge and res.value[0] == phi[-1]
-            return
-        assert (res.lambda_star[0] < 1.0) == (kind == "below") == down
-        lo, hi = sorted(lams[probes - 2:probes])
-        assert lams[probes] == np.sqrt(lo * hi)
-        newton_steps = 0
-        for j in range(probes, len(calls) - 1):
-            lo, hi = (lams[j], hi) if d[j] < 0 else (lo, lams[j])
-            newton = lams[j] - d[j] / dd[j]
-            assert lams[j + 1] in (newton, np.sqrt(lo * hi))
-            assert lo < lams[j + 1] < hi
-            newton_steps += lams[j + 1] == newton
-        assert newton_steps > 0
+        lo, hi, probes = LAMBDA_MIN, LAMBDA_MAX, 0
+        for j in range(1, len(calls)):
+            if d[j - 1] < 0:
+                lo, probe = max(lo, lams[j - 1]), lams[j - 1] * 10.0
+            else:
+                hi, probe = min(hi, lams[j - 1]), lams[j - 1] / 10.0
+            if lams[j] == np.clip(probe, LAMBDA_MIN, LAMBDA_MAX):
+                probes += 1
+            else:
+                assert lo < lams[j] < hi
+        assert probes >= 2
         assert res.iterations[0] == len(calls) - probes and res.converged[0]
         assert res.lambda_star[0] == lams[-1] and res.value[0] == phi[-1]
+        if kind in ("min", "max"):
+            assert lams[-1] == edge and (d[-1] >= 0) == down
+            assert res.boundary[0] == (BOUNDARY_MIN if down else BOUNDARY_MAX)
+            return
+        assert (res.lambda_star[0] < 1.0) == (kind == "below") == down
         assert res.boundary[0] == BOUNDARY_NONE
 
 
@@ -640,20 +634,19 @@ def mixed_batch(n):
     return logw, scores
 
 
-# each run of the TestRowBlocks tests: (newton_iters, warm) and the block
-# solver its rows take, the per-row one cold and the table one warm
-BLOCK_RUNS = [(iters, warm, "_solve_table_block" if warm else "_solve_block")
-              for iters in (1, 8) for warm in (False, True)]
+# each run of the TestRowBlocks tests: (newton_iters, warm)
+BLOCK_RUNS = [(iters, warm) for iters in (1, 8) for warm in (False, True)]
 
 
 def record_blocks(monkeypatch, record):
-    """Wrap both block solvers so each call first calls record(name, args)."""
-    for name in ("_solve_block", "_solve_table_block"):
-        def recording(*args, name=name, solve_block=getattr(dro, name)):
-            record(name, args)
-            return solve_block(*args)
+    """Wrap the block solver so each call first calls record(args)."""
+    solve_block = dro._solve_table_block
 
-        monkeypatch.setattr(dro, name, recording)
+    def recording(*args):
+        record(args)
+        return solve_block(*args)
+
+    monkeypatch.setattr(dro, "_solve_table_block", recording)
 
 
 class TestRowBlocks:
@@ -673,16 +666,15 @@ class TestRowBlocks:
             monkeypatch.setattr(dro, "WORKERS", workers)
             monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
             runs, counts = [], set()
-            for iters, warm, name in BLOCK_RUNS:
+            for iters, warm in BLOCK_RUNS:
                 blocks.clear()
                 runs.append(solve_dual_batch(logw, scores, DroConfig(newton_iters=iters),
                                              lam0 if warm else None))
-                assert {solver for solver, _ in blocks} == {name}
                 counts.add(len(blocks))
             assert len(counts) == 1
             return runs, counts.pop()
 
-        record_blocks(monkeypatch, lambda name, args: blocks.append((name, args[-1])))
+        record_blocks(monkeypatch, lambda args: blocks.append(args[-1]))
         reference, count = solve_all(1, 200 * 16)
         assert count == 1
         assert not reference[0].converged.all()
@@ -713,25 +705,23 @@ class TestRowBlocks:
         lam0 = np.exp(rng.uniform(-6.0, 6.0, 200))
         all_live = []
 
-        def recording(name, args):
-            # (logq, f, live, ...) per row; (logq, table, row_class, live, ...)
-            live = args[2] if name == "_solve_block" else args[3]
-            all_live.append((name, bool(live[args[-1]].all())))
+        def recording(args):
+            # (logq, table, row_class, live, ..., block)
+            all_live.append(bool(args[3][args[-1]].all()))
 
         def solve_all(cells):
             monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
             all_live.clear()
             return [solve_dual_batch(logw, scores, DroConfig(newton_iters=iters),
                                      lam0 if warm else None)
-                    for iters, warm, _ in BLOCK_RUNS]
+                    for iters, warm in BLOCK_RUNS]
 
         monkeypatch.setattr(dro, "WORKERS", 1)
         record_blocks(monkeypatch, recording)
         reference = solve_all(200 * 16)
-        assert all_live == [(name, False) for _, _, name in BLOCK_RUNS]
+        assert all_live == [False] * len(BLOCK_RUNS)
         runs = solve_all(10 * 16)
-        assert all_live == [(name, live) for _, _, name in BLOCK_RUNS
-                            for live in [False] * 10 + [True] * 10]
+        assert all_live == ([False] * 10 + [True] * 10) * len(BLOCK_RUNS)
         assert reference[0].degenerate[150] and reference[0].boundary[-1] == BOUNDARY_MAX
         for want, got in zip(reference, runs):
             for name in FIELDS:
@@ -756,16 +746,16 @@ class TestRowBlocks:
         class BlockFailure(Exception):
             pass
 
-        phi_terms = dro._phi_terms
+        table_terms = dro._table_terms
         caller = []
 
         def failing_terms(*args):
             if (threading.get_ident() == caller[0]) == (failing == "caller"):
                 raise BlockFailure(failing)
-            return phi_terms(*args)
+            return table_terms(*args)
 
         monkeypatch.setattr(dro, "WORKERS", 2)
-        monkeypatch.setattr(dro, "_phi_terms", failing_terms)
+        monkeypatch.setattr(dro, "_table_terms", failing_terms)
         logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
         outcome = []
 
@@ -786,8 +776,8 @@ class TestRowBlocks:
 
 
 class TestRouting:
-    """Warm rows with per-row scores solve on the table path, cold ones on
-    the per-row path."""
+    """Rows with per-row or shared scores solve as the explicit table call
+    would, warm or cold."""
 
     @staticmethod
     def batch(shared):
@@ -802,10 +792,9 @@ class TestRouting:
             return logw, scores[0], lam0, scores[:1], np.zeros(150, dtype=int)
         return logw, scores, lam0, scores, np.arange(150)
 
-    @pytest.mark.parametrize("cap", [1, 16])
-    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
-    def test_warm_rows_have_the_bytes_of_the_explicit_table_call(self, cap, shared):
+    def assert_routed_bytes(self, cap, shared, warm):
         logw, f, lam0, table, row_class = self.batch(shared)
+        lam0 = lam0 if warm else None
         cfg = DroConfig(newton_iters=cap)
         routed = solve_dual_batch(logw, f, cfg, lam0)
         explicit = solve_dual_batch(logw, table, cfg, lam0, row_class=row_class)
@@ -814,21 +803,15 @@ class TestRouting:
             a, b = getattr(routed, name), getattr(explicit, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("cap", [1, 16])
     @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
-    def test_each_start_reaches_only_its_evaluator(self, monkeypatch, shared):
-        calls = dict.fromkeys(("_phi_terms", "_table_terms"), 0)
-        for name in calls:
-            def counting(*args, name=name, terms=getattr(dro, name)):
-                calls[name] += 1
-                return terms(*args)
+    def test_warm_rows_have_the_bytes_of_the_explicit_table_call(self, cap, shared):
+        self.assert_routed_bytes(cap, shared, warm=True)
 
-            monkeypatch.setattr(dro, name, counting)
-        logw, f, lam0, _, _ = self.batch(shared)
-        solve_dual_batch(logw, f, DroConfig())
-        assert calls["_phi_terms"] > 0 and calls["_table_terms"] == 0
-        calls["_phi_terms"] = 0
-        solve_dual_batch(logw, f, DroConfig(), lam0)
-        assert calls["_table_terms"] > 0 and calls["_phi_terms"] == 0
+    @pytest.mark.parametrize("cap", [1, 16])
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+    def test_cold_rows_have_the_bytes_of_the_explicit_table_call(self, cap, shared):
+        self.assert_routed_bytes(cap, shared, warm=False)
 
 
 class TestRobustLogits:
@@ -997,8 +980,7 @@ class TestClassTable:
         # mass, the next 0.85); open-crawl: a warm row started at 1.25e-3
         # below a cliff at 2.46e-3, where Halley moves up by a few percent
         # per step while the upper end is open; next-to-probe: a cold row
-        # whose lambda* sits just below the probe point 0.1, which the
-        # Newton-and-bisection path takes to its cap of 16 to reach
+        # whose lambda* sits just below the probe point 0.1
         cfg = DroConfig(rho=1.0, epsilon=1.0)
         rng = np.random.default_rng(617)
         if shape == "next-to-probe":

@@ -8,6 +8,7 @@ import pytest
 
 from protodro import cli
 from protodro.config import ExperimentConfig
+from protodro.dro import DroConfig, DualConvergenceError
 from protodro.harnesses import (
     CONSISTENCY_BUDGETS,
     CONSISTENCY_PAIRS,
@@ -130,7 +131,6 @@ class TestContraction:
         assert "jacobian_norm = " in manifest
         assert "fixed_point_gap = " in manifest
         assert "floor_fixed_point_gap_max = " in manifest
-        assert "dual_unconverged = 0\n" in manifest
 
     def test_fixed_point_reports_an_unfinished_iteration(self):
         rng = np.random.default_rng(7)
@@ -187,9 +187,19 @@ class TestConsistency:
         assert curve[0] == "budget,v_gap_mean,lambda_gap_mean"
         manifest = (out / "consistency_manifest.txt").read_text()
         assert "v_monotone_fraction = " in manifest
-        assert "dual_unconverged = 0\n" in manifest
 
     def test_committed_results_reproduce(self, consistency, monkeypatch):
         # the fixture runs the committed settings: seed 0, 32 replicates
         _, out = consistency
         assert_reproduces_results(out, "consistency", monkeypatch)
+
+
+@pytest.mark.parametrize("task", ["contraction", "consistency"])
+def test_an_unconverged_dual_row_fails_the_run(task, tmp_path):
+    # one step converges no harness row, and the run raises rather than
+    # write values from unconverged rows
+    cfg = replace(ExperimentConfig(), task=task, dro=DroConfig(newton_iters=1))
+    run = run_contraction if task == "contraction" else run_consistency
+    with pytest.raises(DualConvergenceError, match="dual rows unconverged after 1 steps"):
+        run(cfg, out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())

@@ -26,11 +26,10 @@ Run it at two commits and diff the two listings:
     (cd ../parent-checkout && python3 tools/dual_identity.py) > before.txt
     diff before.txt after.txt
 
-Cold lines must match the parent's byte for byte: cold batches with
-per-row scores are the harnesses' solves, whose committed outputs rest on
-those bytes. Warm lines move by design whenever the warm path changes
-(warm per-row batches solve on the table evaluator); compare their
-totals instead, and expect no more unconverged rows than the parent's.
+Every batch, cold or warm, solves on the one table evaluator. A change
+that leaves the solver's steps alone keeps every line byte for byte; one
+that moves them by design moves the lines, so compare the two totals lines
+instead, and explain any unconverged rows beyond the parent's.
 
 To fingerprint a commit that predates this script, copy the script into a
 checkout of that commit: it runs the package in the `src/` beside its own

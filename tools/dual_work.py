@@ -10,9 +10,9 @@ predict on the cell's test set, as the sweep does. Every dual call that
 starts) and cold ones (predict) apart. For each kind it prints
 
 - rows: the dual rows solved;
-- evals_per_row: rows evaluated per solved row, counted at each dual
-  evaluator the package has (`dro._phi_terms`, and `dro._table_terms`
-  where it exists), probes and the evaluation after the cap included;
+- evals_per_row: rows evaluated per solved row, counted at the dual
+  evaluator `dro._table_terms` (where the checkout has it), probes and the
+  evaluation after the cap included;
 - unconverged, boundary and degenerate: row counts from the result flags;
 - dual_s: wall seconds inside the dual calls;
 
@@ -42,7 +42,7 @@ from protodro.config import preset  # noqa: E402
 from protodro.metrics import eval_classification  # noqa: E402
 
 LEVEL = 3.0
-EVALUATORS = ("_phi_terms", "_table_terms")
+EVALUATORS = ("_table_terms",)
 KINDS = ("warm", "cold")
 FLAGS = ("unconverged", "boundary", "degenerate")
 
