@@ -17,11 +17,11 @@ scores a table of one class. Each row's scores are one of K class rows,
 so _table_terms builds no per-row score copy: per run of rows of one
 class it takes one exp and the three raw moments against the class's
 centered scores, their squares and cubes, which gives phi''' as well.
-_halley_bisect starts each row at its lam_init (LAMBDA_INIT when cold)
-and takes the Halley step, then Newton from either bracket end, then
-log-bisection or a probe by a factor of 10 toward an open end; a step is
-trusted only where phi'' changes little over it, and a step that did not
-halve |phi'| sends the row to bisection or a probe.
+_halley_bisect starts each row at its lam_init (LAMBDA_INIT when cold,
+LAMBDA_MAX at rho = 0) and takes the Halley step, then Newton from either
+bracket end, then log-bisection or a probe by a factor of 10 toward an
+open end; a step is trusted only where phi'' changes little over it, and
+a step that did not halve |phi'| sends the row to bisection or a probe.
 
 A row evaluated on a box edge with phi' pointing beyond it is a boundary
 row, and a converged row keeps phi and the posterior of the evaluation
@@ -196,6 +196,7 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         lam_init: optional (n,) per-row starting multipliers. Each row runs
             its steps from its start, clipped to the box; a start that is
             NaN or not positive means LAMBDA_INIT, and so does no lam_init.
+            At cfg.rho = 0 every row starts at LAMBDA_MAX instead.
         row_class: keyword-only (n,) integer index of each row's class in
             the score table. Rows of one class run fastest in contiguous
             runs (models lays them out class-major), and each row gets the
@@ -444,10 +445,12 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
     """Safeguarded Halley on phi' for table rows with spread scores.
 
     Every row starts at its clipped lam0 (LAMBDA_INIT where lam0 is None or
-    not a positive number) and each evaluation narrows its sign bracket on
-    phi' (the box edge stands in for an end not yet known), keeping phi',
-    phi'' and phi''' at both ends. The next lambda is the first of these
-    that is trusted and lands strictly inside the bracket:
+    not a positive number), or at LAMBDA_MAX when cfg.rho is 0, where one
+    evaluation ends it on that edge: phi' = -eps KL(p_lam || q) <= 0 on the
+    whole box. Each evaluation narrows its sign bracket on phi' (the box
+    edge stands in for an end not yet known), keeping phi', phi'' and
+    phi''' at both ends. The next lambda is the first of these that is
+    trusted and lands strictly inside the bracket:
 
       1. the Halley step -2 phi' phi'' / (2 phi''^2 - phi' phi''') from the
          current lambda;
@@ -480,7 +483,9 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
     # (phi', phi'', phi''') at each bracket end
     at_lo, at_hi = np.full((3, n), np.nan), np.full((3, n), np.nan)
     bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
-    if lam0 is None:
+    if cfg.rho == 0:
+        lam = np.full(n, LAMBDA_MAX)
+    elif lam0 is None:
         lam = np.full(n, LAMBDA_INIT)
     else:
         lam = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
@@ -545,8 +550,11 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
         # no trusted step and the root lies toward an open end: probe that way
         probe[rows] = opened = ~stepped & np.where(below, open_hi, open_lo)
         if opened.any():
+            # a probe down within a rounding of LAMBDA_MIN (1e-5 / 10 is
+            # 1.0000000000000002e-06) takes the edge
+            down = at[opened] / 10.0
             nxt[opened] = np.where(below[opened], np.minimum(at[opened] * 10.0, LAMBDA_MAX),
-                                   np.maximum(at[opened] / 10.0, LAMBDA_MIN))
+                                   np.where(down > LAMBDA_MIN * (1 + 1e-9), down, LAMBDA_MIN))
         d_base[rows] = np.where(take_o, np.abs(d_far), np.where(stepped, np.abs(d), np.inf))
         lam[rows] = nxt
 

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .dro import ClassTilts, check_converged, gibbs_tilt_batch, solve_dual_batch
+from .dro import ClassTilts, check_converged, solve_dual_batch
 from .numkit import GaussianParams, SeededRng, gaussian_sample, log_sum_exp
 from .priors import (
     MixturePrior,
     SupportSet,
-    build_priors,
     compute_class_stats,
     draw_atoms,
+    prior_weights,
     update_weights_damped,
 )
 from .sinkhorn import build_cost_matrix
@@ -54,8 +54,8 @@ CONSISTENCY_BUDGETS = (32, 128, 512, 2048)
 CONSISTENCY_PAIRS = 50
 CONSISTENCY_SUPPORTS = 48
 
-# both harnesses solve one point set per call (a class's evaluation points,
-# or every consistency pair at one budget) on a table of one or two class
+# both harnesses solve one point set per call (every (class, eval point)
+# row, or every consistency pair at one budget) on the table of both class
 # score rows, and raise dro.DualConvergenceError on a row left unconverged,
 # as models does. The calls go through this module attribute, which stays
 # because the benchmark's dro.scalar_solve layer wraps it.
@@ -222,18 +222,17 @@ def _fixed_point(transport: _TransportMap, start: np.ndarray, tol: float = 1e-14
 
 def _values(instance: ContractionInstance, weights: np.ndarray,
             cfg: ExperimentConfig) -> np.ndarray:
-    """Robust logit per (eval point, class) for weights on the shared atoms."""
+    """Robust logit per (eval point, class) for weights on the shared atoms,
+    from one dual call over the class-major (class, point) rows."""
     points = instance.eval_points
-    one_class = np.zeros(len(points), dtype=np.intp)
-    out = np.empty((len(points), N_TARGET))
-    for c in range(N_TARGET):
-        prior = MixturePrior(weights[c], instance.atoms)
-        tilts = gibbs_tilt_batch(prior, points, cfg.dro.epsilon)
-        table = (instance.atoms @ instance.score_weights[c])[None]
-        res = solve_dual(tilts, table, cfg.dro, row_class=one_class)
-        check_converged(res, tilts, table, one_class, cfg.dro)
-        out[:, c] = res.value
-    return out
+    priors = [MixturePrior(w, instance.atoms) for w in weights]
+    tilts = ClassTilts.build(priors, points, cfg.dro.epsilon).class_major(
+        slice(None)).reshape(N_TARGET * len(points), -1)
+    table = np.stack([instance.atoms @ w for w in instance.score_weights])
+    row_class = np.repeat(np.arange(N_TARGET), len(points))
+    res = solve_dual(tilts, table, cfg.dro, row_class=row_class)
+    check_converged(res, tilts, table, row_class, cfg.dro)
+    return res.value.reshape(N_TARGET, len(points)).T
 
 
 def _value_gap(instance: ContractionInstance, weights: np.ndarray,
@@ -417,6 +416,8 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
         np.zeros(CONSISTENCY_PAIRS // 2, dtype=int), np.ones(half, dtype=int)
     ])
 
+    # the weights do not depend on the atoms, which alone are drawn per rung
+    weights = prior_weights(instance.prototypes, supports, cfg.prior)
     budgets = CONSISTENCY_BUDGETS
     v = np.empty((replicates, len(budgets), CONSISTENCY_PAIRS))
     lam = np.empty_like(v)
@@ -425,12 +426,11 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
         for bi, a in enumerate(budgets):
             prior_cfg = replace(cfg.prior, atoms_per_component=a,
                                 atom_seed=cfg.prior.atom_seed + 1000 * (r + 1))
-            priors = build_priors(stats, instance.prototypes, supports,
-                                  prior_cfg)
+            atoms = draw_atoms(stats, prior_cfg, SeededRng(prior_cfg.atom_seed))
+            priors = [MixturePrior(w, atoms) for w in weights]
             tilts = ClassTilts.build(priors, xs, cfg.dro.epsilon).class_major(
                 slice(None))[classes, pairs]
-            table = np.stack([prior.atoms @ instance.score_weights[c]
-                              for c, prior in enumerate(priors)])
+            table = np.stack([atoms @ w for w in instance.score_weights])
             res = solve_dual(tilts, table, cfg.dro, row_class=classes)
             check_converged(res, tilts, table, classes, cfg.dro)
             v[r, bi] = res.value

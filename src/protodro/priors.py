@@ -3,9 +3,10 @@
 Base classes contribute mixture components (their moments, with inflated
 covariance); a class-level entropic coupling between base classes and the
 few labeled support points decides how much each component contributes to
-each target class. Priors are atomized once, deterministically, so every
-downstream robust evaluation is a fixed finite quadrature: a prior is its
-atoms and its component weights, nothing more.
+each target class. prior_weights computes those weights alone, and
+build_priors adds the atoms: priors are atomized once, deterministically,
+so every downstream robust evaluation is a fixed finite quadrature: a
+prior is its atoms and its component weights, nothing more.
 
 Priors files (format "protodro-priors", version 2) are JSON documents that
 hold the atoms shared by every class once and then one weight vector per
@@ -167,24 +168,6 @@ def compute_class_stats(features, labels, ridge: float = 1e-6) -> list[ClassStat
     return stats
 
 
-def mixture_weights(plan: np.ndarray, labels, class_id: int) -> np.ndarray:
-    """Per-base-class transport mass toward one target class, normalized.
-
-    Sums the coupling over the columns labeled class_id and divides by the
-    total mass those columns received.
-    """
-    plan = np.asarray(plan, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    mask = labels == class_id
-    if not mask.any():
-        raise ValueError(f"no support columns carry class {class_id}")
-    mass = plan[:, mask].sum(axis=1)
-    total = float(mass.sum())
-    if total <= 0:
-        raise ValueError(f"class {class_id} received no transport mass")
-    return mass / total
-
-
 def draw_atoms(components, cfg: PriorConfig, rng: SeededRng) -> np.ndarray:
     """The (B*A, d) atoms of a mixture over B components.
 
@@ -203,22 +186,18 @@ def draw_atoms(components, cfg: PriorConfig, rng: SeededRng) -> np.ndarray:
     ])
 
 
-def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray],
-                 supports: SupportSet, cfg: PriorConfig) -> list[MixturePrior]:
-    """Construct one adapted mixture prior per support class.
+def prior_weights(base_prototypes: list[np.ndarray], supports: SupportSet,
+                  cfg: PriorConfig) -> np.ndarray:
+    """The (C, B) mixture weights of the C support classes over B base classes.
 
     A single class-level entropic coupling is solved between base classes
-    (rows) and support points (columns); each class's mixture weights are
-    the normalized mass its columns received. Components are the base-class
-    Gaussians with covariance scaled by cfg.covariance_inflation plus a
-    ridge, and atoms are drawn once per component from cfg.atom_seed
-    (draw_atoms).
+    (rows, uniform mass 1/B) and support points (columns, uniform mass) on
+    the soft-min cost; row c is the mass that the columns of class c
+    received from each base class, divided by its total.
     """
-    if len(base_stats) != len(base_prototypes):
-        raise ValueError("base_stats and base_prototypes must align")
     if len(supports) == 0:
         raise ValueError("supports are empty")
-    n_base = len(base_stats)
+    n_base = len(base_prototypes)
     n_classes = supports.class_count()
     counts = np.bincount(supports.labels, minlength=n_classes)
     if np.any(counts == 0):
@@ -229,11 +208,25 @@ def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray]
     col = np.full(len(supports), 1.0 / len(supports))
     plan = solve_entropic_ot(OtProblem(cost, row, col, cfg.eps_class)).plan
 
+    weights = np.empty((n_classes, n_base))
+    for c in range(n_classes):
+        mass = plan[:, supports.labels == c].sum(axis=1)
+        total = float(mass.sum())
+        if total <= 0:
+            raise ValueError(f"class {c} received no transport mass")
+        weights[c] = mass / total
+    return weights
+
+
+def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray],
+                 supports: SupportSet, cfg: PriorConfig) -> list[MixturePrior]:
+    """One adapted mixture prior per support class: the prior_weights rows
+    over atoms drawn once per base class from cfg.atom_seed (draw_atoms)."""
+    if len(base_stats) != len(base_prototypes):
+        raise ValueError("base_stats and base_prototypes must align")
+    weights = prior_weights(base_prototypes, supports, cfg)
     atoms = draw_atoms(base_stats, cfg, SeededRng(cfg.atom_seed))
-    return [
-        MixturePrior(mixture_weights(plan, supports.labels, c), atoms)
-        for c in range(n_classes)
-    ]
+    return [MixturePrior(w, atoms) for w in weights]
 
 
 def update_weights_damped(current, target, eta: float) -> np.ndarray:

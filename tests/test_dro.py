@@ -321,6 +321,21 @@ class TestSolveDual:
         assert res.value[0] == pytest.approx(mean, abs=1e-3)
         assert res.value[0] >= mean
 
+    def test_rho_zero_rows_end_on_the_top_edge_in_one_step(self):
+        # at rho = 0, phi' = -eps KL(p_lam || q) <= 0 on the whole box, so
+        # every row, cold or warm, is evaluated once at LAMBDA_MAX and ends
+        # there flagged, even with a cap of one step
+        rng = np.random.default_rng(389)
+        logw = np.stack([random_instance(rng, n_atoms=16)[0] for _ in range(40)])
+        scores = rng.standard_normal(16)
+        cfg = DroConfig(rho=0.0, epsilon=0.7, newton_iters=1)
+        for lam_init in (None, np.geomspace(1e-5, 1e3, 40)):
+            res = solve_dual_batch(logw, scores, cfg, lam_init=lam_init)
+            assert res.converged.all() and (res.iterations == 1).all()
+            assert (res.boundary == BOUNDARY_MAX).all()
+            assert (res.lambda_star == LAMBDA_MAX).all()
+            assert np.all(res.value >= np.exp(logw) @ scores - 1e-12)
+
     def test_value_between_mean_and_max(self):
         rng = np.random.default_rng(211)
         cfg = DroConfig(rho=0.8, epsilon=1.1)
@@ -515,7 +530,8 @@ class TestColdStart:
         # (the box edge standing in for an open end). The probes do not
         # count as iterations. A row whose minimizer lies beyond the box
         # ends on its edge, flagged and converged; an interior row ends on
-        # the side of 1 where its root lies.
+        # the side of 1 where its root lies. A probe down that lands within
+        # a rounding of LAMBDA_MIN takes the edge itself.
         rng = np.random.default_rng(367)
         logw, scores = random_instance(rng, n_atoms=12)
         if kind == "below":
@@ -549,6 +565,8 @@ class TestColdStart:
                 lo, probe = max(lo, lams[j - 1]), lams[j - 1] * 10.0
             else:
                 hi, probe = min(hi, lams[j - 1]), lams[j - 1] / 10.0
+                if probe <= LAMBDA_MIN * (1.0 + 1e-9):
+                    probe = LAMBDA_MIN
             if lams[j] == np.clip(probe, LAMBDA_MIN, LAMBDA_MAX):
                 probes += 1
             else:
@@ -556,6 +574,8 @@ class TestColdStart:
         assert probes >= 2
         assert res.iterations[0] == len(calls) - probes and res.converged[0]
         assert res.lambda_star[0] == lams[-1] and res.value[0] == phi[-1]
+        if kind == "min":
+            assert lams.tolist() == [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6]
         if kind in ("min", "max"):
             assert lams[-1] == edge and (d[-1] >= 0) == down
             assert res.boundary[0] == (BOUNDARY_MIN if down else BOUNDARY_MAX)

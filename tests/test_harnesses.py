@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from protodro import cli
+from protodro import cli, priors
 from protodro.config import ExperimentConfig
 from protodro.dro import DroConfig, DualConvergenceError
 from protodro.harnesses import (
@@ -192,6 +192,21 @@ class TestConsistency:
         # the fixture runs the committed settings: seed 0, 32 replicates
         _, out = consistency
         assert_reproduces_results(out, "consistency", monkeypatch)
+
+    def test_coupling_is_solved_once_per_run(self, tmp_path, monkeypatch):
+        # the weights do not depend on the atoms, so only the atoms are
+        # drawn again per (replicate, budget)
+        calls = []
+        solve = priors.solve_entropic_ot
+
+        def counting(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(priors, "solve_entropic_ot", counting)
+        cfg = replace(ExperimentConfig(), task="consistency")
+        run_consistency(cfg, out_dir=str(tmp_path), replicates=4)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("task", ["contraction", "consistency"])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ from protodro.priors import (
     build_priors,
     compute_class_stats,
     load_priors,
-    mixture_weights,
+    prior_weights,
     save_priors,
     shared_atoms,
     update_weights_damped,
@@ -61,19 +63,36 @@ class TestComputeClassStats:
             compute_class_stats(np.zeros((2, 1)), np.array([0, 2]))
 
 
+def weights_from_plan(plan, labels):
+    """prior_weights with the coupling replaced by plan (B, N): N supports
+    labeled `labels`, B base classes."""
+    plan = np.asarray(plan, dtype=float)
+    supports = SupportSet(np.zeros((plan.shape[1], 1)), np.asarray(labels))
+    protos = [np.zeros((1, 1))] * plan.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("protodro.priors.solve_entropic_ot",
+                   lambda problem: SimpleNamespace(plan=plan))
+        return prior_weights(protos, supports, PriorConfig())
+
+
 class TestMixtureWeights:
+    # prior_weights: row c is the coupling's mass over the columns of
+    # class c, normalized
     def test_hand_arithmetic(self):
         plan = np.array([[0.2, 0.1, 0.1], [0.1, 0.2, 0.3]])
-        w = mixture_weights(plan, [0, 1, 0], 0)
-        np.testing.assert_allclose(w, [3.0 / 7.0, 4.0 / 7.0])
+        w = weights_from_plan(plan, [0, 1, 0])
+        np.testing.assert_allclose(w, [[3.0 / 7.0, 4.0 / 7.0], [1.0 / 3.0, 2.0 / 3.0]])
 
     def test_one_hot_column(self):
         plan = np.array([[0.5, 0.0], [0.0, 0.5]])
-        np.testing.assert_allclose(mixture_weights(plan, [0, 1], 1), [0.0, 1.0])
+        np.testing.assert_allclose(weights_from_plan(plan, [0, 1])[1], [0.0, 1.0])
 
     def test_absent_class_rejected(self):
-        with pytest.raises(ValueError):
-            mixture_weights(np.ones((2, 2)) / 4, [0, 0], 1)
+        # class 1 has no support column, or its columns receive no mass
+        with pytest.raises(ValueError, match="every support class"):
+            weights_from_plan(np.ones((2, 2)) / 4, [0, 2])
+        with pytest.raises(ValueError, match="class 1 received no transport mass"):
+            weights_from_plan(np.array([[0.5, 0.0], [0.5, 0.0]]), [0, 1])
 
     @given(st.integers(min_value=0, max_value=2**31))
     def test_simplex_output(self, seed):
@@ -81,13 +100,20 @@ class TestMixtureWeights:
         plan = rng.uniform(0.01, 1.0, size=(4, 6))
         labels = rng.integers(0, 3, size=6)
         labels[:3] = [0, 1, 2]
-        for c in range(3):
-            w = mixture_weights(plan, labels, c)
-            assert np.all(w >= 0)
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        w = weights_from_plan(plan, labels)
+        assert w.shape == (3, 4)
+        assert np.all(w >= 0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestBuildPriors:
+    def test_weights_are_prior_weights(self):
+        stats, protos, supports = separated_setup(seed=2)
+        cfg = PriorConfig(atoms_per_component=4)
+        built = build_priors(stats, protos, supports, cfg)
+        for w, prior in zip(prior_weights(protos, supports, cfg), built):
+            np.testing.assert_array_equal(prior.weights, w)
+
     def test_matched_separated_classes_are_diag_dominant(self):
         stats, protos, supports = separated_setup()
         cfg = PriorConfig(atom_seed=3)
@@ -111,9 +137,9 @@ class TestBuildPriors:
             np.full(n_sup, 1.0 / n_sup),
             cfg.eps_class,
         )
+        ref = weights_from_plan(ref_plan, supports.labels)
         for c, prior in enumerate(priors):
-            ref = mixture_weights(ref_plan, supports.labels, c)
-            np.testing.assert_allclose(prior.weights, ref, atol=1e-6)
+            np.testing.assert_allclose(prior.weights, ref[c], atol=1e-6)
 
     def test_components_inflated(self):
         # atom block b is the seeded draw from base class b's Gaussian with

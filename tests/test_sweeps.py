@@ -198,6 +198,25 @@ class TestHeatmap:
         masses = [result.aggregate[(s, 16)] for s in (0, 1, 2)]
         assert float(np.mean(masses)) >= 0.6
 
+    def test_matrices_draw_no_atoms(self, tmp_path, monkeypatch):
+        # the matrices are the prior weights alone: with the atom draw
+        # made to fail, every file but the manifest is written the same
+        cfg = tiny_config(seeds=(0, 1))
+        sweeps.run_heatmap(cfg, shots_list=(1, 4), out_dir=tmp_path / "a")
+
+        def no_atoms(*args, **kwargs):
+            raise AssertionError("the heatmap drew atoms")
+
+        monkeypatch.setattr("protodro.priors.draw_atoms", no_atoms)
+        result = sweeps.run_heatmap(cfg, shots_list=(1, 4), out_dir=tmp_path / "b")
+        assert not result.failed_cells()
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        csvs = [n for n in names if n.endswith(".csv")]
+        assert len(csvs) == 2 * 2 + 1
+        for name in csvs:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_nested_supports_prefix_property(self):
         pair = sweeps.make_pair(tiny_config(), 0.0, 3)
         from protodro.numkit import SeededRng
