@@ -16,10 +16,12 @@ import configparser
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash, load_config, preset
+from .config import (ExperimentConfig, config_hash, load_config, parse_as,
+                     prepare_output_dir, preset)
 from .harnesses import run_consistency, run_contraction
 from .metrics import eval_classification, eval_regression
 from .models import load_head, save_head
@@ -108,26 +110,16 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig()
     updates = {}
     if args.seeds:
-        updates["seeds"] = tuple(
-            int(s) for s in args.seeds.split(",") if s.strip()
-        )
+        updates["seeds"] = parse_as(cfg.seeds, args.seeds)
     if args.out:
         updates["output_dir"] = args.out
     if updates:
-        from dataclasses import replace
-
         cfg = replace(cfg, **updates)
     return cfg
 
 
-def _prepare_out(cfg: ExperimentConfig) -> str:
-    out = cfg.resolve_output_dir()
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _cmd_gen(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
+    out = prepare_output_dir(cfg)
     t0 = time.time()
     n_classes = cfg.generator.n_classes
     for seed in cfg.seeds:
@@ -162,7 +154,7 @@ def _cmd_gen(args, cfg: ExperimentConfig) -> int:
 def _cmd_train(args, cfg: ExperimentConfig) -> int:
     method = args.method
     method_fit(cfg.task, method)
-    out = _prepare_out(cfg)
+    out = prepare_output_dir(cfg)
     t0 = time.time()
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     pair = make_pair(cfg, cfg.shift.lambda_cov, seed)
@@ -193,7 +185,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_heatmap(args, cfg: ExperimentConfig) -> int:
-    shots = tuple(int(s) for s in args.shots.split(",") if s.strip())
+    shots = parse_as((1,), args.shots)
     if not shots or any(s < 1 for s in shots):
         raise ValueError(f"invalid shot list {args.shots!r}")
     result = run_heatmap(cfg, shots_list=shots)
@@ -228,7 +220,7 @@ def _cmd_eval(args, cfg: ExperimentConfig) -> int:
         raise FileNotFoundError(f"input file not found: {args.priors}")
     features, labels, split, n_classes, responses = load_dataset(args.data)
     head = load_head(args.head)
-    out = _prepare_out(cfg)
+    out = prepare_output_dir(cfg)
     t0 = time.time()
     if responses is not None:
         report = eval_regression(head.predict_response(features), responses)

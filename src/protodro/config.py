@@ -4,13 +4,17 @@ Every knob of an experiment lives in one ExperimentConfig so a run is
 reproducible from its file alone. The config hash stamped into result rows
 is a digest of the canonical serialization, so byte-identical outputs imply
 identical configuration and vice versa.
+
+A file has one section per entry of _SECTION_TYPES: [experiment] holds the
+ExperimentConfig fields that are not sections themselves, and each other
+section the fields of its dataclass. One field loop writes and reads them
+all, and a section or key the config lacks is an error, not ignored.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -91,8 +95,10 @@ class ExperimentConfig:
         return os.environ.get(OUTPUT_DIR_ENV, "results")
 
 
-# each section is read into the ExperimentConfig field of the same name
+# [experiment] is ExperimentConfig's own fields; each other section is read
+# into the ExperimentConfig field of the same name
 _SECTION_TYPES = {
+    "experiment": ExperimentConfig,
     "generator": GeneratorConfig,
     "shift": ShiftSpec,
     "prior": PriorConfig,
@@ -100,35 +106,46 @@ _SECTION_TYPES = {
     "train": TrainConfig,
 }
 
+
+def _section(obj, section: str):
+    """The object that holds a section's fields: obj itself for [experiment]."""
+    return obj if section == "experiment" else getattr(obj, section)
+
+
+def _keys(section: str) -> tuple[str, ...]:
+    """A section's keys, in field order."""
+    return tuple(f.name for f in fields(_SECTION_TYPES[section])
+                 if f.name not in _SECTION_TYPES)
+
+
 def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
-def _parse_like(kind, raw: str):
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+def parse_as(default, raw: str):
+    """raw read as the type of default.
+
+    A tuple default reads a comma list of its first entry's type, skipping
+    blank entries, so "0, ,2" against (0,) is (0, 2).
+    """
+    if isinstance(default, tuple):
+        return tuple(parse_as(default[0], item) for item in raw.split(",") if item.strip())
+    return type(default)(raw.strip())
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Deterministic, complete, human-readable rendering of a config."""
-    out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write(f"task = {cfg.task}\n")
-    out.write(f"methods = {','.join(cfg.methods)}\n")
-    out.write(f"seeds = {','.join(str(s) for s in cfg.seeds)}\n")
-    out.write(f"levels = {','.join(_format_value(l) for l in cfg.levels)}\n")
-    out.write(f"output_dir = {cfg.output_dir}\n")
-    for section, cls in _SECTION_TYPES.items():
-        out.write(f"\n[{section}]\n")
-        obj = getattr(cfg, section)
-        for f in fields(cls):
-            out.write(f"{f.name} = {_format_value(getattr(obj, f.name))}\n")
-    return out.getvalue()
+    blocks = []
+    for section in _SECTION_TYPES:
+        obj = _section(cfg, section)
+        lines = [f"[{section}]"] + [f"{key} = {_format_value(getattr(obj, key))}"
+                                    for key in _keys(section)]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -142,46 +159,40 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an INI-style config; unspecified keys keep their defaults."""
+    """Parse an INI-style config; unspecified keys keep their defaults.
+
+    Raises ValueError naming the section, or key, and the file when the
+    file has a section or a key that the config does not.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
 
+    defaults = ExperimentConfig()
     kwargs = {}
-    if parser.has_section("experiment"):
-        exp = parser["experiment"]
-        if "task" in exp:
-            kwargs["task"] = exp["task"].strip()
-        if "methods" in exp:
-            kwargs["methods"] = tuple(
-                m.strip() for m in exp["methods"].split(",") if m.strip()
-            )
-        if "seeds" in exp:
-            kwargs["seeds"] = tuple(
-                int(s) for s in exp["seeds"].split(",") if s.strip()
-            )
-        if "levels" in exp:
-            kwargs["levels"] = tuple(
-                float(l) for l in exp["levels"].split(",") if l.strip()
-            )
-        if "output_dir" in exp:
-            kwargs["output_dir"] = exp["output_dir"].strip()
-
-    for section, cls in _SECTION_TYPES.items():
-        if not parser.has_section(section):
-            continue
-        sub = {}
-        known = {f.name: f for f in fields(cls)}
+    for section in parser.sections():
+        if section not in _SECTION_TYPES:
+            raise ValueError(f"unknown section [{section}] in {path}")
+        keys, default = _keys(section), _section(defaults, section)
+        values = {}
         for key, raw in parser[section].items():
-            if key not in known:
+            if key not in keys:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
-            default = getattr(cls(), key)
-            sub[key] = _parse_like(type(default), raw)
-        kwargs[section] = cls(**sub)
-
+            values[key] = parse_as(getattr(default, key), raw)
+        if section == "experiment":
+            kwargs.update(values)
+        else:
+            kwargs[section] = _SECTION_TYPES[section](**values)
     return ExperimentConfig(**kwargs)
+
+
+def prepare_output_dir(cfg: ExperimentConfig, out_dir=None) -> str:
+    """Create and return out_dir, or cfg.resolve_output_dir() without it."""
+    out_dir = out_dir or cfg.resolve_output_dir()
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def preset(name: str) -> ExperimentConfig:

@@ -24,11 +24,13 @@ open end; a step is trusted only where phi'' changes little over it, and
 a step that did not halve |phi'| sends the row to bisection or a probe.
 
 A row evaluated on a box edge with phi' pointing beyond it is a boundary
-row, and a converged row keeps phi and the posterior of the evaluation
-that converged it, so an exact warm start costs one evaluation. Rows
-still unconverged at the cap are flagged; check_converged turns them into
-a DualConvergenceError, which models and the harnesses raise rather than
-use such a row.
+row, and a converged row keeps phi, phi' and the posterior of the
+evaluation that converged it, so an exact warm start costs one
+evaluation. phi' at lambda* is the result's gradient: lambda* phi' is the
+row's duality gap (Wang, Gao & Xie 2021, arXiv:2109.11926). Rows still
+unconverged at the cap are flagged; check_converged reads their gradient
+and turns them into a DualConvergenceError, which models and the
+harnesses raise rather than use such a row.
 
 Everything here is written over batches of tilted weight rows: one tilt
 (ClassTilts, with gibbs_tilt_batch its one-prior case), one solver
@@ -40,8 +42,8 @@ splits a batch into contiguous row blocks and solves them on one thread
 per usable core (MIN_BLOCK rows per thread at least) into disjoint rows
 of one preallocated result. A cap on block size bounds the work arrays
 alive at once. Every output is the same whatever the core count; a batch
-that is one block, such as a single row, is solved in the calling thread
-with no thread started.
+on one thread, such as a single row, is solved in the calling thread with
+no thread started.
 """
 
 from __future__ import annotations
@@ -100,10 +102,15 @@ class DroConfig:
 
 @dataclass
 class BatchDualResult:
-    """Row-wise dual solutions for a batch of tilted weight rows."""
+    """Row-wise dual solutions for a batch of tilted weight rows.
+
+    gradient is phi' at lambda_star, from the evaluation that gave value
+    (0 for a degenerate row).
+    """
 
     value: np.ndarray
     lambda_star: np.ndarray
+    gradient: np.ndarray
     posterior: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
@@ -177,9 +184,9 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     least k contiguous blocks of at most BLOCK_CELLS (row, atom) cells; the
     threads take turns over the blocks and each block is solved into its
     rows of the result. Rows are solved independently, so every output is
-    bitwise the same for any split. With k = 1 the blocks run one after
-    another in the calling thread, and a batch of at most BLOCK_CELLS
-    cells, such as one row, is solved there as one block. Inputs are
+    bitwise the same for any split. With k = 1 no thread is started: the
+    blocks run one after another in the calling thread, and a batch of at
+    most BLOCK_CELLS cells, such as one row, is one block. Inputs are
     validated before any block starts; an exception raised in a block is
     raised here once every thread has stopped.
 
@@ -239,6 +246,7 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     out = BatchDualResult(
         value=np.empty(n),
         lambda_star=np.empty(n),
+        gradient=np.empty(n),
         posterior=np.empty((n, n_atoms)),
         iterations=np.zeros(n, dtype=int),
         converged=np.empty(n, dtype=bool),
@@ -251,9 +259,6 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         _solve_table_block(logq, table, row_class, live, lam0, cfg, out, block)
 
     k = max(1, min(WORKERS, n // MIN_BLOCK))
-    if k == 1 and n * n_atoms <= BLOCK_CELLS:
-        solve(slice(None))
-        return out
     m = max(k, -(-(n * n_atoms) // BLOCK_CELLS))
     ends = [n * i // m for i in range(m + 1)]
     blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
@@ -298,8 +303,8 @@ def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,
     """Settle the rows of `block` whose live scores span [f_lo, f_hi] within
     the flat tolerance, and return the indices of the others in the block.
 
-    A flat row is degenerate: its value is f_hi, at lambda = 0, with the
-    tilt itself as posterior.
+    A flat row is degenerate: its value is f_hi, at lambda = 0 with phi' 0,
+    and the tilt itself as posterior.
     """
     mag = np.maximum(1.0, np.maximum(np.abs(f_hi), np.abs(f_lo)))
     degenerate = out.degenerate[block]
@@ -307,6 +312,7 @@ def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,
     if degenerate.any():
         out.value[block][degenerate] = f_hi[degenerate]
         out.lambda_star[block][degenerate] = 0.0
+        out.gradient[block][degenerate] = 0.0
         out.converged[block][degenerate] = True
         out.posterior[block][degenerate] = np.exp(logq[degenerate])
     return np.flatnonzero(~degenerate)
@@ -345,22 +351,17 @@ class DualConvergenceError(RuntimeError):
     """Dual rows that ended unconverged at the Newton cap."""
 
 
-def check_converged(result: BatchDualResult, tilt_log_weights: np.ndarray,
-                    table: np.ndarray, row_class: np.ndarray,
-                    cfg: DroConfig) -> None:
-    """Raise DualConvergenceError if any row of a table solve is unconverged.
+def check_converged(result: BatchDualResult, cfg: DroConfig) -> None:
+    """Raise DualConvergenceError if any row of a solve is unconverged.
 
-    The message gives the count, the largest |phi'| left and its lambda,
-    and the cap, so a failed cell says how far its worst row was from the
-    tolerance.
+    The message gives the count, the largest |phi'| left (the result's
+    gradient) and its lambda, and the cap, so a failed cell says how far
+    its worst row was from the tolerance.
     """
     bad = np.flatnonzero(~result.converged)
     if not bad.size:
         return
-    lam = result.lambda_star[bad]
-    _, dphi, _, _, _, _ = _table_terms(
-        np.asarray(tilt_log_weights)[bad], _ScoreTable.build(np.asarray(table, dtype=float)),
-        np.asarray(row_class)[bad], lam, cfg)
+    lam, dphi = result.lambda_star[bad], result.gradient[bad]
     worst = int(np.argmax(np.abs(dphi)))
     raise DualConvergenceError(
         f"{bad.size} of {result.converged.size} dual rows unconverged after "
@@ -433,8 +434,8 @@ def _solve_table_block(logq: np.ndarray, table: _ScoreTable, row_class: np.ndarr
     solve_rows = _settle_flat_rows(logq, f_hi, f_lo, out, block)
     lam0 = None if lam_init is None else lam_init[block][solve_rows]
     (out.value[block][solve_rows], out.lambda_star[block][solve_rows],
-     out.iterations[block][solve_rows], out.converged[block][solve_rows],
-     out.boundary[block][solve_rows]) = _halley_bisect(
+     out.gradient[block][solve_rows], out.iterations[block][solve_rows],
+     out.converged[block][solve_rows], out.boundary[block][solve_rows]) = _halley_bisect(
         _take(logq, solve_rows), table, cls[solve_rows], cfg, lam0,
         out.posterior[block], solve_rows)
 
@@ -473,7 +474,7 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
 
     Probes count neither in `iterations` nor against cfg.newton_iters, so
     a row evaluated on a box edge with phi' pointing beyond it is a
-    boundary row whatever the cap. A converged row keeps phi and the
+    boundary row whatever the cap. A converged row keeps phi, phi' and the
     posterior of the evaluation that converged it; rows still active at
     the cap are evaluated once more after the loop. Row i's posterior is
     written to posterior[dest[i]].
@@ -493,7 +494,7 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
     # |phi'| at the base of the row's last step; inf after a bisection or probe
     d_base = np.full(n, np.inf)
     probe = np.zeros(n, dtype=bool)  # the row's next lambda is a bracket probe
-    phi = np.empty(n)
+    phi, grad = np.empty(n), np.empty(n)
     iterations = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     while True:
@@ -510,7 +511,7 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
         bound[rows[edge]] = np.where(d[edge] >= 0, BOUNDARY_MIN, BOUNDARY_MAX)
         done |= edge
         if done.any():
-            phi[rows[done]] = p[done]
+            phi[rows[done]], grad[rows[done]] = p[done], d[done]
             posterior[dest[rows[done]]] = e[done] / z[done, None]
             active[rows[done]] = False
             keep = ~done
@@ -561,8 +562,8 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
     converged = np.ones(n, dtype=bool)
     rows = np.flatnonzero(active)
     if rows.size:
-        phi[rows], d, _, _, e, z = _table_terms(
+        phi[rows], grad[rows], _, _, e, z = _table_terms(
             _take(logq, rows), table, cls[rows], lam[rows], cfg)
         posterior[dest[rows]] = e / z[:, None]
-        converged[rows] = np.abs(d) <= cfg.grad_tol
-    return phi, lam, iterations, converged, bound
+        converged[rows] = np.abs(grad[rows]) <= cfg.grad_tol
+    return phi, lam, grad, iterations, converged, bound

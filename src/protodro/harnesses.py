@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, prepare_output_dir
 from .dro import ClassTilts, check_converged, solve_dual_batch
 from .numkit import GaussianParams, SeededRng, gaussian_sample, log_sum_exp
 from .priors import (
@@ -231,7 +231,7 @@ def _values(instance: ContractionInstance, weights: np.ndarray,
     table = np.stack([instance.atoms @ w for w in instance.score_weights])
     row_class = np.repeat(np.arange(N_TARGET), len(points))
     res = solve_dual(tilts, table, cfg.dro, row_class=row_class)
-    check_converged(res, tilts, table, row_class, cfg.dro)
+    check_converged(res, cfg.dro)
     return res.value.reshape(N_TARGET, len(points)).T
 
 
@@ -277,8 +277,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
     (n, floor), and a manifest with the fitted rate, the Jacobian norm at
     the fixed point, the floor slope, and the last fixed-point step sizes.
     """
-    out_dir = out_dir or cfg.resolve_output_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = prepare_output_dir(cfg, out_dir)
     t_start = time.time()
     seed = cfg.seeds[0]
     instance = _build_instance(cfg, seed)
@@ -393,8 +392,7 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
     draws nest across budgets), then checked for non-increase along the
     budget ladder; same for the dual minimizer.
     """
-    out_dir = out_dir or cfg.resolve_output_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = prepare_output_dir(cfg, out_dir)
     t_start = time.time()
     seed = cfg.seeds[0]
     instance = _build_instance(cfg, seed)
@@ -432,7 +430,7 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
                 slice(None))[classes, pairs]
             table = np.stack([atoms @ w for w in instance.score_weights])
             res = solve_dual(tilts, table, cfg.dro, row_class=classes)
-            check_converged(res, tilts, table, classes, cfg.dro)
+            check_converged(res, cfg.dro)
             v[r, bi] = res.value
             lam[r, bi] = res.lambda_star
     v_gaps = np.abs(np.diff(v, axis=1)).mean(axis=0)       # (len-1, pairs)

@@ -349,7 +349,7 @@ def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
         spread = scores.std(axis=1)
         lam0 = lam_cache.starts(idx, spread).reshape(n, n_classes).T.reshape(-1)
     batch = solve_dual_batch(rows, scores, dro_cfg, lam_init=lam0, row_class=row_class)
-    check_converged(batch, rows, scores, row_class, dro_cfg)
+    check_converged(batch, dro_cfg)
     lam_star = batch.lambda_star.reshape(n_classes, n).T
     if lam_cache is not None:
         lam_cache.update(idx, lam_star, spread)

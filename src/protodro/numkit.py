@@ -10,7 +10,6 @@ work never shares state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,24 +45,18 @@ def log_sum_exp(values, axis: int | None = None):
     return np.squeeze(out, axis=axis)
 
 
-class CholeskyFactor(NamedTuple):
-    lower: np.ndarray
-    delta: float
-
-
-def cholesky_psd(m, ridge: float = 0.0) -> CholeskyFactor:
+def cholesky_psd(m) -> np.ndarray:
     """Lower-triangular factor of m + delta*I for the smallest workable delta.
 
-    delta runs through {0, base, 10*base, ...} with at most 8 escalations,
-    where base is `ridge` when positive and otherwise 1e-8 * trace(m)/dim.
+    delta runs through {0, base, 10*base, ...} with at most
+    RIDGE_ESCALATIONS escalations, where base is max(1e-8 * trace(m)/dim,
+    1e-12).
 
     Args:
         m: symmetric matrix (checked to 1e-8 relative).
-        ridge: starting jitter for the escalation schedule; 0 picks the
-            trace-scaled default.
 
     Returns:
-        CholeskyFactor(lower, delta) with lower @ lower.T == m + delta*I.
+        lower, with lower @ lower.T == m + delta*I.
 
     Raises:
         ValueError: if m is not square/symmetric.
@@ -76,15 +69,13 @@ def cholesky_psd(m, ridge: float = 0.0) -> CholeskyFactor:
     if float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     d = a.shape[0]
-    trace = float(np.trace(a))
-    base = ridge if ridge > 0 else max(1e-8 * trace / d, 1e-12)
+    base = max(1e-8 * float(np.trace(a)) / d, 1e-12)
     deltas = [0.0] + [base * 10.0**j for j in range(RIDGE_ESCALATIONS)]
     for delta in deltas:
         try:
-            lower = np.linalg.cholesky(a + delta * np.eye(d))
+            return np.linalg.cholesky(a + delta * np.eye(d))
         except np.linalg.LinAlgError:
             continue
-        return CholeskyFactor(lower, delta)
     raise np.linalg.LinAlgError(
         f"matrix is not PSD-repairable after {RIDGE_ESCALATIONS} ridge escalations"
     )
@@ -173,7 +164,7 @@ class GaussianParams:
         if float(np.max(np.abs(self.cov - self.cov.T))) > 1e-10 * scale:
             raise ValueError("covariance is not symmetric within tolerance")
         if self.chol is None:
-            self.chol = cholesky_psd(self.cov).lower
+            self.chol = cholesky_psd(self.cov)
 
     @property
     def dim(self) -> int:

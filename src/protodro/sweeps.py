@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, models
-from .config import ExperimentConfig, config_hash, shift_at_level
+from .config import ExperimentConfig, config_hash, prepare_output_dir, shift_at_level
 from .metrics import eval_classification, eval_regression
 from .models import (
     RobustClassifier,
@@ -297,8 +297,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     for method in cfg.methods:
         method_fit(cfg.task, method)
     spec = GRIDS[cfg.task]
-    out_dir = out_dir or cfg.resolve_output_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = prepare_output_dir(cfg, out_dir)
     digest = config_hash(cfg)
     result = SweepResult(config_digest=digest)
     t_start = time.time()
@@ -382,8 +381,7 @@ def run_heatmap(cfg: ExperimentConfig, shots_list=(1, 4, 16),
     noise. Matrices are written one CSV per (seed, k) with classes as
     columns; the trace CSV records the mean diagonal mass.
     """
-    out_dir = out_dir or cfg.resolve_output_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = prepare_output_dir(cfg, out_dir)
     digest = config_hash(cfg)
     result = SweepResult(config_digest=digest)
     t_start = time.time()

@@ -65,6 +65,11 @@ def test_method_names_match_registry():
     assert set(sweeps.GRIDS["regression"].methods) == set(REGRESSION_METHODS)
 
 
+def test_seeds_flag_skips_blank_entries():
+    args = cli.build_parser().parse_args(["sweep", "--seeds", " 0, ,2"])
+    assert cli._resolve_config(args).seeds == (0, 2)
+
+
 class TestTrain:
     @pytest.mark.parametrize("method", CLASSIFICATION_METHODS)
     def test_classification_methods(self, cls_config, tmp_path, method):

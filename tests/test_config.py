@@ -88,6 +88,37 @@ class TestSerialization:
             with pytest.raises(ValueError, match=key):
                 load_config(path)
 
+    def test_unknown_experiment_key_rejected(self, tmp_path):
+        # a misspelled key must not leave the default seeds or methods in force
+        path = tmp_path / "bad.cfg"
+        for key, raw in (("seed", "3"), ("method", "ot")):
+            path.write_text(f"[experiment]\n{key} = {raw}\n")
+            with pytest.raises(ValueError,
+                               match=rf"unknown key '{key}' in section \[experiment\]"):
+                load_config(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        # a misspelled [train] must not leave the default epochs in force
+        path = tmp_path / "bad.cfg"
+        path.write_text("[tarin]\nepochs = 1\n")
+        with pytest.raises(ValueError, match=r"unknown section \[tarin\] in .*bad\.cfg"):
+            load_config(path)
+
+    def test_experiment_round_trips_every_field(self, tmp_path):
+        cfg = ExperimentConfig(task="regression", methods=("erm", "ot"), seeds=(3, 11),
+                               levels=(0.1, 1 / 3, 2.0000000000000004),
+                               output_dir="runs/x")
+        path = tmp_path / "exp.cfg"
+        save_config(cfg, path)
+        assert ("levels = 0.10000000000000001,0.33333333333333331,2.0000000000000004\n"
+                in path.read_text())
+        assert load_config(path) == cfg
+        path.write_text("[experiment]\nmethods = erm, ,ot\nseeds = 0, ,2\n"
+                        "levels = 1.5,,3\n")
+        loaded = load_config(path)
+        assert (loaded.methods, loaded.seeds, loaded.levels) == (("erm", "ot"), (0, 2),
+                                                                 (1.5, 3.0))
+
     def test_missing_file_raises_with_path(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         with pytest.raises(FileNotFoundError, match="nope.cfg"):

@@ -35,8 +35,8 @@ from oracles import (
 )
 
 
-FIELDS = ("value", "lambda_star", "posterior", "iterations", "converged",
-          "degenerate", "boundary")
+FIELDS = ("value", "lambda_star", "gradient", "posterior", "iterations",
+          "converged", "degenerate", "boundary")
 
 
 def uniform_logw(n_atoms):
@@ -442,7 +442,8 @@ class TestSolveDual:
     def test_outputs_are_the_terms_at_lambda_star(self, newton_iters):
         # one batch of interior, boundary and degenerate rows, solved cold
         # and then warm, each on the table terms of one class per row;
-        # newton_iters=1 leaves rows unconverged at the cap
+        # newton_iters=1 leaves rows unconverged at the cap, whose gradient
+        # is phi' at lambda_star as well
         rng = np.random.default_rng(331)
         logw = np.vstack([random_instance(rng, n_atoms=10, with_holes=True)[0]
                           for _ in range(24)])
@@ -463,11 +464,13 @@ class TestSolveDual:
             phi, dphi, _, _, e, z = table_terms(logw[rows], f, rows,
                                                 res.lambda_star[rows], cfg)
             np.testing.assert_array_equal(res.value[rows], phi)
+            np.testing.assert_array_equal(res.gradient[rows], dphi)
             np.testing.assert_array_equal(res.posterior[rows], e / z[:, None])
             interior = res.boundary[rows] == BOUNDARY_NONE
             np.testing.assert_array_equal(res.converged[rows][interior],
                                           np.abs(dphi[interior]) <= cfg.grad_tol)
             np.testing.assert_array_equal(res.posterior[0], np.exp(logw[0]))
+            assert res.gradient[0] == 0.0
         if newton_iters == 1:
             assert not cold.converged.all()
 
@@ -1044,6 +1047,6 @@ class TestClassTable:
         with pytest.raises(dro.DualConvergenceError,
                            match=rf"{(~res.converged).sum()} of 60 dual rows unconverged "
                                  r"after 1 steps: worst \|phi'\| .* at lambda"):
-            dro.check_converged(res, logw, table, row_class, cfg)
+            dro.check_converged(res, cfg)
         full = solve_dual_batch(logw, table, self.CFG, row_class=row_class)
-        dro.check_converged(full, logw, table, row_class, self.CFG)
+        dro.check_converged(full, self.CFG)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from protodro.numkit import (
+    RIDGE_ESCALATIONS,
     GaussianParams,
     SeededRng,
     cholesky_psd,
@@ -53,24 +54,30 @@ class TestLogSumExp:
 
 
 class TestCholeskyPsd:
+    # with no ridge the factor is numpy's own factor of m, bit for bit
     def test_identity_needs_no_ridge(self):
-        fac = cholesky_psd(np.eye(3), 0.0)
-        assert fac.delta == 0.0
-        np.testing.assert_allclose(fac.lower, np.eye(3))
+        lower = cholesky_psd(np.eye(3))
+        np.testing.assert_array_equal(lower, np.linalg.cholesky(np.eye(3)))
+        np.testing.assert_allclose(lower, np.eye(3))
 
     def test_hand_factorization(self):
         # [[4,2],[2,3]] = L L^T with L = [[2,0],[1,sqrt(2)]]
-        fac = cholesky_psd(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        m = np.array([[4.0, 2.0], [2.0, 3.0]])
+        lower = cholesky_psd(m)
         expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-        assert fac.delta == 0.0
-        np.testing.assert_allclose(fac.lower, expected, atol=1e-14)
+        np.testing.assert_array_equal(lower, np.linalg.cholesky(m))
+        np.testing.assert_allclose(lower, expected, atol=1e-14)
 
     def test_rank_deficient_repaired(self):
+        # the schedule's base is 1e-8 * trace / dim = 1e-8 here
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        fac = cholesky_psd(m, ridge=1e-8)
-        assert 0 < fac.delta <= 1e-8 * 10**7
-        recon = fac.lower @ fac.lower.T
-        np.testing.assert_allclose(recon, m + fac.delta * np.eye(2), atol=1e-12)
+        lower = cholesky_psd(m)
+        recon = lower @ lower.T
+        delta = recon[0, 0] - m[0, 0]
+        assert delta > 0
+        assert any(delta == pytest.approx(1e-8 * 10.0**j, rel=1e-6)
+                   for j in range(RIDGE_ESCALATIONS))
+        np.testing.assert_allclose(recon, m + delta * np.eye(2), atol=1e-12)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -78,16 +85,16 @@ class TestCholeskyPsd:
 
     def test_hopeless_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            cholesky_psd(-np.eye(2), ridge=1e-8)
+            cholesky_psd(-np.eye(2))
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
     def test_reconstructs_well_conditioned_psd(self, d, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(d, d))
         m = a @ a.T + np.eye(d)
-        fac = cholesky_psd(m, 0.0)
-        assert fac.delta == 0.0
-        np.testing.assert_allclose(fac.lower @ fac.lower.T, m, rtol=1e-8, atol=1e-10)
+        lower = cholesky_psd(m)
+        np.testing.assert_array_equal(lower, np.linalg.cholesky(m))
+        np.testing.assert_allclose(lower @ lower.T, m, rtol=1e-8, atol=1e-10)
 
 
 class TestSeededRng:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protodro.models import TrainConfig, train_ce_head
-from protodro.numkit import SeededRng, cholesky_psd
+from protodro.numkit import SeededRng
 from protodro.synthgen import (
     DomainPair,
     RegressionTask,
@@ -78,8 +78,7 @@ class TestMakeSource:
     def test_covariances_are_psd_without_ridge(self):
         params, _, _ = make_source(6, 10, 100, SeededRng(2, 1))
         for p in params:
-            factor = cholesky_psd(p.cov, ridge=0.0)
-            assert factor.delta == 0.0
+            np.linalg.cholesky(p.cov)
 
     def test_covariance_eigenvalues_bounded(self):
         params, _, _ = make_source(6, 10, 100, SeededRng(4, 1), eig_range=(0.4, 1.2))
