@@ -7,21 +7,31 @@ inner problem reduces to minimizing
     phi(lam) = lam * rho + lam * eps * log E_{y ~ q} exp(f(y) / (lam * eps))
 
 over lam >= 0, which is convex with derivatives available in closed form
-from softmax moments of the atom scores. solve_dual_batch solves every
-row by safeguarded steps on phi' inside a sign bracket, on one evaluator
-over a (K, A) score table with a row -> class index (row_class): models
-solves its rows on its class table, warm in training and cold in
-predict, and the harnesses theirs on a table of one or two classes.
-Per-row (n, A) scores are a table of one class per row, and shared (A,)
-scores a table of one class. Each row's scores are one of K class rows,
-so _table_terms builds no per-row score copy: per run of rows of one
-class it takes one exp and the three raw moments against the class's
-centered scores, their squares and cubes, which gives phi''' as well.
-_halley_bisect starts each row at its lam_init (LAMBDA_INIT when cold,
-LAMBDA_MAX at rho = 0) and takes the Halley step, then Newton from either
-bracket end, then log-bisection or a probe by a factor of 10 toward an
-open end; a step is trusted only where phi'' changes little over it, and
-a step that did not halve |phi'| sends the row to bisection or a probe.
+from softmax moments of the scores. solve_dual_batch solves every row by
+safeguarded steps on phi' inside a sign bracket, on one of two
+evaluators:
+
+  * atom rows: a (K, A) score table with a row -> class index
+    (row_class); the harnesses solve their rows on a table of one or two
+    classes. Per-row (n, A) scores are a table of one class per row, and
+    shared (A,) scores a table of one class. Each row's scores are one of
+    K class rows, so _table_terms builds no per-row score copy: per run of
+    rows of one class it takes one exp and the three raw moments against
+    the class's centered scores, their squares and cubes, which gives
+    phi''' as well.
+  * Gaussian-component rows (quad=): each row mixes K Gaussians of the
+    score with per-row means and variances v, so E_k exp(f / (lam eps))
+    is exp(mu_k / (lam eps) + v_k / (2 lam^2 eps^2)) in closed form, and
+    _component_terms takes the softmax moments over K terms. models solves
+    the robust classifier's rows there, warm in training and cold in
+    predict, with K = B components (8 in the paper presets).
+
+_halley_bisect, shared by both, starts each row at its lam_init
+(LAMBDA_INIT when cold, LAMBDA_MAX at rho = 0) and takes the Halley step,
+then Newton from either bracket end, then log-bisection or a probe by a
+factor of 10 toward an open end; a step is trusted only where phi''
+changes little over it, and a step that did not halve |phi'| sends the
+row to bisection or a probe.
 
 A row evaluated on a box edge with phi' pointing beyond it is a boundary
 row, and a converged row keeps phi, phi' and the posterior of the
@@ -32,18 +42,18 @@ unconverged at the cap are flagged; check_converged reads their gradient
 and turns them into a DualConvergenceError, which models and the
 harnesses raise rather than use such a row.
 
-Everything here is written over batches of tilted weight rows: one tilt
-(ClassTilts, with gibbs_tilt_batch its one-prior case), one solver
-(solve_dual_batch) and one result type (BatchDualResult). A single query
-is a batch of one row.
+Everything here is written over batches of tilted weight rows: one atom
+tilt (ClassTilts, with gibbs_tilt_batch its one-prior case; models builds
+the component tilts), one solver (solve_dual_batch) and one result type
+(BatchDualResult). A single query is a batch of one row.
 
 Each row's solve depends on that row alone, bit for bit, so the solver
 splits a batch into contiguous row blocks and solves them on one thread
-per usable core (MIN_BLOCK rows per thread at least) into disjoint rows
-of one preallocated result. A cap on block size bounds the work arrays
-alive at once. Every output is the same whatever the core count; a batch
-on one thread, such as a single row, is solved in the calling thread with
-no thread started.
+per usable core (MIN_BLOCK rows and MIN_BLOCK_CELLS cells per thread at
+least) into disjoint rows of one preallocated result. A cap on block size
+bounds the work arrays alive at once. Every output is the same whatever
+the core count; a batch on one thread, such as a single row, is solved in
+the calling thread with no thread started.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import log_sum_exp, sq_distances
+from .numkit import log_sum_exp, sq_distances, sum_in_order
 from .priors import MixturePrior, shared_atoms
 
 GRAD_TOL_SCALE = 1e-8
@@ -69,10 +79,15 @@ BOUNDARY_NONE = 0
 BOUNDARY_MIN = -1
 BOUNDARY_MAX = 1
 # solve_dual_batch solves row blocks on WORKERS threads (one per usable core),
-# each thread at least MIN_BLOCK rows; a block covers at most BLOCK_CELLS
-# (row, atom) cells, so each (rows, A) work array of a block is at most 8 MiB
+# each thread at least MIN_BLOCK rows and MIN_BLOCK_CELLS (row, atom) cells
+# (64 rows of 512 atoms): below that a thread's numpy calls are too short to
+# outweigh the interpreter lock they contend for (component rows of 8 terms
+# solve faster on one thread up to 32k cells, and on two from 64k); a block
+# covers at most BLOCK_CELLS cells, so each (rows, A) work array of a block
+# is at most 8 MiB
 WORKERS = len(os.sched_getaffinity(0))
 MIN_BLOCK = 64
+MIN_BLOCK_CELLS = 1 << 15
 BLOCK_CELLS = 1 << 20
 # a Halley or Newton step is trusted where the bend |phi' phi'''| / phi''^2
 # at its base is at most BEND_MAX
@@ -176,29 +191,32 @@ def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
                      cfg: DroConfig,
                      lam_init: np.ndarray | None = None, *,
-                     row_class: np.ndarray | None = None) -> BatchDualResult:
+                     row_class: np.ndarray | None = None,
+                     quad: np.ndarray | None = None) -> BatchDualResult:
     """Minimize phi row-by-row over [LAMBDA_MIN, LAMBDA_MAX].
 
-    The rows run on k = max(1, min(WORKERS, n // MIN_BLOCK)) threads (numpy
-    releases the interpreter lock inside its array loops), split into at
-    least k contiguous blocks of at most BLOCK_CELLS (row, atom) cells; the
-    threads take turns over the blocks and each block is solved into its
-    rows of the result. Rows are solved independently, so every output is
-    bitwise the same for any split. With k = 1 no thread is started: the
-    blocks run one after another in the calling thread, and a batch of at
-    most BLOCK_CELLS cells, such as one row, is one block. Inputs are
-    validated before any block starts; an exception raised in a block is
-    raised here once every thread has stopped.
+    The rows run on k = max(1, min(WORKERS, n // MIN_BLOCK, n * A //
+    MIN_BLOCK_CELLS)) threads (numpy releases the interpreter lock inside
+    its array loops), split into at least k contiguous blocks of at most
+    BLOCK_CELLS (row, atom) cells; the threads take turns over the blocks
+    and each block is solved into its rows of the result. Rows are solved
+    independently, so every output is bitwise the same for any split. With
+    k = 1 no thread is started: the blocks run one after another in the
+    calling thread, and a batch of at most BLOCK_CELLS cells, such as one
+    row, is one block. Inputs are validated before any block starts; an
+    exception raised in a block is raised here once every thread has
+    stopped.
 
-    Every row takes safeguarded Halley steps over _table_terms (module
-    docstring), and every evaluation that is not a probe counts against
-    cfg.newton_iters.
+    Every row takes safeguarded Halley steps (module docstring) over
+    _table_terms, or over _component_terms when quad is given, and every
+    evaluation that is not a probe counts against cfg.newton_iters.
 
     Args:
         tilt_log_weights: (n, A) normalized log weights, each finite or -inf.
         scores: (A,) shared scores or (n, A) per-row scores, solved as a
             table of one class or of one class per row; with row_class, a
-            (K, A) table of class scores.
+            (K, A) table of class scores; with quad, (n, K) per-row means
+            of K Gaussian components.
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
         lam_init: optional (n,) per-row starting multipliers. Each row runs
             its steps from its start, clipped to the box; a start that is
@@ -208,12 +226,17 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
             the score table. Rows of one class run fastest in contiguous
             runs (models lays them out class-major), and each row gets the
             same bytes in any order.
+        quad: keyword-only (n, K) variances v >= 0 of the components whose
+            means are the scores, so that E_k exp(f / (lam eps)) is
+            exp(mu_k / (lam eps) + v_k / (2 lam^2 eps^2)); not with
+            row_class.
 
     Returns:
         BatchDualResult with one solution per row. Rows whose weighted
-        scores are constant to within the flat tolerance short-circuit to
-        lambda = 0 with the constant as the value; rows whose minimizer
-        sits outside the lambda box are clamped and flagged.
+        scores are constant to within the flat tolerance (and whose live
+        components all have v = 0) short-circuit to lambda = 0 with the
+        constant as the value; rows whose minimizer sits outside the
+        lambda box are clamped and flagged.
     """
     logq = np.asarray(tilt_log_weights, dtype=float)
     if logq.ndim != 2:
@@ -222,7 +245,14 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         raise ValueError("tilt_log_weights must be finite or -inf")
     n, n_atoms = logq.shape
     f = np.asarray(scores, dtype=float)
-    if row_class is not None:
+    if quad is not None:
+        quad = np.asarray(quad, dtype=float)
+        if row_class is not None or f.shape != logq.shape or quad.shape != logq.shape:
+            raise ValueError("with quad, scores and quad must be (n, K) like the "
+                             "tilts, and row_class is not taken")
+        if not np.all(quad >= 0) or not np.all(quad < np.inf):
+            raise ValueError("quad must be finite and nonnegative")
+    elif row_class is not None:
         row_class = np.asarray(row_class)
         if f.ndim != 2 or f.shape[1] != n_atoms:
             raise ValueError("with row_class, scores must be a (K, A) table")
@@ -253,12 +283,16 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         degenerate=np.empty(n, dtype=bool),
         boundary=np.full(n, BOUNDARY_NONE, dtype=np.int8),
     )
-    table = _ScoreTable.build(f)
+    if quad is None:
+        table = _ScoreTable.build(f)
 
-    def solve(block):
-        _solve_table_block(logq, table, row_class, live, lam0, cfg, out, block)
+        def solve(block):
+            _solve_table_block(logq, table, row_class, live, lam0, cfg, out, block)
+    else:
+        def solve(block):
+            _solve_component_block(logq, f, quad, live, lam0, cfg, out, block)
 
-    k = max(1, min(WORKERS, n // MIN_BLOCK))
+    k = max(1, min(WORKERS, n // MIN_BLOCK, n * n_atoms // MIN_BLOCK_CELLS))
     m = max(k, -(-(n * n_atoms) // BLOCK_CELLS))
     ends = [n * i // m for i in range(m + 1)]
     blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
@@ -299,16 +333,20 @@ def _on_threads(fn, k: int) -> None:
 
 
 def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,
-                      out: BatchDualResult, block: slice) -> np.ndarray:
+                      out: BatchDualResult, block: slice,
+                      curved: np.ndarray | None = None) -> np.ndarray:
     """Settle the rows of `block` whose live scores span [f_lo, f_hi] within
     the flat tolerance, and return the indices of the others in the block.
 
     A flat row is degenerate: its value is f_hi, at lambda = 0 with phi' 0,
-    and the tilt itself as posterior.
+    and the tilt itself as posterior. A curved row (a live component with
+    variance v > 0) is never flat.
     """
     mag = np.maximum(1.0, np.maximum(np.abs(f_hi), np.abs(f_lo)))
     degenerate = out.degenerate[block]
     np.less_equal(f_hi - f_lo, FLAT_TOL * mag, out=degenerate)
+    if curved is not None:
+        degenerate &= ~curved
     if degenerate.any():
         out.value[block][degenerate] = f_hi[degenerate]
         out.lambda_star[block][degenerate] = 0.0
@@ -432,18 +470,109 @@ def _solve_table_block(logq: np.ndarray, table: _ScoreTable, row_class: np.ndarr
         f_hi = np.where(live, f, -np.inf).max(axis=1)
         f_lo = np.where(live, f, np.inf).min(axis=1)
     solve_rows = _settle_flat_rows(logq, f_hi, f_lo, out, block)
+    logq, cls = _take(logq, solve_rows), cls[solve_rows]
+
+    def evaluate(rows, lam):
+        return _table_terms(_take(logq, rows), table, cls[rows], lam, cfg)
+
+    _solve_rows(evaluate, solve_rows, lam_init, cfg, out, block)
+
+
+def _solve_component_block(logq: np.ndarray, f: np.ndarray, quad: np.ndarray,
+                           live: np.ndarray, lam_init: np.ndarray | None,
+                           cfg: DroConfig, out: BatchDualResult, block: slice) -> None:
+    """Solve rows `block` of a component batch into the same rows of `out`.
+
+    The block is worked on as (K, rows) transposes, one column per row, so
+    reductions over a row's few components run across the rows (a caller
+    that passes transposes of (K, n) arrays gets no copy). Each row's means
+    are shifted by the midpoint of their live range, as the table's class
+    rows are (_ScoreTable); the variances need no shift.
+    """
+    logq, f, quad, live = (np.ascontiguousarray(a[block].T) for a in (logq, f, quad, live))
+    f_hi = np.where(live, f, -np.inf).max(axis=0)
+    f_lo = np.where(live, f, np.inf).min(axis=0)
+    curved = np.where(live, quad, 0.0).max(axis=0) > 0
+    solve_rows = _settle_flat_rows(logq.T, f_hi, f_lo, out, block, curved)
+    n_solve = solve_rows.size
+    cols = slice(None) if n_solve == f_hi.size else solve_rows
+    center = 0.5 * (f_hi + f_lo)[cols]
+    logq, quad = logq[:, cols], quad[:, cols]
+    s = f[:, cols] - center
+
+    def evaluate(rows, lam):
+        cols = slice(None) if rows.size == n_solve else rows
+        return _component_terms(logq[:, cols], s[:, cols], quad[:, cols],
+                                center[cols], lam, cfg)
+
+    _solve_rows(evaluate, solve_rows, lam_init, cfg, out, block)
+
+
+def _solve_rows(evaluate, solve_rows: np.ndarray, lam_init: np.ndarray | None,
+                cfg: DroConfig, out: BatchDualResult, block: slice) -> None:
+    """_halley_bisect over the rows solve_rows of `block`, into `out`."""
     lam0 = None if lam_init is None else lam_init[block][solve_rows]
     (out.value[block][solve_rows], out.lambda_star[block][solve_rows],
      out.gradient[block][solve_rows], out.iterations[block][solve_rows],
      out.converged[block][solve_rows], out.boundary[block][solve_rows]) = _halley_bisect(
-        _take(logq, solve_rows), table, cls[solve_rows], cfg, lam0,
-        out.posterior[block], solve_rows)
+        evaluate, solve_rows.size, cfg, lam0, out.posterior[block], solve_rows)
 
 
-def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
-                   cfg: DroConfig, lam0: np.ndarray | None,
+def _component_terms(logq: np.ndarray, s: np.ndarray, v: np.ndarray,
+                     center: np.ndarray, lam: np.ndarray, cfg: DroConfig):
+    """phi, phi', phi'', phi''' and the posterior at each row's lambda.
+
+    Column i of the (K, rows) arrays is row i: K Gaussian components of
+    the score, with log weights logq, means center + s and variances v.
+    With t = 1/(lam eps), a_k = log q_k + s_k t + v_k t^2 / 2 and
+    p = softmax(a), L = log sum exp(a) gives phi = lam rho + lam eps L
+    (plus the center); with u = s + v t (a's derivative in t),
+    L2 = Var_p u + E_p v and L3 = kappa3_p(u) + 3 Cov_p(u, v) (L's second
+    and third derivatives),
+
+        phi'   = rho + eps L - E_p u / lam
+        phi''  = L2 / (lam^3 eps)
+        phi''' = -(3 L2 + t L3) / (lam^4 eps)
+
+    At v = 0 these are _table_terms' formulas. The moments are central,
+    and every step is elementwise, a max or a sum_in_order over the
+    components, so each row's terms depend on that row alone, bit for
+    bit. The posterior is returned as the (rows, K) view e of exp(a - max
+    a) and z = sum e.
+    """
+    t = 1.0 / (lam * cfg.epsilon)
+    tv = v * t
+    e = 0.5 * tv
+    e += s
+    e *= t
+    e += logq
+    m = e.max(axis=0)
+    e -= m
+    np.exp(e, out=e)
+    z = sum_in_order(e)
+    log_z = np.log(z) + m
+    p = e / z
+    u = s + tv
+    mean = sum_in_order(p * u)
+    u -= mean
+    pu = p * u
+    u *= u
+    l2 = sum_in_order(p * (u + v))
+    l3 = sum_in_order(pu * (u + 3.0 * v))
+    phi = lam * (cfg.rho + cfg.epsilon * log_z) + center
+    dphi = cfg.rho + cfg.epsilon * log_z - mean / lam
+    d2phi = l2 / (lam**3 * cfg.epsilon)
+    d3phi = -(3.0 * l2 + t * l3) / (lam**4 * cfg.epsilon)
+    return phi, dphi, d2phi, d3phi, e.T, z
+
+
+def _halley_bisect(evaluate, n: int, cfg: DroConfig, lam0: np.ndarray | None,
                    posterior: np.ndarray, dest: np.ndarray):
-    """Safeguarded Halley on phi' for table rows with spread scores.
+    """Safeguarded Halley on phi' for n rows with spread scores.
+
+    evaluate(rows, lam) evaluates the rows `rows` (indices among the n) at
+    their lambdas lam: _table_terms or _component_terms, each giving phi,
+    phi', phi'', phi''' and the posterior as e and z.
 
     Every row starts at its clipped lam0 (LAMBDA_INIT where lam0 is None or
     not a positive number), or at LAMBDA_MAX when cfg.rho is 0, where one
@@ -479,7 +608,6 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
     the cap are evaluated once more after the loop. Row i's posterior is
     written to posterior[dest[i]].
     """
-    n = logq.shape[0]
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
     # (phi', phi'', phi''') at each bracket end
     at_lo, at_hi = np.full((3, n), np.nan), np.full((3, n), np.nan)
@@ -503,7 +631,7 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
             break
         iterations[rows] += ~probe[rows]
         at = lam[rows]
-        p, d, dd, ddd, e, z = _table_terms(_take(logq, rows), table, cls[rows], at, cfg)
+        p, d, dd, ddd, e, z = evaluate(rows, at)
         done = np.abs(d) <= cfg.grad_tol
         # a row on a box edge with phi' pointing beyond it is a boundary
         # row, converged or not
@@ -562,8 +690,7 @@ def _halley_bisect(logq: np.ndarray, table: _ScoreTable, cls: np.ndarray,
     converged = np.ones(n, dtype=bool)
     rows = np.flatnonzero(active)
     if rows.size:
-        phi[rows], grad[rows], _, _, e, z = _table_terms(
-            _take(logq, rows), table, cls[rows], lam[rows], cfg)
+        phi[rows], grad[rows], _, _, e, z = evaluate(rows, lam[rows])
         posterior[dest[rows]] = e / z[:, None]
         converged[rows] = np.abs(grad[rows]) <= cfg.grad_tol
     return phi, lam, grad, iterations, converged, bound

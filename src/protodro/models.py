@@ -4,16 +4,18 @@ One linear head type serves classification (C rows of weights) and
 regression (a single row). Training objectives:
 
   * robust classifier: softmax cross-entropy over per-class robust
-    scores, gradients chained through the dual envelope; each batch's
-    duals are laid out class-major, one contiguous run of rows per class,
-    and solved against the (C, A) class score table
+    scores, gradients chained through the dual envelope; each score is
+    the dual over the class prior's B Gaussian components in closed form
+    (ComponentTilts), and each batch's (sample, class) duals are laid out
+    class-major as (n * C, B) rows of one solve
   * robust regressor: Huber loss plus a tilted log-mean-exp penalty over
     the sample's class prior, in row blocks that take one exp per cell
   * baselines: `train_ce_head` and `train_huber_head` fit plain affine
     heads to whatever rows a method hands them (source samples, supports,
     or source features moved by `barycentric_transport`); SAA adds seeded
     noise copies of the supports; the fixed-reference robust baseline
-    trains the robust classifier on `empirical_prior` atoms. The method
+    trains the robust classifier on `empirical_prior`, the supports as
+    zero-covariance components. The method
     registry in sweeps chooses each method's rows.
 
 All loops are plain minibatch Adam over numpy arrays, deterministic under
@@ -27,21 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro import (ClassTilts, DroConfig, check_converged, gibbs_tilt_batch,
-                  solve_dual_batch)
-from .numkit import SeededRng, log_sum_exp, sq_distances
-from .priors import MixturePrior, SupportSet, shared_atoms
+from .dro import DroConfig, check_converged, gibbs_tilt_batch, solve_dual_batch
+from .numkit import SeededRng, log_sum_exp, sq_distances, sum_in_order
+from .priors import MixturePrior, SupportSet, shared_atoms, shared_components
 from .sinkhorn import OtProblem, solve_entropic_ot
 
 _SHUFFLE_STREAM = 101
 _NOISE_STREAM = 202
 SAA_NOISE_SCALE = 0.1
 SAA_NOISE_DRAWS = 64
-# RobustClassifier scores this many rows per dual call, which bounds the
-# (rows * classes, atoms) workspace; 256 rows make the dual call of one
-# training batch at the default batch_size, so predict needs no more memory
-# than training
-_PREDICT_CHUNK = 256
 # (row, atom) cells per penalty block of robust_huber_objective: 64 rows at A = 512
 _PENALTY_BLOCK_CELLS = 1 << 15
 
@@ -284,11 +280,13 @@ def train_saa(supports: SupportSet, n_classes: int, cfg: TrainConfig) -> TrainRe
 class MultiplierCache:
     """Warm starts for the training duals, in units of each class's score spread.
 
-    The dual is homogeneous: scores a*f + b have lambda* = a * lambda*(f).
-    So kappa[i, c] = lambda* / s_c of row i's last solve for class c, with
-    s_c the std over atoms of class c's scores at that solve, carries over
-    as the head's score scale grows from epoch to epoch. kappa is NaN until
-    the row has a solve with lambda* > 0 and s_c > 0; median[c] is class c's
+    The dual is homogeneous: a head (a w_c, a b_c) has lambda* = a *
+    lambda* of (w_c, b_c), since the scores' means scale by a and their
+    variances by a^2. So kappa[i, c] = lambda* / s_c of row i's last solve
+    for class c, with s_c any class spread homogeneous of degree 1 in w_c
+    (robust_scores_stacked takes the norm |w_c|), carries over as the
+    head's score scale grows from epoch to epoch. kappa is NaN until the
+    row has a solve with lambda* > 0 and s_c > 0; median[c] is class c's
     median kappa over the last batch that had one (NaN before any).
     """
 
@@ -320,63 +318,139 @@ class MultiplierCache:
                 self.median[c] = np.median(known)
 
 
+@dataclass
+class ComponentTilts:
+    """Gaussian-component tilts of N query rows toward C class priors.
+
+    The priors share B components N(m_b, S_b) (shared_components). With
+    the kernel exp(-|y - x|^2 / eps), component b tilted toward x is
+    Gaussian with covariance S'_b = S_b (I + (2/eps) S_b)^-1 and mean
+    m'_b(x) = (I + (2/eps) S_b)^-1 m_b + (2/eps) S'_b x, and its weight is
+    multiplied by N(x; m_b, S_b + (eps/2) I). Stored: that kernel's (B, N)
+    logs, computed once, the (C, B) log weights, the shrunk means
+    (I + (2/eps) S_b)^-1 m_b (B, d) and S' (B, d, d). component_major(idx)
+    builds the (B, C, n) normalized tilts of rows idx. Every per-row
+    quantity is elementwise or a sum along one row, never a BLAS product,
+    so a row's bits do not depend on the rows it is built with.
+    """
+
+    log_kernel: np.ndarray
+    log_weights: np.ndarray
+    shrunk_means: np.ndarray
+    tilted_covs: np.ndarray
+    epsilon: float
+
+    @classmethod
+    def build(cls, priors: list[MixturePrior], queries: np.ndarray,
+              epsilon: float) -> "ComponentTilts":
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        means, covs = shared_components(priors)
+        x = np.asarray(queries, dtype=float)
+        dim = means.shape[1]
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ValueError("queries must be (n, d) matching the component dimension")
+        widen = np.eye(dim) + (2.0 / epsilon) * covs
+        shrunk_means = np.linalg.solve(widen, means[:, :, None])[:, :, 0]
+        tilted = np.linalg.solve(widen, covs)
+        tilted = 0.5 * (tilted + tilted.transpose(0, 2, 1))
+        chol = np.linalg.cholesky(covs + (0.5 * epsilon) * np.eye(dim))
+        whiten = np.linalg.inv(chol)
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        # whitened differences (B, N, d), one coordinate of x - m_b at a time
+        diff = x[None] - means[:, None]
+        white = diff[:, :, :1] * whiten[:, None, :, 0]
+        for e in range(1, dim):
+            white += diff[:, :, e:e + 1] * whiten[:, None, :, e]
+        log_kernel = -0.5 * ((white * white).sum(axis=2) + log_det[:, None]
+                             + dim * np.log(2.0 * np.pi))
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(np.stack([p.weights for p in priors]))
+        return cls(log_kernel, log_weights, shrunk_means, tilted, epsilon)
+
+    def component_major(self, idx) -> np.ndarray:
+        """(B, C, n) normalized tilt log-weights of the query rows idx selects."""
+        tilts = self.log_weights.T[:, :, None] + self.log_kernel[:, None, idx]
+        top = tilts.max(axis=0)
+        tilts -= top + np.log(sum_in_order(np.exp(tilts - top)))
+        return tilts
+
+
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
-                          atoms: np.ndarray, tilts: ClassTilts,
+                          features: np.ndarray, tilts: ComponentTilts,
                           idx: np.ndarray, dro_cfg: DroConfig,
                           lam_cache: MultiplierCache | None = None):
     """Dual solves for every (sample, class) of a batch in one call.
 
-    atoms is the (A, d) array every class prior shares (shared_atoms), and
-    tilts the ClassTilts of N rows toward each class prior. The dual rows
-    are laid out class-major: row c * n + i is sample idx[i] toward class
-    c, built by tilts.class_major(idx), so each class is one contiguous
-    run of rows that scores with one row of the (C, A) score table, which
-    the solver reads through its row -> class index. lam_cache, when
-    given, sets each row's starting multiplier (see MultiplierCache) and
-    records the solved ones; without it every row is solved cold.
+    features is the (N, d) array tilts was built on. With f = w_c . y + b_c
+    and component b tilted toward x (ComponentTilts), the score has mean
+    mu_b = w_c . m'_b(x) + b_c, affine in x, and variance v_b = w_c' S'_b
+    w_c, which does not depend on x. The dual rows are laid out
+    class-major: row c * n + i is sample idx[i] toward class c. The
+    solver takes the rows' (n * C, B) means, with their variances as quad,
+    as transposes of (B, n * C) arrays. lam_cache, when given, sets each
+    row's starting multiplier (see MultiplierCache) and records the solved
+    ones; without it every row is solved cold.
 
     Raises dro.DualConvergenceError when a row ends unconverged at the cap.
 
-    Returns (values (n, C), posteriors (C, n, A)).
+    Returns (values (n, C), lambda* (n, C), posteriors (C, n, B)).
     """
     n = idx.size
-    n_classes, n_atoms = weights.shape[0], atoms.shape[0]
-    scores = np.einsum("ad,cd->ca", atoms, weights) + biases[:, None]
-    rows = tilts.class_major(idx).reshape(n_classes * n, n_atoms)
-    row_class = np.repeat(np.arange(n_classes), n)
+    n_classes, n_comp = weights.shape[0], tilts.log_kernel.shape[0]
+    x = features[idx]
+    # S'_b w_c, (B, C, d)
+    spread_w = np.einsum("bde,ce->bcd", tilts.tilted_covs, weights)
+    slope = (2.0 / tilts.epsilon) * spread_w
+    # mu, (B, C, n): the offset w_c . shrunk mean + b_c, then the slope
+    # against each coordinate of x in turn
+    means = np.repeat((tilts.shrunk_means @ weights.T + biases)[:, :, None], n, axis=2)
+    for j in range(x.shape[1]):
+        means += slope[:, :, j, None] * x[:, j]
+    quad = np.repeat(np.einsum("bcd,cd->bc", spread_w, weights), n, axis=1)
+    rows = tilts.component_major(idx).reshape(n_comp, n_classes * n)
     lam0 = spread = None
     if lam_cache is not None:
-        spread = scores.std(axis=1)
+        spread = np.linalg.norm(weights, axis=1)
         lam0 = lam_cache.starts(idx, spread).reshape(n, n_classes).T.reshape(-1)
-    batch = solve_dual_batch(rows, scores, dro_cfg, lam_init=lam0, row_class=row_class)
+    batch = solve_dual_batch(rows.T, means.reshape(n_comp, n_classes * n).T, dro_cfg,
+                             lam_init=lam0, quad=quad.T)
     check_converged(batch, dro_cfg)
     lam_star = batch.lambda_star.reshape(n_classes, n).T
     if lam_cache is not None:
         lam_cache.update(idx, lam_star, spread)
     values = batch.value.reshape(n_classes, n).T
-    posteriors = batch.posterior.reshape(n_classes, n, n_atoms)
-    return values, posteriors
+    posteriors = batch.posterior.reshape(n_classes, n, n_comp)
+    return values, lam_star, posteriors
 
 
 def robust_ce_objective_stacked(weights: np.ndarray, biases: np.ndarray,
-                                atoms: np.ndarray, tilts: ClassTilts,
+                                features: np.ndarray, tilts: ComponentTilts,
                                 idx: np.ndarray, labels: np.ndarray,
                                 dro_cfg: DroConfig,
                                 lam_cache: MultiplierCache | None = None):
     """Cross-entropy over robust scores; gradients through the envelope.
 
-    With the dual multiplier held at its optimum each robust score's
-    parameter gradient is the posterior-weighted atom average, so the
-    chain rule folds softmax-minus-onehot into those averages, class by
-    class over the class-major posteriors. Solving all classes of a batch
-    in one dual call keeps the per-batch overhead flat in the class count.
+    With the dual multiplier held at its optimum, robust score c's
+    gradient is sum_b p_b (m'_b(x) + t S'_b w_c) in w_c, with p the
+    posterior over components and t = 1/(lambda* eps) (0 for a degenerate
+    row, whose variances are 0), and 1 in b_c. The chain rule folds
+    softmax-minus-onehot into the posteriors first, class by class, so
+    the batch's rows meet the components in (C, B)-sized sums. Solving all
+    classes of a batch in one dual call keeps the per-batch overhead flat
+    in the class count.
     """
-    values, posteriors = robust_scores_stacked(
-        weights, biases, atoms, tilts, idx, dro_cfg, lam_cache
+    values, lam_star, posteriors = robust_scores_stacked(
+        weights, biases, features, tilts, idx, dro_cfg, lam_cache
     )
     loss, dv = _ce_batch(values, labels)
-    folded = np.einsum("nc,cna->ca", dv, posteriors)
-    grad_w = np.einsum("ca,ad->cd", folded, atoms)
+    with np.errstate(divide="ignore"):
+        t = np.where(lam_star > 0, 1.0 / (lam_star * dro_cfg.epsilon), 0.0)
+    folded = dv.T[:, :, None] * posteriors
+    toward_x = (2.0 / tilts.epsilon) * np.einsum("cnb,nd->cbd", folded, features[idx])
+    toward_w = np.einsum("cnb,nc->cb", folded, t)[:, :, None] * weights[:, None, :]
+    grad_w = (folded.sum(axis=1) @ tilts.shrunk_means
+              + np.einsum("cbd,bde->ce", toward_x + toward_w, tilts.tilted_covs))
     grad_b = dv.sum(axis=0)
     return loss, [grad_w, grad_b]
 
@@ -386,15 +460,15 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
     """Minibatch descent on cross-entropy over per-class robust scores.
 
     data carries every labeled sample the robust loss sees; callers stack
-    base samples with the target supports. The Gibbs tilts are
-    parameter-free, so their ClassTilts factors are computed once up front
-    (one (N, A) distance array, not N * C * A tilts); each batch then builds
-    its own class-major tilts from them, solves the per-sample duals against
-    the current (C, A) atom score table and chains softmax-minus-onehot
-    through the envelope gradient. A MultiplierCache keeps each (row,
-    class) multiplier over its class's score spread, so a row's next solve
-    starts at that ratio times the class's spread then and runs the dual's
-    steps from there, however the score scale has grown. A dual row left
+    base samples with the target supports. The priors' Gaussian components
+    and the tilt kernels toward every sample are parameter-free, so their
+    ComponentTilts is built once up front; each batch then builds its own
+    class-major tilts from it, solves the per-sample duals over the current
+    head's component scores and chains softmax-minus-onehot through the
+    envelope gradient. A MultiplierCache keeps each (row, class)
+    multiplier over its class's weight norm, so a row's next solve starts
+    at that ratio times the class's norm then and runs the dual's steps
+    from there, however the score scale has grown. A dual row left
     unconverged stops training with dro.DualConvergenceError.
     """
     x = np.asarray(data.features, dtype=float)
@@ -405,13 +479,12 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
         raise ValueError("labels exceed the number of priors")
     head = zero_head(n_classes, x.shape[1])
     params = [head.weights, head.biases]
-    atoms = shared_atoms(priors)
-    tilts = ClassTilts.build(priors, x, dro_cfg.epsilon)
+    tilts = ComponentTilts.build(priors, x, dro_cfg.epsilon)
     lam_cache = MultiplierCache.empty(n, n_classes)
 
     def batch_fn(idx):
         return robust_ce_objective_stacked(
-            params[0], params[1], atoms, tilts, idx, y[idx], dro_cfg, lam_cache
+            params[0], params[1], x, tilts, idx, y[idx], dro_cfg, lam_cache
         )
 
     trace = _run_epochs(n, cfg, params, batch_fn)
@@ -419,8 +492,12 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
 
 
 def empirical_prior(features: np.ndarray) -> MixturePrior:
-    """Class-agnostic reference: uniform atoms at the observed points."""
-    return MixturePrior(weights=np.array([1.0]), atoms=features)
+    """Class-agnostic reference: the observed points as uniformly weighted
+    zero-covariance components, each its own single atom."""
+    x = np.asarray(features, dtype=float)
+    n, d = x.shape
+    return MixturePrior(weights=np.full(n, 1.0 / n), atoms=x, means=x,
+                        covs=np.zeros((n, d, d)))
 
 
 @dataclass
@@ -432,21 +509,15 @@ class RobustClassifier:
     dro_cfg: DroConfig
 
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        """(n, C) robust scores, solved _PREDICT_CHUNK rows at a time from
-        one ClassTilts over every row, so a row's score never depends on
-        the chunk it lands in. Each chunk's duals are solved cold, laid out
-        class-major as in training; a row left unconverged raises
-        dro.DualConvergenceError."""
+        """(n, C) robust scores from one cold dual call over every (row,
+        class), laid out class-major as in training; each row's score
+        depends on that row alone, bit for bit. A row left unconverged
+        raises dro.DualConvergenceError."""
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        n = x.shape[0]
-        atoms = shared_atoms(self.priors)
-        tilts = ClassTilts.build(self.priors, x, self.dro_cfg.epsilon)
-        values = np.empty((n, len(self.priors)))
-        for start in range(0, n, _PREDICT_CHUNK):
-            idx = np.arange(start, min(start + _PREDICT_CHUNK, n))
-            values[idx], _ = robust_scores_stacked(
-                self.head.weights, self.head.biases, atoms, tilts, idx, self.dro_cfg
-            )
+        tilts = ComponentTilts.build(self.priors, x, self.dro_cfg.epsilon)
+        values, _, _ = robust_scores_stacked(
+            self.head.weights, self.head.biases, x, tilts, np.arange(x.shape[0]),
+            self.dro_cfg)
         return values
 
     def predict(self, features: np.ndarray) -> np.ndarray:

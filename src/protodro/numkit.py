@@ -45,6 +45,19 @@ def log_sum_exp(values, axis: int | None = None):
     return np.squeeze(out, axis=axis)
 
 
+def sum_in_order(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... over the first axis, added in that order.
+
+    Each entry of the sum depends on its own column alone, bit for bit.
+    numpy's own reduction adds several columns side by side in order but a
+    lone column pairwise, so its bits would follow the number of columns.
+    """
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
+
+
 def cholesky_psd(m) -> np.ndarray:
     """Lower-triangular factor of m + delta*I for the smallest workable delta.
 

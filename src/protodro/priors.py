@@ -1,17 +1,20 @@
 """Class-adaptive Gaussian-mixture priors built through optimal transport.
 
 Base classes contribute mixture components (their moments, with inflated
-covariance); a class-level entropic coupling between base classes and the
-few labeled support points decides how much each component contributes to
-each target class. prior_weights computes those weights alone, and
-build_priors adds the atoms: priors are atomized once, deterministically,
-so every downstream robust evaluation is a fixed finite quadrature: a
-prior is its atoms and its component weights, nothing more.
+and ridged covariance, from component_moments); a class-level entropic
+coupling between base classes and the few labeled support points decides
+how much each component contributes to each target class. prior_weights
+computes those weights alone, and build_priors adds the components and
+atoms drawn from them once, deterministically. A prior is its component
+weights, the shared Gaussian components (means and covariances), on which
+the robust classifier scores in closed form, and the shared atoms, a
+fixed finite quadrature of the same mixture that regression and the
+harnesses read.
 
-Priors files (format "protodro-priors", version 2) are JSON documents that
-hold the atoms shared by every class once and then one weight vector per
-class, so loading reads the atoms back as they were saved and draws
-nothing.
+Priors files (format "protodro-priors", version 3) are JSON documents that
+hold the atoms and the components shared by every class once and then one
+weight vector per class, so loading reads them back as they were saved and
+draws nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .numkit import GaussianParams, SeededRng, gaussian_sample
 from .sinkhorn import OtProblem, build_cost_matrix, solve_entropic_ot
 
 SIMPLEX_TOL = 1e-9
-PRIORS_FORMAT_VERSION = 2
+PRIORS_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -87,17 +90,22 @@ class PriorConfig:
 
 @dataclass
 class MixturePrior:
-    """One target class's mixture over base components, already atomized.
+    """One target class's mixture over B Gaussian components, with atoms.
 
     weights (B,) holds the component weights and atoms (B*A, d) stacks the
     A draws of each component in component order, so the atom at index
     b*A + a carries log weight log(weights[b]) - log(A); atom_log_weights
-    is derived from the two. Priors built together share one atom array,
-    so two of them differ only through their weights.
+    is derived from the two. means (B, d) and covs (B, d, d) are the
+    components themselves, given together or not at all (the harnesses
+    build atom-only priors). Priors built together share one atom array and
+    one set of components, so two of them differ only through their
+    weights.
     """
 
     weights: np.ndarray
     atoms: np.ndarray
+    means: np.ndarray | None = None
+    covs: np.ndarray | None = None
     atom_log_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -115,6 +123,16 @@ class MixturePrior:
                 f"atoms must be a (B*A, d) array with A >= 1 draws for each of "
                 f"the {self.weights.size} components, got shape {self.atoms.shape}"
             )
+        if (self.means is None) != (self.covs is None):
+            raise ValueError("means and covs must be given together")
+        if self.means is not None:
+            self.means = np.asarray(self.means, dtype=float)
+            self.covs = np.asarray(self.covs, dtype=float)
+            b, d = self.weights.size, self.atoms.shape[1]
+            if self.means.shape != (b, d) or self.covs.shape != (b, d, d):
+                raise ValueError(
+                    f"components must be means ({b}, {d}) and covs ({b}, {d}, {d}), "
+                    f"got {self.means.shape} and {self.covs.shape}")
         per_component = n_atoms // self.weights.size
         with np.errstate(divide="ignore"):
             self.atom_log_weights = (
@@ -135,6 +153,24 @@ def shared_atoms(priors: list[MixturePrior]) -> np.ndarray:
         if not np.array_equal(p.atoms, atoms):
             raise ValueError("the class priors of a model must share one atom array")
     return atoms
+
+
+def shared_components(priors: list[MixturePrior]) -> tuple[np.ndarray, np.ndarray]:
+    """The (means (B, d), covs (B, d, d)) that every prior of a model shares.
+
+    Raises ValueError if priors is empty, or any prior has no components or
+    other components than the first, so callers may score every class on
+    one set of components.
+    """
+    if not priors:
+        raise ValueError("no priors given")
+    means, covs = priors[0].means, priors[0].covs
+    for p in priors:
+        if p.means is None:
+            raise ValueError("the class priors carry no Gaussian components")
+        if not (np.array_equal(p.means, means) and np.array_equal(p.covs, covs)):
+            raise ValueError("the class priors of a model must share one set of components")
+    return means, covs
 
 
 def compute_class_stats(features, labels, ridge: float = 1e-6) -> list[ClassStats]:
@@ -168,21 +204,30 @@ def compute_class_stats(features, labels, ridge: float = 1e-6) -> list[ClassStat
     return stats
 
 
+def component_moments(components, cfg: PriorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The prior's (means (B, d), covs (B, d, d)) from B base components.
+
+    Each component (anything with a mean and a cov) keeps its mean and has
+    its covariance scaled by cfg.covariance_inflation plus a cfg.ridge
+    ridge.
+    """
+    ridge = cfg.ridge * np.eye(components[0].mean.shape[0])
+    means = np.stack([np.asarray(c.mean, dtype=float) for c in components])
+    covs = np.stack([cfg.covariance_inflation * c.cov + ridge for c in components])
+    return means, covs
+
+
 def draw_atoms(components, cfg: PriorConfig, rng: SeededRng) -> np.ndarray:
     """The (B*A, d) atoms of a mixture over B components.
 
-    Each component (anything with a mean and a cov) has its covariance
-    scaled by cfg.covariance_inflation plus a cfg.ridge ridge; A =
-    cfg.atoms_per_component draws of component b come from rng.child(b)
-    and are stacked in component order.
+    A = cfg.atoms_per_component draws from each component's
+    component_moments come from rng.child(b) and are stacked in component
+    order.
     """
-    ridge = cfg.ridge * np.eye(components[0].mean.shape[0])
+    means, covs = component_moments(components, cfg)
     return np.vstack([
-        gaussian_sample(
-            GaussianParams(c.mean, cfg.covariance_inflation * c.cov + ridge),
-            cfg.atoms_per_component, rng.child(b),
-        )
-        for b, c in enumerate(components)
+        gaussian_sample(GaussianParams(mean, cov), cfg.atoms_per_component, rng.child(b))
+        for b, (mean, cov) in enumerate(zip(means, covs))
     ])
 
 
@@ -221,12 +266,14 @@ def prior_weights(base_prototypes: list[np.ndarray], supports: SupportSet,
 def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray],
                  supports: SupportSet, cfg: PriorConfig) -> list[MixturePrior]:
     """One adapted mixture prior per support class: the prior_weights rows
-    over atoms drawn once per base class from cfg.atom_seed (draw_atoms)."""
+    over the base classes' component_moments and the atoms drawn once per
+    base class from cfg.atom_seed (draw_atoms)."""
     if len(base_stats) != len(base_prototypes):
         raise ValueError("base_stats and base_prototypes must align")
     weights = prior_weights(base_prototypes, supports, cfg)
+    means, covs = component_moments(base_stats, cfg)
     atoms = draw_atoms(base_stats, cfg, SeededRng(cfg.atom_seed))
-    return [MixturePrior(w, atoms) for w in weights]
+    return [MixturePrior(w, atoms, means, covs) for w in weights]
 
 
 def update_weights_damped(current, target, eta: float) -> np.ndarray:
@@ -244,13 +291,17 @@ def update_weights_damped(current, target, eta: float) -> np.ndarray:
 
 
 def save_priors(priors: list[MixturePrior], path: str) -> None:
-    """Write priors that share one atom array as a format-2 JSON document:
-    those atoms once, then each class's component weights in order."""
+    """Write priors that share one atom array and one set of components as
+    a format-3 JSON document: those atoms, means and covs once, then each
+    class's component weights in order."""
     atoms = shared_atoms(priors)
+    means, covs = shared_components(priors)
     doc = {
         "format": "protodro-priors",
         "version": PRIORS_FORMAT_VERSION,
         "atoms": atoms.tolist(),
+        "means": means.tolist(),
+        "covs": covs.tolist(),
         "weights": [p.weights.tolist() for p in priors],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -259,11 +310,11 @@ def save_priors(priors: list[MixturePrior], path: str) -> None:
 
 
 def load_priors(path: str) -> list[MixturePrior]:
-    """Read back a format-2 document from save_priors.
+    """Read back a format-3 document from save_priors.
 
-    Atoms and weights come back bit-identical (JSON floats round-trip), so
-    the loaded priors equal the saved ones; any other format or version is
-    rejected.
+    Atoms, components and weights come back bit-identical (JSON floats
+    round-trip), so the loaded priors equal the saved ones; any other
+    format or version is rejected with the version in the message.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -274,5 +325,7 @@ def load_priors(path: str) -> list[MixturePrior]:
             f"{path} is priors format version {doc.get('version')!r}; "
             f"only version {PRIORS_FORMAT_VERSION} can be read"
         )
-    atoms = np.array(doc["atoms"], dtype=float)
-    return [MixturePrior(np.array(w, dtype=float), atoms) for w in doc["weights"]]
+    atoms, means, covs = (np.array(doc[key], dtype=float)
+                          for key in ("atoms", "means", "covs"))
+    return [MixturePrior(np.array(w, dtype=float), atoms, means, covs)
+            for w in doc["weights"]]

@@ -1,8 +1,8 @@
 """Independent reference implementations used only by the test suite.
 
 Each oracle deliberately takes the naive route (direct kernel scaling,
-dense grid search, central differences) so it shares no code path with
-the package implementations it checks.
+dense grid search, explicit Gaussian algebra, central differences) so it
+shares no code path with the package implementations it checks.
 """
 
 import numpy as np
@@ -35,15 +35,54 @@ def dual_value_oracle(log_weights, scores, lam, rho, epsilon):
     return lam * rho + lam * epsilon * log_z
 
 
-def solve_dual_oracle(log_weights, scores, rho, epsilon,
-                      lam_lo=1e-6, lam_hi=100.0, grid=4000, resolution=1e-6):
-    """Grid scan over log-spaced lambda followed by golden-section refinement.
+def component_dual_value_oracle(weights, means, covs, x, w, b, lam, rho, epsilon):
+    """lam*rho + lam*eps*log E exp((w.y + b)/(lam*eps)) over a Gaussian
+    mixture prior tilted toward x, by plain Gaussian algebra.
+
+    The tilt multiplies the prior by exp(-|y - x|^2 / eps), a Gaussian
+    factor in y of covariance eps/2 I. Component k's tilted covariance is
+    the inverse of the summed precisions, its mean that covariance times
+    the summed precision-weighted means, and its weight the prior weight
+    times the factor's normalizer N(x; m, S + eps/2 I), written with a
+    determinant and an inverse. Over each tilted Gaussian, log E exp(t f)
+    is t mu + t^2 v / 2. Covariances must be invertible.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    eye = np.eye(x.size)
+    t = 1.0 / (lam * epsilon)
+    terms, norms = [], []
+    for pi, m, cov in zip(weights, means, covs):
+        if pi == 0:
+            continue
+        prec = np.linalg.inv(cov)
+        tilted_cov = np.linalg.inv(prec + (2.0 / epsilon) * eye)
+        tilted_mean = tilted_cov @ (prec @ m + (2.0 / epsilon) * x)
+        kernel_cov = cov + 0.5 * epsilon * eye
+        diff = x - m
+        log_kernel = -0.5 * (diff @ np.linalg.inv(kernel_cov) @ diff
+                             + np.log(np.linalg.det(2.0 * np.pi * kernel_cov)))
+        mu = w @ tilted_mean + b
+        v = w @ tilted_cov @ w
+        norms.append(np.log(pi) + log_kernel)
+        terms.append(norms[-1] + t * mu + 0.5 * t * t * v)
+
+    def lse(a):
+        a = np.array(a)
+        return a.max() + np.log(np.sum(np.exp(a - a.max())))
+
+    return lam * rho + lam * epsilon * (lse(terms) - lse(norms))
+
+
+def minimize_dual_oracle(value, lam_lo=1e-6, lam_hi=100.0, grid=4000, resolution=1e-6):
+    """Grid scan of value(lam) over log-spaced lambda followed by
+    golden-section refinement.
 
     Returns (lam_star, value). Refinement narrows the bracket until its
     width falls below `resolution`.
     """
     lams = np.geomspace(lam_lo, lam_hi, grid)
-    vals = np.array([dual_value_oracle(log_weights, scores, l, rho, epsilon) for l in lams])
+    vals = np.array([value(l) for l in lams])
     k = int(np.argmin(vals))
     lo = lams[max(k - 1, 0)]
     hi = lams[min(k + 1, grid - 1)]
@@ -51,19 +90,27 @@ def solve_dual_oracle(log_weights, scores, rho, epsilon,
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1 = dual_value_oracle(log_weights, scores, x1, rho, epsilon)
-    f2 = dual_value_oracle(log_weights, scores, x2, rho, epsilon)
+    f1 = value(x1)
+    f2 = value(x2)
     while hi - lo > resolution:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = dual_value_oracle(log_weights, scores, x1, rho, epsilon)
+            f1 = value(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = dual_value_oracle(log_weights, scores, x2, rho, epsilon)
+            f2 = value(x2)
     lam = 0.5 * (lo + hi)
-    return lam, dual_value_oracle(log_weights, scores, lam, rho, epsilon)
+    return lam, value(lam)
+
+
+def solve_dual_oracle(log_weights, scores, rho, epsilon,
+                      lam_lo=1e-6, lam_hi=100.0, grid=4000, resolution=1e-6):
+    """minimize_dual_oracle over dual_value_oracle: (lam_star, value)."""
+    return minimize_dual_oracle(
+        lambda lam: dual_value_oracle(log_weights, scores, lam, rho, epsilon),
+        lam_lo, lam_hi, grid, resolution)
 
 
 def primal_worst_case_oracle(log_weights, scores, rho, epsilon, steps=200):

@@ -4,8 +4,10 @@ import os
 
 import pytest
 
+import numpy as np
+
 import protodro.sweeps as sweeps
-from protodro import cli
+from protodro import cli, dro
 from protodro.config import (
     ExperimentConfig,
     GeneratorConfig,
@@ -14,8 +16,8 @@ from protodro.config import (
 )
 from protodro.dro import DroConfig
 from protodro.metrics import eval_classification
-from protodro.models import TrainConfig
-from protodro.priors import PriorConfig
+from protodro.models import TrainConfig, load_head
+from protodro.priors import PriorConfig, load_priors
 from protodro.synthgen import ShiftSpec
 
 CLASSIFICATION_METHODS = ("pgdro", "erm", "ot", "saa", "wdro", "fewshot")
@@ -141,7 +143,8 @@ class TestSweep:
 class TestEval:
     @pytest.mark.parametrize("method", ["pgdro", "wdro"])
     def test_round_trip(self, cls_config, tmp_path, method):
-        # the saved head and priors must predict as the in-memory path does
+        # the saved head and priors must predict as the in-memory path does:
+        # the same test-set predictions, so the same metrics
         out = tmp_path / "out"
         assert cli.main(["gen", "--config", cls_config, "--out", str(out)]) == 0
         assert _train(cls_config, method, out) == 0
@@ -160,10 +163,37 @@ class TestEval:
 
         cfg = load_config(cls_config)
         pair = sweeps.make_pair(cfg, cfg.shift.lambda_cov, 0)
-        in_memory = eval_classification(
-            sweeps._classification_predictions(method, pair, cfg, 0),
-            pair.target_test.labels, cfg.generator.n_classes,
-        )
+        predictions = sweeps._classification_predictions(method, pair, cfg, 0)
+        saved = sweeps.predict_classes(
+            load_head(out / f"head_{method}_s000.txt"),
+            load_priors(str(out / f"priors_{method}_s000.txt")),
+            pair.target_test.features, cfg.dro)
+        np.testing.assert_array_equal(saved, predictions)
+        in_memory = eval_classification(predictions, pair.target_test.labels,
+                                        cfg.generator.n_classes)
         assert float(lines[1].split(",")[3]) == in_memory.avg_accuracy
+        assert float(lines[2].split(",")[3]) == in_memory.worst10_accuracy
         manifest = (out / "eval_manifest.txt").read_text().splitlines()
         assert f"priors = {out / f'priors_{method}_s000.txt'}" in manifest
+
+
+class TestOnePath:
+    """Each dual row has one evaluator: the robust classifiers' rows the
+    Gaussian-component one, the harnesses' atom rows the atom table."""
+
+    def test_robust_classifiers_never_reach_the_atom_table(self, tmp_path, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the atom table evaluator ran")
+
+        monkeypatch.setattr(dro, "_table_terms", no_table)
+        config = write_tiny_config(tmp_path / "cfg.ini", methods=("pgdro", "wdro"))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert (out / "manifest.txt").read_text().count("status=ok") == 2
+
+    def test_harnesses_never_reach_the_component_evaluator(self, tmp_path, monkeypatch):
+        def no_components(*args):
+            raise AssertionError("the component evaluator ran")
+
+        monkeypatch.setattr(dro, "_component_terms", no_components)
+        assert cli.main(["consistency", "--replicates", "1", "--out", str(tmp_path)]) == 0

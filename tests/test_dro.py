@@ -30,6 +30,7 @@ from protodro.priors import MixturePrior
 from oracles import (
     central_difference,
     dual_value_oracle,
+    minimize_dual_oracle,
     primal_worst_case_oracle,
     solve_dual_oracle,
 )
@@ -697,6 +698,8 @@ class TestRowBlocks:
             assert len(counts) == 1
             return runs, counts.pop()
 
+        # threads by rows alone: 200 rows of 16 atoms are below the cell floor
+        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
         record_blocks(monkeypatch, lambda args: blocks.append(args[-1]))
         reference, count = solve_all(1, 200 * 16)
         assert count == 1
@@ -756,6 +759,7 @@ class TestRowBlocks:
             raise RuntimeError("thread started")
 
         monkeypatch.setattr(dro, "WORKERS", 3)
+        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
         monkeypatch.setattr(dro.threading, "Thread", no_threads)
         logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
         res = solve_dual_batch(logw[:1], scores[0], DroConfig())
@@ -778,6 +782,7 @@ class TestRowBlocks:
             return table_terms(*args)
 
         monkeypatch.setattr(dro, "WORKERS", 2)
+        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
         monkeypatch.setattr(dro, "_table_terms", failing_terms)
         logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
         outcome = []
@@ -977,6 +982,7 @@ class TestClassTable:
         inverse = np.argsort(perm)
         shuffled = rng.permutation(200)
         runs = []
+        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
         for workers, cells in ((1, 1 << 20), (2, 1 << 20), (2, 24 * 30)):
             monkeypatch.setattr(dro, "WORKERS", workers)
             monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
@@ -1050,3 +1056,115 @@ class TestClassTable:
             dro.check_converged(res, cfg)
         full = solve_dual_batch(logw, table, self.CFG, row_class=row_class)
         dro.check_converged(full, self.CFG)
+
+
+def component_terms(logw, means, variances, lam, cfg):
+    """The component evaluator's terms of (n, K) rows at lambdas lam."""
+    return dro._component_terms(
+        np.ascontiguousarray(logw.T), np.ascontiguousarray(means.T),
+        np.ascontiguousarray(variances.T), np.zeros(len(lam)), np.asarray(lam, dtype=float),
+        cfg)
+
+
+def component_batch(rng, n=40, n_comp=6):
+    """n rows of Gaussian components: (log weights, means, variances), with
+    dead components in some rows and v = 0 in others."""
+    logw = np.log(rng.dirichlet(np.ones(n_comp), size=n))
+    logw[::5, 0] = -np.inf
+    logw -= log_sum_exp(logw, axis=1)[:, None]
+    means = 10.0 ** rng.uniform(-1.0, 1.0, (n, 1)) * rng.standard_normal((n, n_comp))
+    variances = 10.0 ** rng.uniform(-2.0, 1.0, (n, n_comp))
+    variances[::3] = 0.0
+    return logw, means, variances
+
+
+class TestComponentDual:
+    """The closed-form evaluator over Gaussian components (quad=)."""
+
+    CFG = DroConfig(rho=0.7, epsilon=0.9)
+
+    def test_derivatives_match_finite_differences(self):
+        # phi', phi'' and phi''' against central differences of the term
+        # below each, at lambdas across the box
+        rng = np.random.default_rng(701)
+        logw, means, variances = component_batch(rng)
+        lam = 10.0 ** rng.uniform(-1.0, 1.0, logw.shape[0])
+        h = 1e-5 * lam
+        at = [component_terms(logw, means, variances, lam + k * h, self.CFG)
+              for k in (-1, 0, 1)]
+        for order in range(3):
+            numeric = (at[2][order] - at[0][order]) / (2.0 * h)
+            exact = at[1][order + 1]
+            np.testing.assert_allclose(exact, numeric, rtol=1e-5,
+                                       atol=1e-9 * np.abs(exact).max())
+
+    def test_zero_variances_give_the_table_terms(self):
+        # at v = 0 the component terms are _table_terms' terms of the same
+        # per-row scores, up to rounding. phi'' is compared within the
+        # rounding of the table's raw moments, whose variance loses digits
+        # (to ~1e-16 of the squared score range) where a row's tilt sits on
+        # one score; the component evaluator's central sums do not
+        rng = np.random.default_rng(703)
+        logw, means, _ = component_batch(rng)
+        lam = 10.0 ** rng.uniform(-1.0, 1.0, logw.shape[0])
+        cfg = self.CFG
+        got = component_terms(logw, means, np.zeros_like(means), lam, cfg)
+        want = table_terms(logw, means, np.arange(logw.shape[0]), lam, cfg)
+        for a, b in zip(got[:2], want[:2]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        spread = np.ptp(means, axis=1)
+        rounding = 1e-14 * spread**2 / (lam**3 * cfg.epsilon)
+        assert np.all(np.abs(got[2] - want[2]) <= 1e-9 * np.abs(want[2]) + rounding)
+        np.testing.assert_allclose(got[4] / got[5][:, None], want[4] / want[5][:, None],
+                                   rtol=1e-12, atol=1e-300)
+
+    def test_flat_means_with_variance_are_interior(self):
+        # flat live means with v > 0 are no constant: phi = lam rho + mu +
+        # v / (2 lam eps), minimized at lam* = sqrt(v / (2 rho eps)) with
+        # value mu + sqrt(2 rho v / eps). Flat means with every live v = 0
+        # (row 1), or v > 0 only on a dead component (row 2), are degenerate
+        cfg = self.CFG
+        with np.errstate(divide="ignore"):
+            logw = np.log(np.array([[0.3, 0.7], [0.3, 0.7], [1.0, 0.0]]))
+        means = np.full((3, 2), 1.5)
+        variances = np.array([[2.0, 2.0], [0.0, 0.0], [0.0, 5.0]])
+        res = solve_dual_batch(logw, means, cfg, quad=variances)
+        assert res.degenerate.tolist() == [False, True, True]
+        assert res.converged.all() and res.boundary[0] == BOUNDARY_NONE
+        assert res.iterations[0] >= 1
+        lam_star = np.sqrt(2.0 / (2.0 * cfg.rho * cfg.epsilon))
+        assert res.lambda_star[0] == pytest.approx(lam_star, rel=1e-8)
+        assert res.value[0] == pytest.approx(1.5 + np.sqrt(2.0 * cfg.rho * 2.0 / cfg.epsilon),
+                                             rel=1e-12)
+        np.testing.assert_array_equal(res.value[1:], [1.5, 1.5])
+        np.testing.assert_array_equal(res.lambda_star[1:], [0.0, 0.0])
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_rows_converge_to_the_oracle(self, warm):
+        # every row's solve against the grid-and-golden oracle over the
+        # closed form: dead components, v = 0 rows and scales over two
+        # decades, cold or from scattered starts
+        cfg = self.CFG
+        rng = np.random.default_rng(707)
+        logw, means, variances = component_batch(rng, n=12)
+        lam0 = np.exp(rng.uniform(-5.0, 5.0, 12)) if warm else None
+        res = solve_dual_batch(logw, means, cfg, lam0, quad=variances)
+        assert res.converged.all() and not res.degenerate.any()
+        for i in range(12):
+            def value(lam):
+                return float(component_terms(logw[i:i + 1], means[i:i + 1],
+                                              variances[i:i + 1], [lam], cfg)[0][0])
+            lam_o, val_o = minimize_dual_oracle(value, lam_hi=1e3, grid=800)
+            assert res.value[i] == pytest.approx(val_o, rel=1e-9, abs=1e-12)
+            assert res.lambda_star[i] == pytest.approx(lam_o, rel=1e-4, abs=1e-5)
+            assert abs(res.gradient[i]) <= cfg.grad_tol
+
+    def test_bad_variances_rejected(self):
+        logw, means, variances = component_batch(np.random.default_rng(709), n=4)
+        cfg = self.CFG
+        for bad in (-variances - 1.0, np.full_like(variances, np.inf),
+                    variances[:, :-1]):
+            with pytest.raises(ValueError, match="quad"):
+                solve_dual_batch(logw, means, cfg, quad=bad)
+        with pytest.raises(ValueError, match="quad"):
+            solve_dual_batch(logw, means, cfg, quad=variances, row_class=np.arange(4))

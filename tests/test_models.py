@@ -32,13 +32,16 @@ from protodro.models import (
     train_saa,
 )
 from protodro.dro import ClassTilts, DualConvergenceError, gibbs_tilt_batch
+from protodro.models import ComponentTilts
 from protodro.numkit import SeededRng
 from protodro.priors import MixturePrior, PriorConfig, SupportSet, shared_atoms
 from protodro.synthgen import ShiftSpec
 
 from oracles import (
     central_difference,
+    component_dual_value_oracle,
     huber_piecewise_oracle,
+    minimize_dual_oracle,
     robust_huber_penalty_oracle,
 )
 
@@ -53,24 +56,26 @@ def two_blob_data(rng, n_per=40, gap=4.0, dim=2):
 
 
 def blob_priors(data, atoms_per=24, seed=3, lean=0.85):
-    """Mixture priors sharing one atom pool, leaning toward each class.
+    """Mixture priors over the two blob Gaussians, leaning toward each class.
 
-    Mirrors the pipeline's structure: both priors weight the same draws
-    from the two blob Gaussians, only the weights differ.
+    Mirrors the pipeline's structure: both priors share the components and
+    the atoms drawn from them, only the weights differ.
     """
     from protodro.numkit import GaussianParams, gaussian_sample
 
-    draws = []
+    comps = []
     for c in range(2):
         pts = data.features[data.labels == c]
-        comp = GaussianParams(
+        comps.append(GaussianParams(
             mean=pts.mean(axis=0), cov=np.cov(pts.T) + 1e-6 * np.eye(pts.shape[1])
-        )
-        draws.append(gaussian_sample(comp, atoms_per, SeededRng(seed, c)))
-    atoms = np.vstack(draws)
+        ))
+    atoms = np.vstack([gaussian_sample(comp, atoms_per, SeededRng(seed, c))
+                       for c, comp in enumerate(comps)])
+    means = np.stack([comp.mean for comp in comps])
+    covs = np.stack([comp.cov for comp in comps])
     return [
-        MixturePrior(weights=np.array([lean, 1.0 - lean]), atoms=atoms),
-        MixturePrior(weights=np.array([1.0 - lean, lean]), atoms=atoms),
+        MixturePrior(np.array([lean, 1.0 - lean]), atoms, means, covs),
+        MixturePrior(np.array([1.0 - lean, lean]), atoms, means, covs),
     ]
 
 
@@ -207,15 +212,14 @@ class TestObjectiveGradients:
         data = two_blob_data(rng, n_per=6)
         priors = blob_priors(data, atoms_per=10)
         dro_cfg = DroConfig(rho=0.5, epsilon=1.0)
-        atoms = shared_atoms(priors)
-        tilts = ClassTilts.build(priors, data.features, dro_cfg.epsilon)
+        tilts = ComponentTilts.build(priors, data.features, dro_cfg.epsilon)
         idx = np.arange(data.features.shape[0])
         for trial in range(4):
             w = rng.standard_normal((2, 2)) * 0.3
             b = rng.standard_normal(2) * 0.3
             fd_objective_check(
                 lambda W, B: robust_ce_objective_stacked(
-                    W, B, atoms, tilts, idx, data.labels, dro_cfg, lam_cache=None
+                    W, B, data.features, tilts, idx, data.labels, dro_cfg, lam_cache=None
                 ),
                 w,
                 b,
@@ -463,9 +467,9 @@ class TestRobustClassifier:
         sizes = []
         real = models.robust_scores_stacked
 
-        def recording(weights, biases, atoms, tilts, idx, *args, **kwargs):
+        def recording(weights, biases, features, tilts, idx, *args, **kwargs):
             sizes.append(idx.size)
-            return real(weights, biases, atoms, tilts, idx, *args, **kwargs)
+            return real(weights, biases, features, tilts, idx, *args, **kwargs)
 
         monkeypatch.setattr(models, "robust_scores_stacked", recording)
         train_pgdro_classifier(data, priors, cfg, DroConfig())
@@ -474,38 +478,38 @@ class TestRobustClassifier:
         assert len(sizes) == cfg.epochs * math.ceil(n / cfg.batch_size)
 
     def test_cached_rows_start_at_the_rescaled_multiplier(self, monkeypatch):
-        # a head scaled by 3 scales each class's scores and their spread by
-        # 3, so every cached row starts at 3 x its last lambda*, which is the
-        # new lambda* (the dual is homogeneous): one evaluation per row
+        # a head scaled by 3 scales each class's score means and weight norm
+        # by 3 and the score variances by 9, so every cached row starts at
+        # 3 x its last lambda*, which is the new lambda* (the dual is
+        # homogeneous): one evaluation per row
         rng = np.random.default_rng(103)
         data = two_blob_data(rng, n_per=20)
         priors = blob_priors(data, atoms_per=12)
         dro_cfg = DroConfig(rho=0.5, epsilon=1.0)
-        atoms = shared_atoms(priors)
-        tilts = ClassTilts.build(priors, data.features, dro_cfg.epsilon)
-        idx = np.arange(data.features.shape[0])
+        x = data.features
+        tilts = ComponentTilts.build(priors, x, dro_cfg.epsilon)
+        idx = np.arange(x.shape[0])
         w, b = rng.standard_normal((2, 2)), rng.standard_normal(2)
         cache = models.MultiplierCache.empty(idx.size, 2)
         calls, evaluated = [], []
-        solve, table_terms = models.solve_dual_batch, dro._table_terms
+        solve, component_terms = models.solve_dual_batch, dro._component_terms
 
-        def recording(rows, f, cfg, lam_init=None, *, row_class=None):
-            calls.append((lam_init, solve(rows, f, cfg, lam_init=lam_init,
-                                          row_class=row_class)))
+        def recording(rows, f, cfg, lam_init=None, **kwargs):
+            calls.append((lam_init, solve(rows, f, cfg, lam_init=lam_init, **kwargs)))
             return calls[-1][1]
 
-        def counting(logq, *args):
-            evaluated.append(logq.shape[0])
-            return table_terms(logq, *args)
+        def counting(*args):
+            evaluated.append(args[-2].size)  # the rows' lambdas
+            return component_terms(*args)
 
         monkeypatch.setattr(models, "solve_dual_batch", recording)
-        models.robust_scores_stacked(w, b, atoms, tilts, idx, dro_cfg, cache)
+        models.robust_scores_stacked(w, b, x, tilts, idx, dro_cfg, cache)
         first = calls[0][1]
         assert np.isnan(calls[0][0]).all()  # no multiplier yet: LAMBDA_INIT
         assert first.converged.all() and (first.boundary == BOUNDARY_NONE).all()
         assert not first.degenerate.any()
-        monkeypatch.setattr(dro, "_table_terms", counting)
-        models.robust_scores_stacked(3.0 * w, 3.0 * b, atoms, tilts, idx, dro_cfg, cache)
+        monkeypatch.setattr(dro, "_component_terms", counting)
+        models.robust_scores_stacked(3.0 * w, 3.0 * b, x, tilts, idx, dro_cfg, cache)
         np.testing.assert_allclose(calls[1][0], 3.0 * first.lambda_star, rtol=1e-12)
         assert evaluated == [2 * idx.size]
         assert calls[1][1].converged.all()
@@ -543,21 +547,28 @@ class TestRobustClassifier:
         np.testing.assert_array_equal(a.head.weights, b.head.weights)
 
     def test_priors_with_different_atoms_rejected(self):
-        # equal-sized atom arrays are not enough: every class must score
-        # on the same atoms, in training and in prediction
+        # equal-sized arrays are not enough: every class must score on the
+        # same components in training and in prediction, and regression on
+        # the same atoms; a prior without components cannot score at all
         rng = np.random.default_rng(105)
         data = two_blob_data(rng, n_per=4)
         priors = blob_priors(data, atoms_per=6)
-        moved = MixturePrior(priors[1].weights, priors[1].atoms[::-1])
-        mixed = [priors[0], moved]
+        p = priors[1]
+        moved_means = MixturePrior(p.weights, p.atoms, p.means[::-1], p.covs)
+        moved_covs = MixturePrior(p.weights, p.atoms, p.means, 2.0 * p.covs)
+        atoms_only = MixturePrior(p.weights, p.atoms)
+        moved_atoms = MixturePrior(p.weights, p.atoms[::-1], p.means, p.covs)
         cfg = TrainConfig(epochs=1)
-        with pytest.raises(ValueError):
-            train_pgdro_classifier(data, mixed, cfg, DroConfig())
-        with pytest.raises(ValueError):
-            train_pgdro_regressor(data, data.features[:, 0], mixed, cfg, DroConfig())
         head = train_pgdro_classifier(data, priors, cfg, DroConfig()).head
-        with pytest.raises(ValueError):
-            RobustClassifier(head, mixed, DroConfig()).predict(data.features)
+        for other in (moved_means, moved_covs, atoms_only):
+            mixed = [priors[0], other]
+            with pytest.raises(ValueError, match="components"):
+                train_pgdro_classifier(data, mixed, cfg, DroConfig())
+            with pytest.raises(ValueError, match="components"):
+                RobustClassifier(head, mixed, DroConfig()).predict(data.features)
+        with pytest.raises(ValueError, match="atom array"):
+            train_pgdro_regressor(data, data.features[:, 0], [priors[0], moved_atoms],
+                                  cfg, DroConfig())
 
     def test_zero_epochs(self):
         rng = np.random.default_rng(103)
@@ -569,11 +580,14 @@ class TestRobustClassifier:
     def test_training_never_holds_every_tilt(self):
         # the training tilts stay factored: one epoch's peak of traced
         # memory (numpy's buffers included) stays below the N * C * A
-        # float64 tensor that would hold every row's tilt toward every class
+        # float64 tensor that would hold every row's tilt toward every
+        # class's atoms
         rng = np.random.default_rng(107)
         n, n_classes, n_components, per_component, dim = 4000, 8, 8, 32, 5
         atoms = rng.standard_normal((n_components * per_component, dim))
-        priors = [MixturePrior(rng.dirichlet(np.ones(n_components)), atoms)
+        means = rng.standard_normal((n_components, dim))
+        covs = np.stack([np.eye(dim) * s for s in rng.uniform(0.5, 2.0, n_components)])
+        priors = [MixturePrior(rng.dirichlet(np.ones(n_components)), atoms, means, covs)
                   for _ in range(n_classes)]
         data = SupportSet(rng.standard_normal((n, dim)),
                           rng.integers(0, n_classes, n))
@@ -599,23 +613,121 @@ class TestRobustClassifier:
         with pytest.raises(DualConvergenceError, match="unconverged after 1 steps"):
             RobustClassifier(head, priors, capped).predict(data.features)
 
-    def test_prediction_chunks_give_the_same_bytes(self, monkeypatch):
-        # each row's score is its own, whatever chunk it is solved in: 640
-        # rows are 2.5 chunks of 256; of 257 rows (d = 10, A = 512) the last
-        # is alone in its chunk of 256
-        for n_rows, dim, atoms_per in [(640, 3, 16), (257, 10, 256)]:
+    def test_a_row_scores_the_same_alone_and_in_the_batch(self, monkeypatch):
+        # each row's score is its own, whether predict solves it alone or in
+        # one dual call with every other row, which runs on two threads
+        monkeypatch.setattr(dro, "WORKERS", 2)
+        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
+        for n_rows, dim in [(640, 3), (257, 10)]:
             rng = np.random.default_rng(109)
             data = two_blob_data(rng, n_per=(n_rows + 1) // 2, dim=dim)
-            priors = blob_priors(data, atoms_per=atoms_per)
+            priors = blob_priors(data, atoms_per=4)
             head = LinearHead(rng.standard_normal((2, dim)), rng.standard_normal(2))
             model = RobustClassifier(head, priors, DroConfig())
             x = data.features[:n_rows]
-            scores = []
-            for chunk in (1024, 512, 256):
-                monkeypatch.setattr(models, "_PREDICT_CHUNK", chunk)
-                scores.append(model.decision_scores(x))
-            assert scores[0].shape == (n_rows, 2)
-            assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
+            batch = model.decision_scores(x)
+            assert batch.shape == (n_rows, 2)
+            for i in rng.choice(n_rows, 12, replace=False):
+                assert model.decision_scores(x[i]).tobytes() == batch[i].tobytes()
+
+
+def component_priors(rng, n_classes, n_comp, dim, zero_cov=False):
+    """Class priors over shared random Gaussian components, one atom at
+    each component's mean; zero_cov gives zero-covariance components, whose
+    mixture is exactly those atoms."""
+    means = 2.0 * rng.standard_normal((n_comp, dim))
+    if zero_cov:
+        covs = np.zeros((n_comp, dim, dim))
+    else:
+        a = rng.standard_normal((n_comp, dim, dim))
+        covs = a @ a.transpose(0, 2, 1) / dim + 0.1 * np.eye(dim)
+    weights = rng.dirichlet(np.ones(n_comp), size=n_classes)
+    weights[0, 0] = 0.0
+    weights[0] /= weights[0].sum()
+    return [MixturePrior(w, means, means, covs) for w in weights]
+
+
+class TestComponentScores:
+    """Robust scores in closed form over the priors' Gaussian components."""
+
+    def test_zero_covariance_components_match_the_atom_table(self):
+        # zero-covariance components are atoms: over 20 random cases the
+        # component path's values agree with the atom table path's (tilts
+        # from ClassTilts, the (C, A) score table) within 1e-12 relative
+        # and lambda* within 1e-10, with the same flags
+        rng = np.random.default_rng(211)
+        dro_cfg = DroConfig(rho=0.6, epsilon=0.8)
+        for _ in range(20):
+            n, n_classes, n_comp, dim = 12, 3, 5, 3
+            priors = component_priors(rng, n_classes, n_comp, dim, zero_cov=True)
+            x = 1.5 * rng.standard_normal((n, dim))
+            scale = 10.0 ** rng.uniform(-1.0, 1.0)
+            w = scale * rng.standard_normal((n_classes, dim))
+            b = scale * rng.standard_normal(n_classes)
+            idx = np.arange(n)
+            tilts = ComponentTilts.build(priors, x, dro_cfg.epsilon)
+            values, lam_star, _ = models.robust_scores_stacked(w, b, x, tilts, idx, dro_cfg)
+            rows = ClassTilts.build(priors, x, dro_cfg.epsilon).class_major(idx)
+            table = priors[0].atoms @ w.T + b
+            atom = dro.solve_dual_batch(
+                rows.reshape(n_classes * n, n_comp), table.T, dro_cfg,
+                row_class=np.repeat(np.arange(n_classes), n))
+            assert atom.converged.all()
+            np.testing.assert_allclose(values, atom.value.reshape(n_classes, n).T,
+                                       rtol=1e-12, atol=1e-12 * np.abs(values).max())
+            np.testing.assert_allclose(lam_star, atom.lambda_star.reshape(n_classes, n).T,
+                                       rtol=1e-10)
+
+    def test_scores_match_the_component_oracle(self):
+        # full covariances: each robust score and its lambda* against the
+        # oracle's grid-and-golden minimum of the closed form, written with
+        # explicit inverses and determinants
+        rng = np.random.default_rng(223)
+        dro_cfg = DroConfig(rho=0.8, epsilon=1.3)
+        priors = component_priors(rng, 2, 3, 3)
+        x = 1.5 * rng.standard_normal((4, 3))
+        w, b = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        tilts = ComponentTilts.build(priors, x, dro_cfg.epsilon)
+        values, lam_star, _ = models.robust_scores_stacked(
+            w, b, x, tilts, np.arange(4), dro_cfg)
+        p = priors[0]
+        for i in range(4):
+            for c in range(2):
+                lam_o, val_o = minimize_dual_oracle(
+                    lambda lam: component_dual_value_oracle(
+                        priors[c].weights, p.means, p.covs, x[i], w[c], b[c], lam,
+                        dro_cfg.rho, dro_cfg.epsilon), grid=800)
+                assert values[i, c] == pytest.approx(val_o, rel=1e-10)
+                assert lam_star[i, c] == pytest.approx(lam_o, abs=1e-5)
+
+    def test_atom_estimates_converge_on_the_closed_form(self):
+        # in d = 2, phi(3) from A seeded draws per component (the atom
+        # tilt and the table evaluator) approaches the closed form at about
+        # A^-1/2: the rms error over 8 draws falls by a factor near 10 from
+        # 10^3 to 10^5 atoms per component
+        rng = np.random.default_rng(227)
+        cfg = DroConfig(rho=1.0, epsilon=1.0)
+        prior = component_priors(rng, 1, 3, 2)[0]
+        x, w, b, lam = np.array([0.5, -0.3]), np.array([0.8, -0.6]), 0.2, 3.0
+        exact = component_dual_value_oracle(prior.weights, prior.means, prior.covs,
+                                            x, w, b, lam, cfg.rho, cfg.epsilon)
+        chol = np.linalg.cholesky(prior.covs)
+        rms = []
+        for per_component in (1000, 10_000, 100_000):
+            errors = []
+            for draw in range(8):
+                z = np.random.default_rng([draw, per_component]).standard_normal(
+                    (3, per_component, 2))
+                atoms = (prior.means[:, None, :] + z @ chol.transpose(0, 2, 1)).reshape(-1, 2)
+                atom_prior = MixturePrior(prior.weights, atoms)
+                tilt = gibbs_tilt_batch(atom_prior, x[None, :], cfg.epsilon)
+                phi = dro._table_terms(tilt, dro._ScoreTable.build((atoms @ w + b)[None]),
+                                       np.array([0]), np.array([lam]), cfg)[0][0]
+                errors.append(phi - exact)
+            rms.append(float(np.sqrt(np.mean(np.square(errors)))))
+        assert rms[2] < rms[1] < rms[0]
+        assert rms[0] / rms[2] > 4.0
+        assert rms[2] < 0.05 * abs(exact)
 
 
 class TestWdro:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import protodro.priors as priors_mod
 from protodro.models import empirical_prior
 from protodro.numkit import GaussianParams, SeededRng, gaussian_sample
 from protodro.priors import (
@@ -17,6 +18,7 @@ from protodro.priors import (
     prior_weights,
     save_priors,
     shared_atoms,
+    shared_components,
     update_weights_damped,
 )
 
@@ -171,6 +173,40 @@ class TestBuildPriors:
             assert log_sum_exp(prior.atom_log_weights) == pytest.approx(0.0, abs=1e-12)
             assert prior.atoms.shape == (len(prior.weights) * 64, 2)
 
+    def test_components_are_the_moments_the_atoms_are_drawn_from(self, monkeypatch):
+        # the shared means and covariances are the inflated, ridged class
+        # moments (component_moments), and draw_atoms samples exactly those
+        stats, protos, supports = separated_setup()
+        cfg = PriorConfig(covariance_inflation=2.5, ridge=1e-3)
+        sampled = []
+        real = priors_mod.gaussian_sample
+
+        def recording(params, n, rng):
+            sampled.append(params)
+            return real(params, n, rng)
+
+        monkeypatch.setattr(priors_mod, "gaussian_sample", recording)
+        priors = build_priors(stats, protos, supports, cfg)
+        means, covs = shared_components(priors)
+        for b, s in enumerate(stats):
+            np.testing.assert_array_equal(means[b], s.mean)
+            np.testing.assert_array_equal(covs[b], 2.5 * s.cov + 1e-3 * np.eye(2))
+            assert sampled[b].mean.tobytes() == means[b].tobytes()
+            assert sampled[b].cov.tobytes() == covs[b].tobytes()
+        assert len(sampled) == len(stats)
+
+    def test_components_must_match_the_weights(self):
+        atoms = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="together"):
+            MixturePrior(np.array([0.5, 0.5]), atoms, means=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="components must be"):
+            MixturePrior(np.array([0.5, 0.5]), atoms, np.zeros((3, 2)), np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="components must be"):
+            MixturePrior(np.array([0.5, 0.5]), atoms, np.zeros((2, 2)), np.zeros((2, 2)))
+        plain = MixturePrior(np.array([0.5, 0.5]), atoms)
+        with pytest.raises(ValueError, match="no Gaussian components"):
+            shared_components([plain])
+
     def test_atom_count_must_be_a_multiple_of_components(self):
         with pytest.raises(ValueError, match="components"):
             MixturePrior(np.array([0.5, 0.5]), np.zeros((3, 2)))
@@ -243,8 +279,9 @@ class TestUpdateWeightsDamped:
 
 class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
-        # adapted priors (seeded Gaussian atoms) and the empirical reference
-        # (atoms at the observed points) both come back as saved
+        # adapted priors (Gaussian components and seeded atoms) and the
+        # empirical reference (zero-covariance components at the observed
+        # points) both come back as saved, bit for bit
         stats, protos, supports = separated_setup()
         adapted = build_priors(stats, protos, supports, PriorConfig(atom_seed=11))
         empirical = [empirical_prior(supports.features)] * 3
@@ -254,9 +291,9 @@ class TestSerialization:
             loaded = load_priors(str(path))
             assert len(loaded) == len(priors)
             for orig, back in zip(priors, loaded):
-                np.testing.assert_array_equal(back.atoms, orig.atoms)
-                np.testing.assert_array_equal(back.weights, orig.weights)
-                np.testing.assert_array_equal(back.atom_log_weights, orig.atom_log_weights)
+                for name in ("weights", "means", "covs", "atoms", "atom_log_weights"):
+                    a, b = getattr(orig, name), getattr(back, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_priors_with_different_atoms_rejected(self, tmp_path):
         # same atom count, different atoms: not one shared array
@@ -274,9 +311,13 @@ class TestSerialization:
         assert not (tmp_path / "mixed.json").exists()
 
     def test_wrong_format_rejected(self, tmp_path):
-        # another format, and this format at a version other than 2
+        # another format, and this format at a version other than 3: a
+        # version-2 file (atoms and weights, no components) names its version
         path = tmp_path / "junk.json"
-        for doc in ('{"format": "other"}', '{"format": "protodro-priors", "version": 1}'):
+        for doc, match in (('{"format": "other"}', "not a priors file"),
+                           ('{"format": "protodro-priors", "version": 1}', "version 1"),
+                           ('{"format": "protodro-priors", "version": 2, "atoms": [[0.0]], '
+                            '"weights": [[1.0]]}', "version 2")):
             path.write_text(doc)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 load_priors(str(path))

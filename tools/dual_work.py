@@ -10,8 +10,9 @@ predict on the cell's test set, as the sweep does. Every dual call that
 starts) and cold ones (predict) apart. For each kind it prints
 
 - rows: the dual rows solved;
-- evals_per_row: rows evaluated per solved row, counted at the dual
-  evaluator `dro._table_terms` (where the checkout has it), probes and the
+- evals_per_row: rows evaluated per solved row, counted at each dual
+  evaluator the checkout has, `dro._table_terms` (atom rows) and
+  `dro._component_terms` (Gaussian-component rows), probes and the
   evaluation after the cap included;
 - unconverged, boundary and degenerate: row counts from the result flags;
 - dual_s: wall seconds inside the dual calls;
@@ -42,7 +43,7 @@ from protodro.config import preset  # noqa: E402
 from protodro.metrics import eval_classification  # noqa: E402
 
 LEVEL = 3.0
-EVALUATORS = ("_table_terms",)
+EVALUATORS = ("_table_terms", "_component_terms")
 KINDS = ("warm", "cold")
 FLAGS = ("unconverged", "boundary", "degenerate")
 
@@ -82,9 +83,10 @@ class Counter:
                 setattr(dro, name, self._counting(name, getattr(dro, name)))
 
     def _counting(self, name, evaluate):
-        def counted(logq, *args):
-            self.evaluated.append((self.kind, name, logq.shape[0]))
-            return evaluate(logq, *args)
+        def counted(*args):
+            # each evaluator takes the rows' lambdas next to last
+            self.evaluated.append((self.kind, name, args[-2].size))
+            return evaluate(*args)
         return counted
 
     def report(self) -> list[str]:
