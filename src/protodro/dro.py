@@ -43,29 +43,30 @@ and turns them into a DualConvergenceError, which models and the
 harnesses raise rather than use such a row.
 
 Everything here is written over batches of tilted weight rows: one atom
-tilt (ClassTilts, with gibbs_tilt_batch its one-prior case; models builds
-the component tilts), one solver (solve_dual_batch) and one result type
+tilt (gibbs_tilt_batch, one prior over many query rows; models builds the
+component tilts), one solver (solve_dual_batch) and one result type
 (BatchDualResult). A single query is a batch of one row.
 
 Each row's solve depends on that row alone, bit for bit, so the solver
-splits a batch into contiguous row blocks and solves them on one thread
-per usable core (MIN_BLOCK rows and MIN_BLOCK_CELLS cells per thread at
-least) into disjoint rows of one preallocated result. A cap on block size
-bounds the work arrays alive at once. Every output is the same whatever
-the core count; a batch on one thread, such as a single row, is solved in
-the calling thread with no thread started.
+splits a batch into contiguous row blocks and solves them on a stdlib
+thread pool, one thread per usable core (MIN_BLOCK rows and
+MIN_BLOCK_CELLS cells per thread at least), into disjoint rows of one
+preallocated result. A cap on block size bounds the work arrays alive at
+once. Every output is the same whatever the core count; a batch on one
+thread, such as a single row, is solved in the calling thread with no
+pool started.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numkit import log_sum_exp, sq_distances, sum_in_order
-from .priors import MixturePrior, shared_atoms
+from .priors import MixturePrior
 
 GRAD_TOL_SCALE = 1e-8
 # the multiplier box [LAMBDA_MIN, LAMBDA_MAX] and the cold start inside it
@@ -133,54 +134,21 @@ class BatchDualResult:
     boundary: np.ndarray
 
 
-@dataclass
-class ClassTilts:
-    """Tilt log-weights of N query rows toward C priors over one atom array.
-
-    Stored in factored form: the (N, A) squared distances over epsilon,
-    computed once for every class, the priors' (C, A) atom log-weights and
-    the (N, C) log-normalizers. class_major(idx) builds the (C, n, A)
-    normalized tilts of rows idx, one prior's operations in their order for
-    each class, so the (N, C, A) tensor is never stored.
-    """
-
-    scaled_sq: np.ndarray
-    atom_log_weights: np.ndarray
-    log_norm: np.ndarray
-
-    @classmethod
-    def build(cls, priors: list[MixturePrior], queries: np.ndarray,
-              epsilon: float) -> "ClassTilts":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        atoms = shared_atoms(priors)
-        q = np.asarray(queries, dtype=float)
-        if q.ndim != 2 or q.shape[1] != atoms.shape[1]:
-            raise ValueError("queries must be (n, d) matching the atom dimension")
-        scaled_sq = sq_distances(q, atoms) / epsilon
-        alw = np.stack([p.atom_log_weights for p in priors])
-        log_norm = np.stack(
-            [log_sum_exp(w[None, :] - scaled_sq, axis=1) for w in alw], axis=1
-        )
-        return cls(scaled_sq, alw, log_norm)
-
-    def class_major(self, idx) -> np.ndarray:
-        """(C, n, A) normalized tilts of the query rows idx selects.
-
-        Each class's rows are one contiguous run, and class_major(idx)[c]
-        equals gibbs_tilt_batch(priors[c], queries[idx], epsilon) bit for bit.
-        """
-        tilts = self.atom_log_weights[:, None] - self.scaled_sq[idx][None]
-        tilts -= self.log_norm[idx].T[:, :, None]
-        return tilts
-
-
 def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -> np.ndarray:
     """Normalized tilt log-weights for many query points at once: (n, A).
 
-    The one-prior case of ClassTilts.
+    Row i is log w_a - |x_i - y_a|^2 / epsilon over the prior's atoms y_a,
+    minus its log-normalizer. Every step after the distance product is
+    elementwise or a reduction along one row.
     """
-    return ClassTilts.build([prior], queries, epsilon).class_major(slice(None))[0]
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    q = np.asarray(queries, dtype=float)
+    if q.ndim != 2 or q.shape[1] != prior.atoms.shape[1]:
+        raise ValueError("queries must be (n, d) matching the atom dimension")
+    tilts = prior.atom_log_weights[None, :] - sq_distances(q, prior.atoms) / epsilon
+    tilts -= log_sum_exp(tilts, axis=1)[:, None]
+    return tilts
 
 
 def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -198,14 +166,14 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     The rows run on k = max(1, min(WORKERS, n // MIN_BLOCK, n * A //
     MIN_BLOCK_CELLS)) threads (numpy releases the interpreter lock inside
     its array loops), split into at least k contiguous blocks of at most
-    BLOCK_CELLS (row, atom) cells; the threads take turns over the blocks
-    and each block is solved into its rows of the result. Rows are solved
-    independently, so every output is bitwise the same for any split. With
-    k = 1 no thread is started: the blocks run one after another in the
-    calling thread, and a batch of at most BLOCK_CELLS cells, such as one
-    row, is one block. Inputs are validated before any block starts; an
-    exception raised in a block is raised here once every thread has
-    stopped.
+    BLOCK_CELLS (row, atom) cells; the calling thread and k - 1 pool
+    threads take turns over the blocks, and each block is solved into its
+    rows of the result. Rows are solved independently, so every output is
+    bitwise the same for any split. With k = 1 no pool is started: the
+    blocks run one after another in the calling thread, and a batch of at
+    most BLOCK_CELLS cells, such as one row, is one block. Inputs are
+    validated before any block starts; an exception raised in a block is
+    raised here once every thread has stopped.
 
     Every row takes safeguarded Halley steps (module docstring) over
     _table_terms, or over _component_terms when quad is given, and every
@@ -301,35 +269,15 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
         for block in blocks[t::k]:
             solve(block)
 
-    _on_threads(solve_blocks, k)
+    if k == 1:
+        solve_blocks(0)
+        return out
+    with ThreadPoolExecutor(k - 1) as pool:
+        futures = [pool.submit(solve_blocks, t) for t in range(1, k)]
+        solve_blocks(0)
+    for future in futures:
+        future.result()
     return out
-
-
-def _on_threads(fn, k: int) -> None:
-    """Call fn(0) here and fn(1), ..., fn(k - 1) each on its own thread.
-
-    Every thread is joined before this returns or raises; the first
-    exception a call raised is raised again here.
-    """
-    errors = []
-
-    def run(t):
-        try:
-            fn(t)
-        except BaseException as exc:  # re-raised below, in the caller's thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(t,)) for t in range(1, k)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _settle_flat_rows(logq: np.ndarray, f_hi: np.ndarray, f_lo: np.ndarray,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ExperimentConfig, prepare_output_dir
-from .dro import ClassTilts, check_converged, solve_dual_batch
+from .dro import check_converged, gibbs_tilt_batch, solve_dual_batch
 from .numkit import GaussianParams, SeededRng, gaussian_sample, log_sum_exp
 from .priors import (
     MixturePrior,
@@ -56,8 +56,9 @@ CONSISTENCY_SUPPORTS = 48
 
 # both harnesses solve one point set per call (every (class, eval point)
 # row, or every consistency pair at one budget) on the table of both class
-# score rows, and raise dro.DualConvergenceError on a row left unconverged,
-# as models does. The calls go through this module attribute, which stays
+# score rows, each row tilted by gibbs_tilt_batch toward its own class
+# prior, and raise dro.DualConvergenceError on a row left unconverged, as
+# models does. The calls go through this module attribute, which stays
 # because the benchmark's dro.scalar_solve layer wraps it.
 solve_dual = solve_dual_batch
 
@@ -226,8 +227,7 @@ def _values(instance: ContractionInstance, weights: np.ndarray,
     from one dual call over the class-major (class, point) rows."""
     points = instance.eval_points
     priors = [MixturePrior(w, instance.atoms) for w in weights]
-    tilts = ClassTilts.build(priors, points, cfg.dro.epsilon).class_major(
-        slice(None)).reshape(N_TARGET * len(points), -1)
+    tilts = np.concatenate([gibbs_tilt_batch(p, points, cfg.dro.epsilon) for p in priors])
     table = np.stack([instance.atoms @ w for w in instance.score_weights])
     row_class = np.repeat(np.arange(N_TARGET), len(points))
     res = solve_dual(tilts, table, cfg.dro, row_class=row_class)
@@ -276,7 +276,12 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
     Writes contraction_trace.csv (t, delta, bound), contraction_floor.csv
     (n, floor), and a manifest with the fitted rate, the Jacobian norm at
     the fixed point, the floor slope, and the last fixed-point step sizes.
+    Raises ValueError, before any work, unless steps >= 1 and 0 < eta <= 1.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
     out_dir = prepare_output_dir(cfg, out_dir)
     t_start = time.time()
     seed = cfg.seeds[0]
@@ -390,8 +395,11 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
     For each of CONSISTENCY_PAIRS (x, class) pairs the per-budget gap
     |V(A) - V(4A)| is averaged over atom-seed replicates (each replicate's
     draws nest across budgets), then checked for non-increase along the
-    budget ladder; same for the dual minimizer.
+    budget ladder; same for the dual minimizer. Raises ValueError, before
+    any work, unless replicates >= 1.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     out_dir = prepare_output_dir(cfg, out_dir)
     t_start = time.time()
     seed = cfg.seeds[0]
@@ -419,15 +427,14 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
     budgets = CONSISTENCY_BUDGETS
     v = np.empty((replicates, len(budgets), CONSISTENCY_PAIRS))
     lam = np.empty_like(v)
-    pairs = np.arange(CONSISTENCY_PAIRS)
     for r in range(replicates):
         for bi, a in enumerate(budgets):
             prior_cfg = replace(cfg.prior, atoms_per_component=a,
                                 atom_seed=cfg.prior.atom_seed + 1000 * (r + 1))
             atoms = draw_atoms(stats, prior_cfg, SeededRng(prior_cfg.atom_seed))
             priors = [MixturePrior(w, atoms) for w in weights]
-            tilts = ClassTilts.build(priors, xs, cfg.dro.epsilon).class_major(
-                slice(None))[classes, pairs]
+            tilts = np.concatenate([gibbs_tilt_batch(p, xs[classes == c], cfg.dro.epsilon)
+                                    for c, p in enumerate(priors)])
             table = np.stack([atoms @ w for w in instance.score_weights])
             res = solve_dual(tilts, table, cfg.dro, row_class=classes)
             check_converged(res, cfg.dro)

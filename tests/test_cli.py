@@ -7,7 +7,7 @@ import pytest
 import numpy as np
 
 import protodro.sweeps as sweeps
-from protodro import cli, dro
+from protodro import cli, dro, harnesses
 from protodro.config import (
     ExperimentConfig,
     GeneratorConfig,
@@ -101,7 +101,7 @@ class TestTrain:
 
 
 def _no_work(*args):
-    raise AssertionError("a rejected method must not reach any cell")
+    raise AssertionError("a rejected command must not reach any work")
 
 
 class TestSweep:
@@ -138,6 +138,24 @@ class TestSweep:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "method=erm seed=0 status=failed:RuntimeError" in manifest
         assert "method=pgdro seed=0 status=ok" in manifest
+
+
+class TestHarnessArguments:
+    @pytest.mark.parametrize("argv", [
+        ["consistency", "--replicates", "0"],
+        ["contraction", "--steps", "0"],
+        ["contraction", "--steps", "-5"],
+        ["contraction", "--eta", "5", "--steps", "0"],
+        ["contraction", "--eta", "0"],
+        ["contraction", "--eta", "nan"],
+    ])
+    def test_bad_argument_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                  argv):
+        monkeypatch.setattr(harnesses, "_build_instance", _no_work)
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

@@ -19,7 +19,6 @@ from protodro.dro import (
     BOUNDARY_NONE,
     LAMBDA_MAX,
     LAMBDA_MIN,
-    ClassTilts,
     DroConfig,
     gibbs_tilt_batch,
     solve_dual_batch,
@@ -144,35 +143,23 @@ class TestGibbsTilt:
         with pytest.raises(ValueError):
             gibbs_tilt_batch(prior, np.zeros((2, 2)), epsilon=0.0)
 
-
-class TestClassTilts:
-    """The factored tilts give each class prior's own tilt, byte for byte."""
-
-    @staticmethod
-    def priors_and_queries(rng, zero_weight=False):
-        # three priors over one pool of 4 components x 6 atoms in 3-D
-        atoms = rng.standard_normal((24, 3))
-        weights = [rng.dirichlet(np.ones(4)) for _ in range(3)]
-        if zero_weight:
-            weights[1] = np.array([0.5, 0.0, 0.5, 0.0])
-        priors = [MixturePrior(w, atoms) for w in weights]
-        return priors, 2.0 * rng.standard_normal((40, 3))
-
-    @pytest.mark.parametrize("rows", ["unsorted", "all"])
     @pytest.mark.parametrize("zero_weight", [False, True])
-    def test_rows_equal_each_priors_tilt(self, rows, zero_weight):
+    def test_rows_keep_their_bytes_in_any_selection(self, zero_weight):
+        # the consistency harness tilts each class's own rows: a row's tilt
+        # must not depend on which other rows share the call
         rng = np.random.default_rng(17)
-        priors, x = self.priors_and_queries(rng, zero_weight)
-        idx = rng.permutation(40)[:17] if rows == "unsorted" else np.arange(40)
-        # the class-major layout the dual rows of models use
-        got = ClassTilts.build(priors, x, 0.7).class_major(idx)
-        want = np.stack([gibbs_tilt_batch(p, x[idx], 0.7) for p in priors])
-        assert got.shape == (3, idx.size, 24) and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        # 4 components x 6 atoms in 3-D
+        weights = np.array([0.5, 0.0, 0.5, 0.0]) if zero_weight else rng.dirichlet(np.ones(4))
+        prior = MixturePrior(weights, rng.standard_normal((24, 3)))
+        x = 2.0 * rng.standard_normal((40, 3))
+        idx = rng.permutation(40)[:17]
+        got = gibbs_tilt_batch(prior, x[idx], 0.7)
+        assert got.shape == (17, 24) and got.flags.c_contiguous
+        assert got.tobytes() == gibbs_tilt_batch(prior, x, 0.7)[idx].tobytes()
         if zero_weight:
             # the zero-weight components' atoms carry -inf log-weight
-            assert np.isneginf(got[1, :, 6:12]).all()
-            assert np.isfinite(got[1, :, :6]).all()
+            assert np.isneginf(got[:, 6:12]).all() and np.isneginf(got[:, 18:]).all()
+            assert np.isfinite(got[:, :6]).all() and np.isfinite(got[:, 12:18]).all()
 
 
 class TestDualObjective:
@@ -760,7 +747,7 @@ class TestRowBlocks:
 
         monkeypatch.setattr(dro, "WORKERS", 3)
         monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
-        monkeypatch.setattr(dro.threading, "Thread", no_threads)
+        monkeypatch.setattr(threading, "Thread", no_threads)
         logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
         res = solve_dual_batch(logw[:1], scores[0], DroConfig())
         assert res.converged[0] and res.iterations[0] >= 1

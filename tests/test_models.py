@@ -31,7 +31,7 @@ from protodro.models import (
     train_pgdro_regressor,
     train_saa,
 )
-from protodro.dro import ClassTilts, DualConvergenceError, gibbs_tilt_batch
+from protodro.dro import DualConvergenceError, gibbs_tilt_batch
 from protodro.models import ComponentTilts
 from protodro.numkit import SeededRng
 from protodro.priors import MixturePrior, PriorConfig, SupportSet, shared_atoms
@@ -653,7 +653,7 @@ class TestComponentScores:
     def test_zero_covariance_components_match_the_atom_table(self):
         # zero-covariance components are atoms: over 20 random cases the
         # component path's values agree with the atom table path's (tilts
-        # from ClassTilts, the (C, A) score table) within 1e-12 relative
+        # from gibbs_tilt_batch, the (C, A) score table) within 1e-12 relative
         # and lambda* within 1e-10, with the same flags
         rng = np.random.default_rng(211)
         dro_cfg = DroConfig(rho=0.6, epsilon=0.8)
@@ -667,10 +667,10 @@ class TestComponentScores:
             idx = np.arange(n)
             tilts = ComponentTilts.build(priors, x, dro_cfg.epsilon)
             values, lam_star, _ = models.robust_scores_stacked(w, b, x, tilts, idx, dro_cfg)
-            rows = ClassTilts.build(priors, x, dro_cfg.epsilon).class_major(idx)
+            rows = np.concatenate([gibbs_tilt_batch(p, x, dro_cfg.epsilon) for p in priors])
             table = priors[0].atoms @ w.T + b
             atom = dro.solve_dual_batch(
-                rows.reshape(n_classes * n, n_comp), table.T, dro_cfg,
+                rows, table.T, dro_cfg,
                 row_class=np.repeat(np.arange(n_classes), n))
             assert atom.converged.all()
             np.testing.assert_allclose(values, atom.value.reshape(n_classes, n).T,

@@ -9,16 +9,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_dual_identity_prints_one_fingerprint_per_batch():
-    # batch 49 is the first 200-row batch, split into row blocks
+    # each batch number gives an atom and a component batch; batch 49 is
+    # the first large one, 200 atom rows split into row blocks and 8,192
+    # component rows of 8 that the thread pool splits
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "dual_identity.py"), "--batches", "50"],
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    fingerprints = [line for line in lines if re.match(r"[0-9a-f]{64} batch \d+ (cold|warm) ", line)]
-    assert [int(line.split()[2]) for line in fingerprints] == list(range(50))
-    assert "rows 200 " in fingerprints[49]
-    assert [line.split()[0] for line in lines[50:]] == ["cold", "warm"]
+    fingerprints = [line.split() for line in lines
+                    if re.match(r"[0-9a-f]{64} batch \d+ (atom|component) (cold|warm) ", line)]
+    assert [(int(f[2]), f[3]) for f in fingerprints] == [
+        (i, evaluator) for i in range(50) for evaluator in ("atom", "component")]
+    assert fingerprints[98][7:] == ["rows", "200", "atoms", fingerprints[98][-1]]
+    assert fingerprints[99][7:] == ["rows", "8192", "components", "8"]
+    assert [line.split()[:2] for line in lines[100:]] == [
+        ["atom", "cold"], ["atom", "warm"], ["component", "cold"], ["component", "warm"]]
 
 
 def test_dual_work_counts_the_component_evaluations():

@@ -4,32 +4,40 @@ Usage:
     python3 tools/dual_identity.py [--batches N]
 
 Solves a fixed set of seeded randomized batches with
-`protodro.dro.solve_dual_batch` and prints one line per batch: the sha256
-of all seven `BatchDualResult` fields (name, dtype, shape and bytes of
-each), then the batch's settings. The batches mix:
+`protodro.dro.solve_dual_batch` on both of its evaluators and prints one
+line per batch: the sha256 of all eight `BatchDualResult` fields (name,
+dtype, shape and bytes of each), then the batch's settings. Each batch
+number N gives an atom batch (the table evaluator) and a component batch
+(`quad=`, the Gaussian-component evaluator). The batches mix:
 
 - cold batches (no lam_init) and warm ones, whose per-row starts are NaN,
   0, negative, or spread over twelve decades around 1;
 - Newton caps of 1, 2, 8 and 16;
-- rows with -inf tilt weights, shared (A,) and per-row (n, A) scores;
+- rows with -inf tilt weights; atom batches with shared (A,) and per-row
+  (n, A) scores;
 - interior rows with scores scaled over eight decades, rows whose
   minimizer lies below the lambda box (BOUNDARY_MIN) or above it
   (BOUNDARY_MAX), and degenerate rows;
+- component rows whose variances are all 0 (atoms), curved rows with
+  variances over four decades, some components at 0, and flat-mean rows,
+  degenerate unless curved;
 - one-row batches and, every 50th batch, a batch large enough to be split
-  into row blocks.
+  into row blocks: 200 rows for the atoms, and 8,192 rows of 8 components
+  (twice `dro.MIN_BLOCK_CELLS` cells) so that the row blocks run on the
+  thread pool wherever two cores are usable.
 
-Two last lines count the rows of each kind and the counted steps
-(`iterations`), one line for the cold batches and one for the warm ones.
+Four last lines count the rows of each kind and the counted steps
+(`iterations`), one line for each evaluator's cold and warm batches.
 Run it at two commits and diff the two listings:
 
     python3 tools/dual_identity.py > after.txt
     (cd ../parent-checkout && python3 tools/dual_identity.py) > before.txt
     diff before.txt after.txt
 
-Every batch, cold or warm, solves on the one table evaluator. A change
-that leaves the solver's steps alone keeps every line byte for byte; one
-that moves them by design moves the lines, so compare the two totals lines
-instead, and explain any unconverged rows beyond the parent's.
+A change that leaves the solver's steps alone keeps every line byte for
+byte; one that moves them by design moves the lines, so compare the
+totals lines instead, and explain any unconverged rows beyond the
+parent's.
 
 To fingerprint a commit that predates this script, copy the script into a
 checkout of that commit: it runs the package in the `src/` beside its own
@@ -51,9 +59,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from protodro import dro  # noqa: E402
 
 SEED = 20211
-FIELDS = ("value", "lambda_star", "posterior", "iterations", "converged",
-          "degenerate", "boundary")
+FIELDS = ("value", "lambda_star", "gradient", "posterior", "iterations",
+          "converged", "degenerate", "boundary")
 CAPS = (1, 2, 8, 16)
+# the seed stream of the component batches, apart from the atom batches'
+COMPONENT_STREAM = 1
+# the large component batch: 8,192 rows of 8 components
+BIG_ROWS, BIG_COMPONENTS = 8192, 8
 
 
 def random_row(rng, n_atoms: int, rho: float, eps: float, kind: str):
@@ -82,10 +94,8 @@ def random_row(rng, n_atoms: int, rho: float, eps: float, kind: str):
     return logw, scores
 
 
-def random_batch(i: int):
-    rng = np.random.default_rng([SEED, i])
-    n = 200 if i % 50 == 49 else int(rng.choice([1, 1, 2, 3, 5, 8, 13]))
-    n_atoms = int(rng.integers(2, 41))
+def random_rows(rng, n: int, n_atoms: int):
+    """(log_weights (n, A), scores (n, A), cfg) of n rows of mixed kinds."""
     rho = float(rng.choice([0.0, 0.05, 0.3, 1.0, 5.0]))
     eps = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
     cap = int(rng.choice(CAPS))
@@ -94,20 +104,53 @@ def random_batch(i: int):
     if rho == 0.0:
         kinds[kinds == "min"] = "interior"
     rows = [random_row(rng, n_atoms, rho, eps, k) for k in kinds]
-    logw = np.vstack([r[0] for r in rows])
-    if rng.random() < 0.3:
-        scores = rows[0][1]
-    else:
-        scores = np.vstack([r[1] for r in rows])
-    lam0 = None
-    if rng.random() < 0.5:
-        lam0 = 10.0 ** rng.uniform(-6.0, 6.0, n)
-        special = rng.random(n)
-        lam0[special < 0.15] = np.nan
-        lam0[(special >= 0.15) & (special < 0.25)] = 0.0
-        lam0[(special >= 0.25) & (special < 0.3)] = -1.0
     cfg = dro.DroConfig(rho=rho, epsilon=eps, newton_iters=cap)
-    return logw, scores, cfg, lam0
+    return np.vstack([r[0] for r in rows]), np.vstack([r[1] for r in rows]), cfg
+
+
+def random_starts(rng, n: int):
+    """None (a cold batch) or (n,) warm starts, some NaN, 0 or negative."""
+    if rng.random() >= 0.5:
+        return None
+    lam0 = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    special = rng.random(n)
+    lam0[special < 0.15] = np.nan
+    lam0[(special >= 0.15) & (special < 0.25)] = 0.0
+    lam0[(special >= 0.25) & (special < 0.3)] = -1.0
+    return lam0
+
+
+def random_batch(i: int):
+    """An atom batch: (log_weights, scores, cfg, lam_init)."""
+    rng = np.random.default_rng([SEED, i])
+    n = 200 if i % 50 == 49 else int(rng.choice([1, 1, 2, 3, 5, 8, 13]))
+    n_atoms = int(rng.integers(2, 41))
+    logw, scores, cfg = random_rows(rng, n, n_atoms)
+    if rng.random() < 0.3:
+        scores = scores[0]
+    return logw, scores, cfg, random_starts(rng, n)
+
+
+def random_component_batch(i: int):
+    """A component batch: (log_weights, means, variances, cfg, lam_init).
+
+    Half the rows are curved: each component's variance is the square of
+    the row's median |mean| times 10^U(-3, 1), or 0 for about one in five
+    components. The other rows have every variance 0. A degenerate row's
+    means are flat.
+    """
+    rng = np.random.default_rng([SEED, COMPONENT_STREAM, i])
+    if i % 50 == 49:
+        n, n_comp = BIG_ROWS, BIG_COMPONENTS
+    else:
+        n = int(rng.choice([1, 1, 2, 3, 5, 8, 13]))
+        n_comp = int(rng.choice([2, 3, 5, 8, 16]))
+    logw, means, cfg = random_rows(rng, n, n_comp)
+    scale = np.median(np.abs(means), axis=1, keepdims=True)
+    var = scale**2 * 10.0 ** rng.uniform(-3.0, 1.0, (n, n_comp))
+    var[rng.random((n, n_comp)) < 0.2] = 0.0
+    var[rng.random(n) < 0.5] = 0.0
+    return logw, means, var, cfg, random_starts(rng, n)
 
 
 def digest(res) -> str:
@@ -123,17 +166,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batches", type=int, default=600)
     args = parser.parse_args(argv)
-    totals = {start: dict.fromkeys(("rows", "interior", "min", "max", "degenerate",
-                                    "unconverged", "steps"), 0)
-              for start in ("cold", "warm")}
-    for i in range(args.batches):
-        logw, scores, cfg, lam0 = random_batch(i)
-        res = dro.solve_dual_batch(logw, scores, cfg, lam_init=lam0)
+    totals = {(evaluator, start): dict.fromkeys(
+        ("rows", "interior", "min", "max", "degenerate", "unconverged", "steps"), 0)
+        for evaluator in ("atom", "component") for start in ("cold", "warm")}
+
+    def report(i, evaluator, res, cfg, lam0, size):
         start = "cold" if lam0 is None else "warm"
-        print(f"{digest(res)} batch {i} {start} cap {cfg.newton_iters} "
-              f"rows {logw.shape[0]} atoms {logw.shape[1]}")
-        kind = totals[start]
-        kind["rows"] += logw.shape[0]
+        print(f"{digest(res)} batch {i} {evaluator} {start} cap {cfg.newton_iters} "
+              f"rows {res.value.size} {size}")
+        kind = totals[evaluator, start]
+        kind["rows"] += res.value.size
         kind["degenerate"] += int(res.degenerate.sum())
         kind["min"] += int((res.boundary == dro.BOUNDARY_MIN).sum())
         kind["max"] += int((res.boundary == dro.BOUNDARY_MAX).sum())
@@ -141,8 +183,16 @@ def main(argv=None) -> int:
                                  & ~res.degenerate).sum())
         kind["unconverged"] += int((~res.converged).sum())
         kind["steps"] += int(res.iterations.sum())
-    for start, kind in totals.items():
-        print(start, " ".join(f"{k} {v}" for k, v in kind.items()))
+
+    for i in range(args.batches):
+        logw, scores, cfg, lam0 = random_batch(i)
+        res = dro.solve_dual_batch(logw, scores, cfg, lam_init=lam0)
+        report(i, "atom", res, cfg, lam0, f"atoms {logw.shape[1]}")
+        logw, means, var, cfg, lam0 = random_component_batch(i)
+        res = dro.solve_dual_batch(logw, means, cfg, lam_init=lam0, quad=var)
+        report(i, "component", res, cfg, lam0, f"components {logw.shape[1]}")
+    for (evaluator, start), kind in totals.items():
+        print(evaluator, start, " ".join(f"{k} {v}" for k, v in kind.items()))
     return 0
 
 
