@@ -31,7 +31,12 @@ _halley_bisect, shared by both, starts each row at its lam_init
 then Newton from either bracket end, then log-bisection or a probe by a
 factor of 10 toward an open end; a step is trusted only where phi''
 changes little over it, and a step that did not halve |phi'| sends the
-row to bisection or a probe.
+row to bisection or a probe. Its state holds only the rows still
+iterating: a row that converges or reaches the cap writes its results
+and leaves, so an iteration works on whole arrays with masked in-place
+writes and no gather or scatter while no row leaves, and the later
+rules run only for the rows the earlier ones left. In a warm training
+batch every row is evaluated twice, then a few stragglers.
 
 A row evaluated on a box edge with phi' pointing beyond it is a boundary
 row, and a converged row keeps phi, phi' and the posterior of the
@@ -460,10 +465,7 @@ def _solve_rows(evaluate, solve_rows: np.ndarray, lam_init: np.ndarray | None,
                 cfg: DroConfig, out: BatchDualResult, block: slice) -> None:
     """_halley_bisect over the rows solve_rows of `block`, into `out`."""
     lam0 = None if lam_init is None else lam_init[block][solve_rows]
-    (out.value[block][solve_rows], out.lambda_star[block][solve_rows],
-     out.gradient[block][solve_rows], out.iterations[block][solve_rows],
-     out.converged[block][solve_rows], out.boundary[block][solve_rows]) = _halley_bisect(
-        evaluate, solve_rows.size, cfg, lam0, out.posterior[block], solve_rows)
+    _halley_bisect(evaluate, solve_rows.size, cfg, lam0, out, block.start + solve_rows)
 
 
 def _component_terms(logq: np.ndarray, s: np.ndarray, v: np.ndarray,
@@ -486,11 +488,12 @@ def _component_terms(logq: np.ndarray, s: np.ndarray, v: np.ndarray,
     and every step is elementwise, a max or a sum_in_order over the
     components, so each row's terms depend on that row alone, bit for
     bit. The posterior is returned as the (rows, K) view e of exp(a - max
-    a) and z = sum e.
+    a) and z = sum e. The products are taken in place in five (K, rows)
+    arrays (IEEE products and sums do not depend on operand order).
     """
     t = 1.0 / (lam * cfg.epsilon)
-    tv = v * t
-    e = 0.5 * tv
+    u = v * t
+    e = 0.5 * u
     e += s
     e *= t
     e += logq
@@ -500,13 +503,19 @@ def _component_terms(logq: np.ndarray, s: np.ndarray, v: np.ndarray,
     z = sum_in_order(e)
     log_z = np.log(z) + m
     p = e / z
-    u = s + tv
-    mean = sum_in_order(p * u)
-    u -= mean
+    u += s
     pu = p * u
+    mean = sum_in_order(pu)
+    u -= mean
+    np.multiply(p, u, out=pu)
     u *= u
-    l2 = sum_in_order(p * (u + v))
-    l3 = sum_in_order(pu * (u + 3.0 * v))
+    w = 3.0 * v
+    w += u
+    w *= pu
+    l3 = sum_in_order(w)
+    np.add(u, v, out=w)
+    w *= p
+    l2 = sum_in_order(w)
     phi = lam * (cfg.rho + cfg.epsilon * log_z) + center
     dphi = cfg.rho + cfg.epsilon * log_z - mean / lam
     d2phi = l2 / (lam**3 * cfg.epsilon)
@@ -515,12 +524,13 @@ def _component_terms(logq: np.ndarray, s: np.ndarray, v: np.ndarray,
 
 
 def _halley_bisect(evaluate, n: int, cfg: DroConfig, lam0: np.ndarray | None,
-                   posterior: np.ndarray, dest: np.ndarray):
+                   out: BatchDualResult, dest: np.ndarray) -> None:
     """Safeguarded Halley on phi' for n rows with spread scores.
 
     evaluate(rows, lam) evaluates the rows `rows` (indices among the n) at
     their lambdas lam: _table_terms or _component_terms, each giving phi,
-    phi', phi'', phi''' and the posterior as e and z.
+    phi', phi'', phi''' and the posterior as e and z. Row i's results are
+    written to row dest[i] of out.
 
     Every row starts at its clipped lam0 (LAMBDA_INIT where lam0 is None or
     not a positive number), or at LAMBDA_MAX when cfg.rho is 0, where one
@@ -553,13 +563,21 @@ def _halley_bisect(evaluate, n: int, cfg: DroConfig, lam0: np.ndarray | None,
     a row evaluated on a box edge with phi' pointing beyond it is a
     boundary row whatever the cap. A converged row keeps phi, phi' and the
     posterior of the evaluation that converged it; rows still active at
-    the cap are evaluated once more after the loop. Row i's posterior is
-    written to posterior[dest[i]].
+    the cap are evaluated once more after the loop.
+
+    The loop's state holds only the rows still iterating, in their order:
+    their indices among the n, their lambdas, step counts and |phi'|
+    bases, and each bracket end as a (4, rows) array of lambda, phi',
+    phi'' and phi'''. While no row leaves, an iteration works on these
+    whole arrays, and each evaluation moves its bracket end by masked
+    in-place writes. A row leaves when it converges or reaches the cap,
+    its results written to out, and the state keeps the others. While
+    every row is still in the loop, an evaluation that converges some
+    writes them all with one slice, since the others are written again
+    when they leave. Step 2 is computed only for the rows step 1 did not
+    take, 3 only for the closed brackets left after 2, and 4 for the rows
+    left after that.
     """
-    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
-    # (phi', phi'', phi''') at each bracket end
-    at_lo, at_hi = np.full((3, n), np.nan), np.full((3, n), np.nan)
-    bound = np.full(n, BOUNDARY_NONE, dtype=np.int8)
     if cfg.rho == 0:
         lam = np.full(n, LAMBDA_MAX)
     elif lam0 is None:
@@ -567,78 +585,115 @@ def _halley_bisect(evaluate, n: int, cfg: DroConfig, lam0: np.ndarray | None,
     else:
         lam = np.clip(np.where(np.isfinite(lam0) & (lam0 > 0), lam0, LAMBDA_INIT),
                       LAMBDA_MIN, LAMBDA_MAX)
+    rows = np.arange(n)
+    # (lambda, phi', phi'', phi''') at each bracket end; lambda is NaN while open
+    end_lo, end_hi = np.full((4, n), np.nan), np.full((4, n), np.nan)
     # |phi'| at the base of the row's last step; inf after a bisection or probe
     d_base = np.full(n, np.inf)
-    probe = np.zeros(n, dtype=bool)  # the row's next lambda is a bracket probe
-    phi, grad = np.empty(n), np.empty(n)
-    iterations = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    while True:
-        rows = np.flatnonzero(active & (probe | (iterations < cfg.newton_iters)))
-        if not rows.size:
-            break
-        iterations[rows] += ~probe[rows]
-        at = lam[rows]
-        p, d, dd, ddd, e, z = evaluate(rows, at)
+    probe = np.zeros(n, dtype=bool)  # the row's lambda is a bracket probe
+    steps = np.zeros(n, dtype=int)
+    # rows that reached the cap, and the lambda each is evaluated at after the loop
+    capped = np.zeros(n, dtype=bool)
+    cap_lam = np.empty(n)
+    # dest as one slice, when it is contiguous
+    span = slice(dest[0], dest[-1] + 1) if n and dest[-1] - dest[0] == n - 1 else None
+
+    def write(to, p, d, lam_at, count, e, z):
+        out.value[to], out.gradient[to], out.lambda_star[to] = p, d, lam_at
+        out.iterations[to], out.converged[to] = count, True
+        out.posterior[to] = e / z[:, None]
+
+    while rows.size:
+        steps += ~probe
+        p, d, dd, ddd, e, z = evaluate(rows, lam)
         done = np.abs(d) <= cfg.grad_tol
         # a row on a box edge with phi' pointing beyond it is a boundary
         # row, converged or not
-        edge = at == np.where(d >= 0, LAMBDA_MIN, LAMBDA_MAX)
-        bound[rows[edge]] = np.where(d[edge] >= 0, BOUNDARY_MIN, BOUNDARY_MAX)
-        done |= edge
+        edge = lam == np.where(d >= 0, LAMBDA_MIN, LAMBDA_MAX)
+        if edge.any():
+            out.boundary[dest[rows[edge]]] = np.where(d[edge] >= 0, BOUNDARY_MIN,
+                                                      BOUNDARY_MAX)
+            done |= edge
         if done.any():
-            phi[rows[done]], grad[rows[done]] = p[done], d[done]
-            posterior[dest[rows[done]]] = e[done] / z[done, None]
-            active[rows[done]] = False
-            keep = ~done
-            rows, at, d, dd, ddd = rows[keep], at[keep], d[keep], dd[keep], ddd[keep]
-            if not rows.size:
-                continue
+            if span is not None and rows.size == n:
+                # every row costs less than picking out the converged ones;
+                # the others are written again when they leave
+                write(span, p, d, lam, steps, e, z)
+            else:
+                write(dest[rows[done]], p[done], d[done], lam[done], steps[done],
+                      e[done], z[done])
+            if done.all():
+                break
+            keep = np.flatnonzero(~done)
+            rows, lam, d, dd, ddd, d_base, steps = (
+                a[keep] for a in (rows, lam, d, dd, ddd, d_base, steps))
+            end_lo, end_hi = end_lo[:, keep], end_hi[:, keep]
         below = d < 0
-        terms = np.stack([d, dd, ddd])
-        lo[rows] = lo_r = np.where(below, at, lo[rows])
-        hi[rows] = hi_r = np.where(below, hi[rows], at)
-        at_lo[:, rows] = np.where(below, terms, at_lo[:, rows])
-        at_hi[:, rows] = np.where(below, at_hi[:, rows], terms)
-        far = np.where(below, hi_r, lo_r)
-        d_far, dd_far, ddd_far = np.where(below, at_hi[:, rows], at_lo[:, rows])
+        for end, side in ((end_lo, below), (end_hi, ~below)):
+            for row, value in zip(end, (lam, d, dd, ddd)):
+                np.putmask(row, side, value)
+        lo, hi = end_lo[0], end_hi[0]
+        box_lo, box_hi = np.fmax(lo, LAMBDA_MIN), np.fmin(hi, LAMBDA_MAX)
+        probe = np.zeros(rows.size, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bend = d * ddd / (dd * dd)
-            halley = np.where((np.abs(bend) <= BEND_MAX) & (bend < 2.0),
-                              at - 2.0 * d * dd / (2.0 * dd * dd - d * ddd), np.nan)
-            newton = np.where(np.abs(bend) <= BEND_MAX, at - d / dd, np.nan)
-            other = np.where(np.abs(d_far * ddd_far) <= BEND_MAX * dd_far * dd_far,
-                             far - d_far / dd_far, np.nan)
+            d_abs = np.abs(d)
             # a row whose last step did not halve |phi'| falls back to 4
-            free = np.abs(d) <= 0.5 * d_base[rows]
-        open_lo, open_hi = np.isnan(lo_r), np.isnan(hi_r)
-        box_lo, box_hi = np.fmax(lo_r, LAMBDA_MIN), np.fmin(hi_r, LAMBDA_MAX)
+            free = d_abs <= 0.5 * d_base
+            dk = d * ddd
+            bend = dk / (dd * dd)
+            trusted = (np.abs(bend) <= BEND_MAX) & free
+            nxt = lam - 2.0 * d * dd / (2.0 * dd * dd - dk)
+            take = trusted & (bend < 2.0) & (nxt > box_lo) & (nxt < box_hi)
+            d_base = np.where(take, d_abs, np.inf)
+            left = np.flatnonzero(~take)
+            if left.size:
+                newton = lam[left] - d[left] / dd[left]
+                took = trusted[left] & (newton > box_lo[left]) & (newton < box_hi[left])
+                stepped = left[took]
+                nxt[stepped], d_base[stepped] = newton[took], d_abs[stepped]
+                left = left[~took]
+                # the end this evaluation left in place; NaN while that end is open
+                far = np.where(below[left], end_hi[:, left], end_lo[:, left])
+                closed = ~np.isnan(far[0])
+                ends = left[closed]
+                if ends.size:
+                    far_lam, d_far, dd_far, ddd_far = far[:, closed]
+                    other = far_lam - d_far / dd_far
+                    took = ((np.abs(d_far * ddd_far) <= BEND_MAX * dd_far * dd_far)
+                            & free[ends] & (other > box_lo[ends]) & (other < box_hi[ends]))
+                    stepped = ends[took]
+                    nxt[stepped], d_base[stepped] = other[took], np.abs(d_far[took])
+                    halve = ends[~took]
+                    nxt[halve] = np.sqrt(box_lo[halve] * box_hi[halve])
+                # no trusted step and the root lies toward an open end: probe that way
+                opened = left[~closed]
+                if opened.size:
+                    probe[opened] = True
+                    # a probe down within a rounding of LAMBDA_MIN (1e-5 / 10
+                    # is 1.0000000000000002e-06) takes the edge
+                    at = lam[opened]
+                    down = at / 10.0
+                    nxt[opened] = np.where(
+                        below[opened], np.minimum(at * 10.0, LAMBDA_MAX),
+                        np.where(down > LAMBDA_MIN * (1 + 1e-9), down, LAMBDA_MIN))
+        lam = nxt
+        # a row at the cap leaves the loop unless its next evaluation is a probe
+        stay = probe | (steps < cfg.newton_iters)
+        if not stay.all():
+            leave = rows[~stay]
+            capped[leave] = True
+            cap_lam[leave] = lam[~stay]
+            out.iterations[dest[leave]] = steps[~stay]
+            keep = np.flatnonzero(stay)
+            rows, lam, d_base, steps, probe = (
+                a[keep] for a in (rows, lam, d_base, steps, probe))
+            end_lo, end_hi = end_lo[:, keep], end_hi[:, keep]
 
-        def inside(x):
-            with np.errstate(invalid="ignore"):
-                return free & (x > box_lo) & (x < box_hi)
-
-        take_h = inside(halley)
-        take_n = ~take_h & inside(newton)
-        take_o = ~take_h & ~take_n & ~open_lo & ~open_hi & inside(other)
-        stepped = take_h | take_n | take_o
-        nxt = np.select([take_h, take_n, take_o], [halley, newton, other],
-                        np.sqrt(box_lo * box_hi))
-        # no trusted step and the root lies toward an open end: probe that way
-        probe[rows] = opened = ~stepped & np.where(below, open_hi, open_lo)
-        if opened.any():
-            # a probe down within a rounding of LAMBDA_MIN (1e-5 / 10 is
-            # 1.0000000000000002e-06) takes the edge
-            down = at[opened] / 10.0
-            nxt[opened] = np.where(below[opened], np.minimum(at[opened] * 10.0, LAMBDA_MAX),
-                                   np.where(down > LAMBDA_MIN * (1 + 1e-9), down, LAMBDA_MIN))
-        d_base[rows] = np.where(take_o, np.abs(d_far), np.where(stepped, np.abs(d), np.inf))
-        lam[rows] = nxt
-
-    converged = np.ones(n, dtype=bool)
-    rows = np.flatnonzero(active)
+    rows = np.flatnonzero(capped)
     if rows.size:
-        phi[rows], grad[rows], _, _, e, z = evaluate(rows, lam[rows])
-        posterior[dest[rows]] = e / z[:, None]
-        converged[rows] = np.abs(grad[rows]) <= cfg.grad_tol
-    return phi, lam, grad, iterations, converged, bound
+        lam = cap_lam[rows]
+        p, d, _, _, e, z = evaluate(rows, lam)
+        to = dest[rows]
+        out.value[to], out.gradient[to], out.lambda_star[to] = p, d, lam
+        out.converged[to] = np.abs(d) <= cfg.grad_tol
+        out.posterior[to] = e / z[:, None]

@@ -287,7 +287,8 @@ class MultiplierCache:
     (robust_scores_stacked takes the norm |w_c|), carries over as the
     head's score scale grows from epoch to epoch. kappa is NaN until the
     row has a solve with lambda* > 0 and s_c > 0; median[c] is class c's
-    median kappa over the last batch that had one (NaN before any).
+    median kappa over the last batch that had one (NaN before any), taken
+    for every class from one sort of the batch's kappa (update).
     """
 
     kappa: np.ndarray
@@ -308,14 +309,25 @@ class MultiplierCache:
         return (np.where(np.isnan(kappa), self.median, kappa) * spread).reshape(-1)
 
     def update(self, idx: np.ndarray, lam_star: np.ndarray, spread: np.ndarray) -> None:
-        """Record the (n, C) multipliers solved at class spreads (C,)."""
+        """Record the (n, C) multipliers solved at class spreads (C,).
+
+        Each class's median is np.median of its known kappa, bit for bit,
+        from one sort of the batch: the known entries sort ahead of the
+        NaNs, so a class with k of them has its median at (k - 1) // 2 and
+        k // 2, the one entry when k is odd and the mean of the pair when
+        it is even. A class with no known kappa keeps its median.
+        """
         with np.errstate(divide="ignore", invalid="ignore"):
             kappa = np.where((lam_star > 0) & (spread > 0), lam_star / spread, np.nan)
         self.kappa[idx] = kappa
-        for c, column in enumerate(kappa.T):
-            known = column[~np.isnan(column)]
-            if known.size:
-                self.median[c] = np.median(known)
+        known = np.count_nonzero(~np.isnan(kappa), axis=0)
+        classes = np.flatnonzero(known)
+        known = known[classes]
+        ordered = np.sort(kappa, axis=0)
+        upper = ordered[known // 2, classes]
+        with np.errstate(over="ignore"):
+            pair = (ordered[(known - 1) // 2, classes] + upper) / 2
+        self.median[classes] = np.where(known % 2 == 1, upper, pair)
 
 
 @dataclass
@@ -326,16 +338,18 @@ class ComponentTilts:
     the kernel exp(-|y - x|^2 / eps), component b tilted toward x is
     Gaussian with covariance S'_b = S_b (I + (2/eps) S_b)^-1 and mean
     m'_b(x) = (I + (2/eps) S_b)^-1 m_b + (2/eps) S'_b x, and its weight is
-    multiplied by N(x; m_b, S_b + (eps/2) I). Stored: that kernel's (B, N)
-    logs, computed once, the (C, B) log weights, the shrunk means
-    (I + (2/eps) S_b)^-1 m_b (B, d) and S' (B, d, d). component_major(idx)
-    builds the (B, C, n) normalized tilts of rows idx. Every per-row
-    quantity is elementwise or a sum along one row, never a BLAS product,
-    so a row's bits do not depend on the rows it is built with.
+    multiplied by N(x; m_b, S_b + (eps/2) I). Stored, all computed once in
+    build: the normalized tilt log-weights log_tilts (component b's log
+    weight in class c plus that kernel's log at x, minus the log of the sum
+    over b), the shrunk means (I + (2/eps) S_b)^-1 m_b (B, d) and S'
+    (B, d, d). None of them depends on a head's parameters, so
+    component_major(idx) only gathers rows idx of log_tilts, which is
+    (N, B, C) so that each gathered row is one contiguous block. Every
+    per-row quantity is elementwise or a sum along one row, never a BLAS
+    product, so a row's bits do not depend on the rows it is built with.
     """
 
-    log_kernel: np.ndarray
-    log_weights: np.ndarray
+    log_tilts: np.ndarray
     shrunk_means: np.ndarray
     tilted_covs: np.ndarray
     epsilon: float
@@ -357,23 +371,29 @@ class ComponentTilts:
         chol = np.linalg.cholesky(covs + (0.5 * epsilon) * np.eye(dim))
         whiten = np.linalg.inv(chol)
         log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        # whitened differences (B, N, d), one coordinate of x - m_b at a time
-        diff = x[None] - means[:, None]
-        white = diff[:, :, :1] * whiten[:, None, :, 0]
-        for e in range(1, dim):
-            white += diff[:, :, e:e + 1] * whiten[:, None, :, e]
-        log_kernel = -0.5 * ((white * white).sum(axis=2) + log_det[:, None]
-                             + dim * np.log(2.0 * np.pi))
+        # squared norms (B, N) of the whitened differences: per component,
+        # (d, N) whitened x - m_b built one coordinate at a time with the
+        # rows innermost, each row's squares then summed over d in (N, d)
+        sq_norms = np.empty((means.shape[0], x.shape[0]))
+        for b in range(means.shape[0]):
+            diff = x.T - means[b][:, None]
+            white = whiten[b, :, :1] * diff[0]
+            for e in range(1, dim):
+                white += whiten[b, :, e:e + 1] * diff[e]
+            white *= white
+            sq_norms[b] = np.ascontiguousarray(white.T).sum(axis=1)
+        log_kernel = -0.5 * (sq_norms + log_det[:, None] + dim * np.log(2.0 * np.pi))
         with np.errstate(divide="ignore"):
             log_weights = np.log(np.stack([p.weights for p in priors]))
-        return cls(log_kernel, log_weights, shrunk_means, tilted, epsilon)
+        # (N, B, C), normalized over the components b of each (row, class)
+        tilts = log_kernel.T[:, :, None] + log_weights.T[None]
+        top = tilts.max(axis=1)[:, None]
+        tilts -= top + np.log(sum_in_order(np.exp(tilts - top).transpose(1, 0, 2)))[:, None]
+        return cls(tilts, shrunk_means, tilted, epsilon)
 
     def component_major(self, idx) -> np.ndarray:
         """(B, C, n) normalized tilt log-weights of the query rows idx selects."""
-        tilts = self.log_weights.T[:, :, None] + self.log_kernel[:, None, idx]
-        top = tilts.max(axis=0)
-        tilts -= top + np.log(sum_in_order(np.exp(tilts - top)))
-        return tilts
+        return self.log_tilts[idx].transpose(1, 2, 0)
 
 
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
@@ -397,7 +417,7 @@ def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,
     Returns (values (n, C), lambda* (n, C), posteriors (C, n, B)).
     """
     n = idx.size
-    n_classes, n_comp = weights.shape[0], tilts.log_kernel.shape[0]
+    n_classes, n_comp = weights.shape[0], tilts.log_tilts.shape[1]
     x = features[idx]
     # S'_b w_c, (B, C, d)
     spread_w = np.einsum("bde,ce->bcd", tilts.tilted_covs, weights)
@@ -583,7 +603,7 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
 
     def batch_fn(idx):
         return robust_huber_objective(
-            params[0], params[1], x[idx], z[idx], atoms, tilts[idx], cfg
+            params[0], params[1], x[idx], z[idx], atoms, tilts, idx, cfg
         )
 
     trace = _run_epochs(x.shape[0], cfg, params, batch_fn)
@@ -592,13 +612,16 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
 
 def robust_huber_objective(weights: np.ndarray, biases: np.ndarray,
                            features: np.ndarray, responses: np.ndarray,
-                           atoms: np.ndarray, tilts: np.ndarray, cfg: TrainConfig):
+                           atoms: np.ndarray, tilts: np.ndarray, idx: np.ndarray,
+                           cfg: TrainConfig):
     """Mean Huber-plus-penalty loss and its parameter gradients.
 
-    atoms is the (A, d) array every class prior shares (shared_atoms) and
-    tilts holds each row's tilt toward its own class prior, so nothing here
-    depends on the class. Each block of _PENALTY_BLOCK_CELLS (row, atom)
-    cells takes one exp, e = exp(l - max) of the logits l = H / T + tilt:
+    features and responses are the batch's rows; atoms is the (A, d) array
+    every class prior shares (shared_atoms), and row idx[i] of tilts holds
+    batch row i's tilt toward its own class prior, so nothing here depends
+    on the class. Each block gathers its own tilt rows, so the batch's
+    tilts are never copied whole. Each block of _PENALTY_BLOCK_CELLS (row,
+    atom) cells takes one exp, e = exp(l - max) of the logits l = H / T + tilt:
     max + log sum e is a row's log-normalizer, and e / sum e times the Huber
     derivative folds into one (A,) vector per block; the blocks' vectors add
     in order and meet the atoms in one product. A non-finite penalty raises
@@ -619,7 +642,7 @@ def robust_huber_objective(weights: np.ndarray, biases: np.ndarray,
         block = slice(start, start + step)
         logits, atom_deriv = huber(responses[block, None] - atom_fit, cfg.huber_beta)
         logits /= temp
-        logits += tilts[block]
+        logits += tilts[idx[block]]
         top = logits.max(axis=1)
         logits -= top[:, None]
         np.exp(logits, out=logits)

@@ -76,11 +76,20 @@ def version_string() -> str:
 
 @dataclass
 class CellStatus:
+    """One cell's outcome: status "ok" or "failed:<ExceptionType>", and the
+    exception's message for a failed cell."""
+
     level: float
     method: str
     seed: int
     status: str
     seconds: float
+    message: str = ""
+
+    @classmethod
+    def failed(cls, level: float, method: str, seed: int, exc: Exception,
+               seconds: float) -> "CellStatus":
+        return cls(level, method, seed, f"failed:{type(exc).__name__}", seconds, str(exc))
 
 
 @dataclass
@@ -99,7 +108,10 @@ class SweepResult:
 def write_manifest(path, cfg: ExperimentConfig, fields: dict, t_start: float,
                    cells=()) -> None:
     """The one run manifest: config hash, version, the caller's fields in
-    order, wall time since t_start, then one line per cell."""
+    order, wall time since t_start, then one line per cell. A failed cell's
+    line is followed by a `failure` line with its exception's type and
+    message, on one line and with no ` = `, so that neither `key = value`
+    nor `cell ...` readers see it."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"config_hash = {config_hash(cfg)}\n")
         fh.write(f"version = {version_string()}\n")
@@ -107,10 +119,12 @@ def write_manifest(path, cfg: ExperimentConfig, fields: dict, t_start: float,
             fh.write(f"{key} = {value}\n")
         fh.write(f"wall_seconds = {time.time() - t_start:.3f}\n")
         for cell in cells:
-            fh.write(
-                f"cell level={format_real(cell.level)} method={cell.method} "
-                f"seed={cell.seed} status={cell.status} seconds={cell.seconds:.3f}\n"
-            )
+            where = f"level={format_real(cell.level)} method={cell.method} seed={cell.seed}"
+            fh.write(f"cell {where} status={cell.status} seconds={cell.seconds:.3f}\n")
+            if cell.status != "ok":
+                message = " ".join(cell.message.split()).replace(" = ", "=")
+                fh.write(f"failure {where}: {cell.status.removeprefix('failed:')}: "
+                         f"{message}\n")
 
 
 def make_pair(cfg: ExperimentConfig, level: float, seed: int) -> DomainPair:
@@ -312,14 +326,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
                 t0 = time.time()
                 try:
                     report = spec.cell(method, *inputs[seed], cfg, seed)
-                    status = "ok"
                 except Exception as exc:  # contain the cell, keep sweeping
-                    report = None
-                    status = f"failed:{type(exc).__name__}"
-                seconds = time.time() - t0
-                result.cells.append(CellStatus(level, method, seed, status, seconds))
-                if report is None:
+                    result.cells.append(
+                        CellStatus.failed(level, method, seed, exc, time.time() - t0))
                     continue
+                result.cells.append(CellStatus(level, method, seed, "ok", time.time() - t0))
                 scores.setdefault((level, method), []).append(report)
                 cell_rows.append((digest, format_real(level), method, str(seed)) + tuple(
                     format_real(getattr(report, name)) for name in spec.metrics
@@ -405,9 +416,7 @@ def run_heatmap(cfg: ExperimentConfig, shots_list=(1, 4, 16),
                 weights = prior_weights(protos, supports, cfg.prior).T  # B x C
             except Exception as exc:
                 result.cells.append(
-                    CellStatus(float(k), "heatmap", seed,
-                               f"failed:{type(exc).__name__}", time.time() - t0)
-                )
+                    CellStatus.failed(float(k), "heatmap", seed, exc, time.time() - t0))
                 continue
             diag_mass = float(np.mean(np.diag(weights)))
             matrix_path = os.path.join(out_dir, f"heatmap_seed{seed}_k{k}.csv")

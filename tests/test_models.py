@@ -239,9 +239,11 @@ class TestObjectiveGradients:
         for trial in range(4):
             w = rng.standard_normal((1, 2)) * 0.3
             b = rng.standard_normal(1) * 0.3
+            # the batch is the rows in reverse, each reading its tilt row
+            idx = np.arange(z.size)[::-1]
             fd_objective_check(
                 lambda W, B: robust_huber_objective(
-                    W, B, data.features, z, shared_atoms(priors), tilts, cfg
+                    W, B, data.features[idx], z[idx], shared_atoms(priors), tilts, idx, cfg
                 ),
                 w,
                 b,
@@ -264,9 +266,18 @@ class TestRobustHuberPenalty:
         b = rng.standard_normal(1) * 0.4
         return w, b, x, z, atoms, tilts
 
+    @staticmethod
+    def spread(tilts, seed=0):
+        """tilts as rows idx of a larger table whose other rows are NaN."""
+        n = tilts.shape[0]
+        idx = np.random.default_rng(seed).permutation(n + 5)[:n]
+        table = np.full((n + 5, tilts.shape[1]), np.nan)
+        table[idx] = tilts
+        return table, idx
+
     def check(self, w, b, x, z, atoms, tilts, weight):
         cfg = TrainConfig(penalty_weight=weight)
-        loss, grads = robust_huber_objective(w, b, x, z, atoms, tilts, cfg)
+        loss, grads = robust_huber_objective(w, b, x, z, atoms, *self.spread(tilts), cfg)
         want_loss, want_grads = robust_huber_penalty_oracle(
             w, b, x, z, atoms, tilts, cfg.huber_beta, weight, cfg.penalty_temperature
         )
@@ -278,6 +289,19 @@ class TestRobustHuberPenalty:
 
     def test_block_is_64_rows_at_512_atoms(self):
         assert self.BLOCK == 64
+
+    @pytest.mark.parametrize("n", [1, BLOCK + 1, 256])
+    def test_gathered_tilt_rows_keep_every_byte(self, n):
+        # each block gathers its rows' tilts from the full table: the same
+        # bytes as handing over the batch's own tilt rows
+        w, b, x, z, atoms, tilts = self.batch(n, seed=n)
+        cfg = TrainConfig(penalty_weight=2.0)
+        own_loss, own_grads = robust_huber_objective(w, b, x, z, atoms, tilts,
+                                                     np.arange(n), cfg)
+        loss, grads = robust_huber_objective(w, b, x, z, atoms, *self.spread(tilts), cfg)
+        assert loss == own_loss
+        for got, want in zip(grads, own_grads):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("weight", [0.0, 2.0])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 256, 300])
@@ -302,7 +326,7 @@ class TestRobustHuberPenalty:
         z[bad[1:]] = -np.inf
         message = f"non-finite robust penalty in {len(bad)} of {z.size} rows, first at row {first}"
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match=message):
-            robust_huber_objective(w, b, x, z, atoms, tilts, TrainConfig())
+            robust_huber_objective(w, b, x, z, atoms, tilts, np.arange(z.size), TrainConfig())
 
 
 class TestHeadAndConfig:
@@ -528,6 +552,30 @@ class TestRobustClassifier:
         starts = cache.starts(np.array([3, 0]), np.array([4.0, 1.0]))
         np.testing.assert_array_equal(starts, [4.0, np.nan, 2.0, np.nan])
 
+    def test_medians_equal_numpy_medians_bit_for_bit(self):
+        # one sort per batch gives each class np.median of its known kappa:
+        # odd and even counts, ties, one row, and a class with no known
+        # kappa, which keeps the median it had
+        rng = np.random.default_rng(239)
+        parities = set()
+        for n in (1, 2, 3, 4, 7, 8, 33, 256):
+            lam_star = np.exp(2.0 * rng.standard_normal((n, 5)))
+            lam_star[:, 1] = np.round(lam_star[:, 1], 1)
+            lam_star[:, 2] = lam_star[0, 2]
+            lam_star[rng.random((n, 5)) < 0.3] = 0.0
+            lam_star[:, 4] = 0.0
+            spread = np.exp(rng.standard_normal(5))
+            cache = models.MultiplierCache.empty(n, 5)
+            cache.median[:] = before = rng.random(5)
+            cache.update(np.arange(n), lam_star, spread)
+            for c in range(5):
+                kappa = cache.kappa[:, c]
+                known = kappa[~np.isnan(kappa)]
+                want = np.median(known) if known.size else before[c]
+                assert cache.median[c].tobytes() == np.float64(want).tobytes()
+                parities.add(known.size % 2 if known.size else None)
+        assert parities == {0, 1, None}
+
     def test_loss_descends(self):
         rng = np.random.default_rng(97)
         data = two_blob_data(rng, n_per=8)
@@ -699,6 +747,20 @@ class TestComponentScores:
                         dro_cfg.rho, dro_cfg.epsilon), grid=800)
                 assert values[i, c] == pytest.approx(val_o, rel=1e-10)
                 assert lam_star[i, c] == pytest.approx(lam_o, abs=1e-5)
+
+    def test_batch_tilts_equal_tilts_built_on_the_batch_alone(self):
+        # the tilts are normalized once for all N rows; a batch's rows are
+        # the bytes a ComponentTilts built on those rows alone gives
+        rng = np.random.default_rng(229)
+        priors = component_priors(rng, 4, 6, 3)
+        x = 1.5 * rng.standard_normal((300, 3))
+        full = ComponentTilts.build(priors, x, 0.9)
+        for idx in (rng.permutation(300)[:64], np.array([17]), np.arange(300)[::-1]):
+            got = full.component_major(idx)
+            want = ComponentTilts.build(priors, x[idx], 0.9).component_major(np.arange(idx.size))
+            assert got.shape == (6, 4, idx.size)
+            assert got.tobytes() == want.tobytes()
+        assert np.isneginf(got[0, 0]).all()  # class 0 gives component 0 no weight
 
     def test_atom_estimates_converge_on_the_closed_form(self):
         # in d = 2, phi(3) from A seeded draws per component (the atom

@@ -115,10 +115,30 @@ class TestTable1Sweep:
         assert failed[0].status == "failed:RuntimeError"
         lines = (tmp_path / "cells.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + the fewshot cell
+        assert failed[0].message == "synthetic cell failure"
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "status=failed:RuntimeError" in manifest
+        # the message rides on its own line, which no `cell` or
+        # `key = value` reader of the manifest picks up
+        failures = [line for line in manifest.splitlines() if line.startswith("failure ")]
+        assert failures == ["failure level=1 method=erm seed=0: RuntimeError: "
+                            "synthetic cell failure"]
         table = (tmp_path / "table1.csv").read_text().splitlines()[1]
         assert "nan" in table
+
+    def test_failure_line_is_one_line_without_key_value(self, tmp_path):
+        cells = [sweeps.CellStatus(0.5, "ot", 3, "ok", 1.0),
+                 sweeps.CellStatus.failed(0.5, "ot", 4, ValueError("tol = 1e-5\n  missed"), 2.0)]
+        path = tmp_path / "manifest.txt"
+        sweeps.write_manifest(path, tiny_config(), {"task": "classification"}, 0.0, cells)
+        lines = path.read_text().splitlines()
+        assert lines[-3:] == [
+            "cell level=0.5 method=ot seed=3 status=ok seconds=1.000",
+            "cell level=0.5 method=ot seed=4 status=failed:ValueError seconds=2.000",
+            "failure level=0.5 method=ot seed=4: ValueError: tol=1e-5 missed",
+        ]
+        assert not any(" = " in line for line in lines if not line.startswith(
+            ("config_hash", "version", "task", "wall_seconds")))
 
     def test_rejects_wrong_task(self, tmp_path):
         with pytest.raises(ValueError):
@@ -183,6 +203,23 @@ class TestHeatmap:
         rows = [line.split(",")[1:] for line in matrix[1:]]
         cols = np.array(rows, dtype=float)
         np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-10)
+
+    def test_failed_cell_keeps_its_message(self, tmp_path, monkeypatch):
+        real = sweeps.prior_weights
+
+        def flaky(protos, supports, prior_cfg):
+            if supports.features.shape[0] == 2 * 4:
+                raise RuntimeError("synthetic heatmap failure")
+            return real(protos, supports, prior_cfg)
+
+        monkeypatch.setattr(sweeps, "prior_weights", flaky)
+        result = sweeps.run_heatmap(tiny_config(seeds=(0,)), shots_list=(1, 2),
+                                    out_dir=tmp_path)
+        assert [(c.level, c.status) for c in result.failed_cells()] == [
+            (2.0, "failed:RuntimeError")]
+        manifest = (tmp_path / "heatmap_manifest.txt").read_text().splitlines()
+        assert "failure level=2 method=heatmap seed=0: RuntimeError: " \
+               "synthetic heatmap failure" in manifest
 
     def test_identity_shift_diagonal_heavy_at_k16(self, tmp_path):
         # matched classes with no shift: by 16 shots the coupling should

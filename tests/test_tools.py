@@ -11,7 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_dual_identity_prints_one_fingerprint_per_batch():
     # each batch number gives an atom and a component batch; batch 49 is
     # the first large one, 200 atom rows split into row blocks and 8,192
-    # component rows of 8 that the thread pool splits
+    # component rows of 8 that the thread pool splits. The training-shaped
+    # batches follow, each solved cold and then warm on 2,048 rows of 8
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "dual_identity.py"), "--batches", "50"],
         capture_output=True, text=True, timeout=300)
@@ -23,8 +24,12 @@ def test_dual_identity_prints_one_fingerprint_per_batch():
         (i, evaluator) for i in range(50) for evaluator in ("atom", "component")]
     assert fingerprints[98][7:] == ["rows", "200", "atoms", fingerprints[98][-1]]
     assert fingerprints[99][7:] == ["rows", "8192", "components", "8"]
-    assert [line.split()[:2] for line in lines[100:]] == [
-        ["atom", "cold"], ["atom", "warm"], ["component", "cold"], ["component", "warm"]]
+    training = [line.split()[1:] for line in lines[100:112]]
+    assert training == [["batch", str(i), "training", start, "cap", "16", "rows", "2048",
+                         "components", "8"] for i in range(6) for start in ("cold", "warm")]
+    assert [line.split()[:2] for line in lines[112:]] == [
+        ["atom", "cold"], ["atom", "warm"], ["component", "cold"], ["component", "warm"],
+        ["training", "cold"], ["training", "warm"]]
 
 
 def test_dual_work_counts_the_component_evaluations():

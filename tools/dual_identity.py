@@ -26,8 +26,16 @@ number N gives an atom batch (the table evaluator) and a component batch
   (twice `dro.MIN_BLOCK_CELLS` cells) so that the row blocks run on the
   thread pool wherever two cores are usable.
 
-Four last lines count the rows of each kind and the counted steps
-(`iterations`), one line for each evaluator's cold and warm batches.
+Then come training-shaped component batches: 2,048 class-major rows (8
+classes x 256 samples) of 8 components, each solved cold at means moved
+slightly from its own and then warm from those lambdas, as a training
+batch starts from the last epoch's multipliers. The warm solve evaluates
+every row twice and then a few stragglers, the path the robust
+classifier's training takes. Each prints two lines, cold then warm.
+
+The last lines count the rows of each kind and the counted steps
+(`iterations`), one line for each evaluator's cold and warm batches and
+for the training batches' warm solves.
 Run it at two commits and diff the two listings:
 
     python3 tools/dual_identity.py > after.txt
@@ -66,6 +74,10 @@ CAPS = (1, 2, 8, 16)
 COMPONENT_STREAM = 1
 # the large component batch: 8,192 rows of 8 components
 BIG_ROWS, BIG_COMPONENTS = 8192, 8
+# the training-shaped batches: their seed stream, count and shape
+TRAINING_STREAM = 2
+TRAINING_BATCHES = 6
+CLASSES, SAMPLES = 8, 256
 
 
 def random_row(rng, n_atoms: int, rho: float, eps: float, kind: str):
@@ -153,6 +165,30 @@ def random_component_batch(i: int):
     return logw, means, var, cfg, random_starts(rng, n)
 
 
+def training_batch(i: int):
+    """A training-shaped batch: (log_weights, means, moved, variances, cfg).
+
+    Rows are class-major, row c * SAMPLES + j for sample j toward class c.
+    A class's variances are the same for all its samples, and its means
+    share a class offset, as a linear head's component scores do; moved
+    is the means scaled by about 1e-3 and shifted by about 1e-4 of their
+    scale, the scores of the head one step earlier.
+    """
+    rng = np.random.default_rng([SEED, TRAINING_STREAM, i])
+    shape = (CLASSES, SAMPLES, BIG_COMPONENTS)
+    logw = np.log(rng.dirichlet(np.full(BIG_COMPONENTS, 0.5), size=CLASSES * SAMPLES))
+    scale = 10.0 ** rng.uniform(-1.0, 1.0)
+    means = scale * (rng.standard_normal((CLASSES, 1, BIG_COMPONENTS))
+                     + 0.5 * rng.standard_normal(shape))
+    var = np.broadcast_to(
+        scale**2 * 10.0 ** rng.uniform(-2.0, 0.0, (CLASSES, 1, BIG_COMPONENTS)), shape)
+    moved = (means * (1.0 + 1e-3 * rng.standard_normal((CLASSES, 1, 1)))
+             + 1e-4 * scale * rng.standard_normal(shape))
+    cfg = dro.DroConfig(rho=float(rng.choice([0.3, 1.0, 3.0])), epsilon=1.0)
+    rows = (CLASSES * SAMPLES, BIG_COMPONENTS)
+    return logw, means.reshape(rows), moved.reshape(rows), var.reshape(rows), cfg
+
+
 def digest(res) -> str:
     h = hashlib.sha256()
     for name in FIELDS:
@@ -168,7 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     totals = {(evaluator, start): dict.fromkeys(
         ("rows", "interior", "min", "max", "degenerate", "unconverged", "steps"), 0)
-        for evaluator in ("atom", "component") for start in ("cold", "warm")}
+        for evaluator in ("atom", "component", "training") for start in ("cold", "warm")}
 
     def report(i, evaluator, res, cfg, lam0, size):
         start = "cold" if lam0 is None else "warm"
@@ -191,6 +227,12 @@ def main(argv=None) -> int:
         logw, means, var, cfg, lam0 = random_component_batch(i)
         res = dro.solve_dual_batch(logw, means, cfg, lam_init=lam0, quad=var)
         report(i, "component", res, cfg, lam0, f"components {logw.shape[1]}")
+    for i in range(TRAINING_BATCHES):
+        logw, means, moved, var, cfg = training_batch(i)
+        before = dro.solve_dual_batch(logw, moved, cfg, quad=var)
+        report(i, "training", before, cfg, None, f"components {logw.shape[1]}")
+        res = dro.solve_dual_batch(logw, means, cfg, lam_init=before.lambda_star, quad=var)
+        report(i, "training", res, cfg, before.lambda_star, f"components {logw.shape[1]}")
     for (evaluator, start), kind in totals.items():
         print(evaluator, start, " ".join(f"{k} {v}" for k, v in kind.items()))
     return 0
