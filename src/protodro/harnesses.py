@@ -184,20 +184,23 @@ class _TransportMap:
     marginal) and the w-weighted base components (free marginal): the plan
     has the closed form softmax_b(log w_b - cost_bn / eps) per support, so
     the update is the support-average responsibility, class by class.
+    Each class's scaled cost columns are gathered once, here, and kept as
+    fancy indexing lays them out: the mean over a class's supports is
+    summed in that layout, so a contiguous copy would move its bits.
     """
 
     def __init__(self, cost: np.ndarray, labels: np.ndarray,
                  eps_class: float):
-        self.scaled = -cost / eps_class
-        self.class_columns = [
-            np.flatnonzero(labels == c) for c in range(N_TARGET)
+        scaled = -cost / eps_class
+        self.class_scaled = [
+            scaled[:, np.flatnonzero(labels == c)] for c in range(N_TARGET)
         ]
 
     def __call__(self, weights: np.ndarray) -> np.ndarray:
         out = np.empty_like(weights)
-        for c, cols in enumerate(self.class_columns):
+        for c, scaled in enumerate(self.class_scaled):
             with np.errstate(divide="ignore"):
-                logits = np.log(weights[c])[:, None] + self.scaled[:, cols]
+                logits = np.log(weights[c])[:, None] + scaled
             logits -= log_sum_exp(logits, axis=0)[None, :]
             out[c] = np.exp(logits).mean(axis=1)
             out[c] /= out[c].sum()

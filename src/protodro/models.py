@@ -391,9 +391,16 @@ class ComponentTilts:
         tilts -= top + np.log(sum_in_order(np.exp(tilts - top).transpose(1, 0, 2)))[:, None]
         return cls(tilts, shrunk_means, tilted, epsilon)
 
-    def component_major(self, idx) -> np.ndarray:
-        """(B, C, n) normalized tilt log-weights of the query rows idx selects."""
-        return self.log_tilts[idx].transpose(1, 2, 0)
+    def component_major(self, idx: np.ndarray) -> np.ndarray:
+        """(B, C, n) normalized tilt log-weights of the query rows idx selects.
+
+        When idx is every row in order the table itself is viewed, with no
+        gather; any other idx, a full permutation too, gathers its rows.
+        """
+        rows = self.log_tilts
+        if not (idx.size == rows.shape[0] and np.array_equal(idx, np.arange(idx.size))):
+            rows = rows[idx]
+        return rows.transpose(1, 2, 0)
 
 
 def robust_scores_stacked(weights: np.ndarray, biases: np.ndarray,

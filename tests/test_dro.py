@@ -7,6 +7,7 @@ dual objective, never against its own internals.
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -649,6 +650,11 @@ def mixed_batch(n):
 BLOCK_RUNS = [(iters, warm) for iters in (1, 8) for warm in (False, True)]
 
 
+def cap_table_blocks(monkeypatch, cells):
+    """Make each block of a table batch cover at most `cells` cells."""
+    monkeypatch.setattr(dro, "BLOCK_BYTES", 8 * dro.TABLE_ARRAYS * cells)
+
+
 def record_blocks(monkeypatch, record):
     """Wrap the block solver so each call first calls record(args)."""
     solve_block = dro._solve_table_block
@@ -675,7 +681,7 @@ class TestRowBlocks:
 
         def solve_all(workers, cells):
             monkeypatch.setattr(dro, "WORKERS", workers)
-            monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
+            cap_table_blocks(monkeypatch, cells)
             runs, counts = [], set()
             for iters, warm in BLOCK_RUNS:
                 blocks.clear()
@@ -723,7 +729,7 @@ class TestRowBlocks:
             all_live.append(bool(args[3][args[-1]].all()))
 
         def solve_all(cells):
-            monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
+            cap_table_blocks(monkeypatch, cells)
             all_live.clear()
             return [solve_dual_batch(logw, scores, DroConfig(newton_iters=iters),
                                      lam0 if warm else None)
@@ -740,6 +746,33 @@ class TestRowBlocks:
             for name in FIELDS:
                 a, b = getattr(want, name), getattr(got, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_a_component_batch_holds_one_block_budget_per_thread(self, monkeypatch):
+        # 24,000 rows of 8 components, the size of a paper-classification
+        # predict, on two threads. A block covers at most
+        # BLOCK_BYTES // (8 * COMPONENT_ARRAYS) cells (4,096 rows) and holds
+        # about COMPONENT_ARRAYS float64 arrays of its (rows, 8) size, so
+        # BLOCK_BYTES, and two threads hold two blocks at once. Beside them
+        # the call holds its result (the (n, 8) posterior and five per-row
+        # fields) and the (n, 8) live mask. Blocks of 12,000 rows, one per
+        # thread, peak at about twice this bound
+        monkeypatch.setattr(dro, "WORKERS", 2)
+        rng = np.random.default_rng(659)
+        n, k = 24_000, 8
+        logw, means, variances = component_batch(rng, n, k)
+        # the robust classifier passes transposes of (K, n) arrays
+        logw, means, variances = (np.ascontiguousarray(a.T).T
+                                  for a in (logw, means, variances))
+        result_bytes = n * k * 8 + n * (4 * 8 + 3)
+        bound = result_bytes + n * k + 2 * dro.BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            res = solve_dual_batch(logw, means, DroConfig(), quad=variances)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.value.shape == (n,)
+        assert peak < bound
 
     def test_one_row_starts_no_thread(self, monkeypatch):
         def no_threads(*args, **kwargs):
@@ -972,7 +1005,7 @@ class TestClassTable:
         monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
         for workers, cells in ((1, 1 << 20), (2, 1 << 20), (2, 24 * 30)):
             monkeypatch.setattr(dro, "WORKERS", workers)
-            monkeypatch.setattr(dro, "BLOCK_CELLS", cells)
+            cap_table_blocks(monkeypatch, cells)
             runs.append((shuffled, solve_dual_batch(
                 logw[shuffled], table, cfg, starts(shuffled), row_class=row_class[shuffled])))
             runs.append((major, solve_dual_batch(

@@ -762,6 +762,38 @@ class TestComponentScores:
             assert got.tobytes() == want.tobytes()
         assert np.isneginf(got[0, 0]).all()  # class 0 gives component 0 no weight
 
+    def test_every_row_in_order_is_viewed_and_any_other_batch_gathered(self):
+        # predict's batch, every row in order, views the tilt table with no
+        # gather; a full permutation, a training batch when batch_size >= N,
+        # still gathers its rows
+        rng = np.random.default_rng(231)
+        priors = component_priors(rng, 4, 6, 3)
+        x = 1.5 * rng.standard_normal((300, 3))
+        full = ComponentTilts.build(priors, x, 0.9)
+        every = full.component_major(np.arange(300))
+        assert np.shares_memory(every, full.log_tilts)
+        assert every.tobytes() == full.log_tilts.transpose(1, 2, 0).tobytes()
+        perm = rng.permutation(300)
+        shuffled = full.component_major(perm)
+        assert not np.shares_memory(shuffled, full.log_tilts)
+        assert shuffled.tobytes() == every[:, :, perm].tobytes()
+
+    def test_predict_scores_have_the_bytes_of_a_permuted_batch(self):
+        # each row's predict score has the bytes the same row gets in a
+        # batch that is a full permutation of the rows, which gathers its
+        # tilts; predict's own batch (every row in order) gathers none
+        rng = np.random.default_rng(233)
+        dro_cfg = DroConfig(rho=0.8, epsilon=1.1)
+        priors = component_priors(rng, 3, 5, 4)
+        x = 1.5 * rng.standard_normal((200, 4))
+        head = LinearHead(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        scores = RobustClassifier(head, priors, dro_cfg).decision_scores(x)
+        tilts = ComponentTilts.build(priors, x, dro_cfg.epsilon)
+        perm = rng.permutation(200)
+        values, _, _ = models.robust_scores_stacked(
+            head.weights, head.biases, x, tilts, perm, dro_cfg)
+        assert values.tobytes() == scores[perm].tobytes()
+
     def test_atom_estimates_converge_on_the_closed_form(self):
         # in d = 2, phi(3) from A seeded draws per component (the atom
         # tilt and the table evaluator) approaches the closed form at about

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from protodro import sinkhorn
 from protodro.sinkhorn import (
     ConvergenceError,
     OtProblem,
@@ -234,3 +237,37 @@ class TestBuildCostMatrix:
             build_cost_matrix(np.zeros((3, 2)), [np.zeros((2, 5))], 1.0)
         with pytest.raises(ValueError):
             build_cost_matrix(np.zeros((3, 2)), [np.zeros((0, 2))], 1.0)
+        with pytest.raises(ValueError):
+            build_cost_matrix(np.zeros((3, 2)), [], 1.0)
+
+    def test_column_slices_give_the_bytes_of_the_whole(self):
+        # a population of three column blocks and 1,001 columns more, so
+        # the whole matrix's last block takes the remainder: it has the
+        # bytes of its outputs on two column slices that start on block
+        # edges, the first 2 blocks wide, a width that does not divide N
+        block = sinkhorn.COST_BLOCK_COLUMNS
+        n = 3 * block + 1001
+        rng = np.random.default_rng(46)
+        supports = rng.normal(size=(n, 6))
+        protos = [1.5 * rng.normal(size=(64, 6)) for _ in range(4)]
+        whole = build_cost_matrix(supports, protos, 0.3)
+        edges = [0, 2 * block, n]
+        parts = [build_cost_matrix(supports[a:b], protos, 0.3)
+                 for a, b in zip(edges, edges[1:])]
+        assert whole.tobytes() == np.concatenate(parts, axis=1).tobytes()
+
+    def test_a_population_never_holds_a_whole_class_distance_matrix(self):
+        # 4 base classes of 64 prototypes against 100,000 points: one
+        # class's (64, N) float64 distances would be 51 MB; the column
+        # blocks and the (4, N) result stay below that
+        rng = np.random.default_rng(47)
+        n, m = 100_000, 64
+        supports = rng.normal(size=(n, 6))
+        protos = [rng.normal(size=(m, 6)) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            build_cost_matrix(supports, protos, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8
