@@ -53,6 +53,14 @@ PROTOTYPES_PER_BASE = 64
 CONSISTENCY_BUDGETS = (32, 128, 512, 2048)
 CONSISTENCY_PAIRS = 50
 CONSISTENCY_SUPPORTS = 48
+# a fixed point is reached when no weight moves by more than this in a step
+FIXED_POINT_TOL = 1e-14
+# the damped iteration starts each class far from its fixed point, with
+# most of its weight on one base class
+CONTRACTION_START = np.array([
+    [0.85, 0.05, 0.05, 0.05],
+    [0.05, 0.05, 0.05, 0.85],
+])
 
 # both harnesses solve one point set per call (every (class, eval point)
 # row, or every consistency pair at one budget) on the table of both class
@@ -184,16 +192,20 @@ class _TransportMap:
     marginal) and the w-weighted base components (free marginal): the plan
     has the closed form softmax_b(log w_b - cost_bn / eps) per support, so
     the update is the support-average responsibility, class by class.
-    Each class's scaled cost columns are gathered once, here, and kept as
-    fancy indexing lays them out: the mean over a class's supports is
-    summed in that layout, so a contiguous copy would move its bits.
+
+    Each class's scaled cost columns are kept once, here, as a C-contiguous
+    (B, n_c) array, so the softmax over the B base classes reduces along
+    rows. The mean over a class's supports is an in-order sum: support 0
+    plus support 1, and so on, then one division by n_c. A running sum
+    along the rows adds them in exactly that order, so the map's bits do
+    not depend on the layout; a pairwise sum would move them.
     """
 
     def __init__(self, cost: np.ndarray, labels: np.ndarray,
                  eps_class: float):
-        scaled = -cost / eps_class
         self.class_scaled = [
-            scaled[:, np.flatnonzero(labels == c)] for c in range(N_TARGET)
+            np.compress(labels == c, cost, axis=1) / -eps_class
+            for c in range(N_TARGET)
         ]
 
     def __call__(self, weights: np.ndarray) -> np.ndarray:
@@ -202,12 +214,15 @@ class _TransportMap:
             with np.errstate(divide="ignore"):
                 logits = np.log(weights[c])[:, None] + scaled
             logits -= log_sum_exp(logits, axis=0)[None, :]
-            out[c] = np.exp(logits).mean(axis=1)
+            np.exp(logits, out=logits)
+            n_c = logits.shape[1]
+            out[c] = np.cumsum(logits, axis=1, out=logits)[:, -1] / n_c
             out[c] /= out[c].sum()
         return out
 
 
-def _fixed_point(transport: _TransportMap, start: np.ndarray, tol: float = 1e-14,
+def _fixed_point(transport: _TransportMap, start: np.ndarray,
+                 tol: float = FIXED_POINT_TOL,
                  max_steps: int = 5000) -> tuple[np.ndarray, float]:
     """Iterate the map until a step moves no weight by more than tol.
 
@@ -278,7 +293,9 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
 
     Writes contraction_trace.csv (t, delta, bound), contraction_floor.csv
     (n, floor), and a manifest with the fitted rate, the Jacobian norm at
-    the fixed point, the floor slope, and the last fixed-point step sizes.
+    the fixed point, the floor slope, the last fixed-point step sizes, and
+    the number of floor replicates whose fixed-point iteration stopped with
+    a step above FIXED_POINT_TOL.
     Raises ValueError, before any work, unless steps >= 1 and 0 < eta <= 1.
     """
     if steps < 1:
@@ -302,11 +319,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
     jacobian_norm = _jacobian_norm(transport, fixed)
     contractive = jacobian_norm < 1.0
 
-    start = np.array([
-        [0.85, 0.05, 0.05, 0.05],
-        [0.05, 0.05, 0.05, 0.85],
-    ])
-    w = start.copy()
+    w = CONTRACTION_START.copy()
     deltas = [_value_gap(instance, w, ref_values, cfg)]
     diverged = False
     for t in range(1, steps + 1):
@@ -338,6 +351,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
 
     floors = {}
     floor_gap_max = 0.0
+    floor_unconverged = 0
     floor_rng = SeededRng(seed, INSTANCE_STREAM).child(12)
     for n in FLOOR_SIZES:
         gaps = []
@@ -349,6 +363,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
             f_transport = _TransportMap(f_cost, f_labels, cfg.prior.eps_class)
             f_fixed, f_gap = _fixed_point(f_transport, uniform)
             floor_gap_max = max(floor_gap_max, f_gap)
+            floor_unconverged += f_gap > FIXED_POINT_TOL
             gaps.append(_value_gap(instance, f_fixed, ref_values, cfg))
         floors[n] = float(np.mean(gaps))
     log_n = np.log(np.array(FLOOR_SIZES, dtype=float))
@@ -383,6 +398,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
         "kappa": format_real(kappa),
         "floor_slope": format_real(floor_slope),
         "floor_fixed_point_gap_max": format_real(floor_gap_max),
+        "floor_fixed_point_unconverged": floor_unconverged,
         "diverged": int(diverged),
         "steps_run": len(deltas) - 1,
         "final_delta": format_real(deltas[-1]),

@@ -98,7 +98,10 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a (n, d) and b (m, d).
 
     Expands |a|^2 + |b|^2 - 2 a.b as one matrix product and clips the
-    rounding negatives at 0.
+    rounding negatives at 0. The product's last bits follow the BLAS
+    thread count when m is not a multiple of 8: OpenBLAS at 1 and 2
+    threads gave other bits at every such width tried, and the same bits
+    at every multiple of 8 tried (4,096 to 100,000).
     """
     sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
     np.maximum(sq, 0.0, out=sq)

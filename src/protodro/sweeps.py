@@ -366,13 +366,28 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     result.output_files.append(table_path)
 
     manifest_path = os.path.join(out_dir, manifest_name)
-    write_manifest(manifest_path, cfg, _sweep_fields(cfg), t_start, result.cells)
+    fields = {**_sweep_fields(cfg), "same_data_levels": same_data_levels(cfg)}
+    write_manifest(manifest_path, cfg, fields, t_start, result.cells)
     result.output_files.append(manifest_path)
     return result
 
 
 def _sweep_fields(cfg: ExperimentConfig) -> dict:
     return {"task": cfg.task, "seeds": ",".join(str(s) for s in cfg.seeds)}
+
+
+def same_data_levels(cfg: ExperimentConfig) -> str:
+    """The levels of cfg that draw the same data as another of its levels,
+    comma-separated, or "none".
+
+    A level reaches the data only through its shift's effective covariance
+    scale, max(level, cov_scale_floor), so every level at or below the
+    floor draws the same pairs at a given seed and its table rows repeat.
+    """
+    scales = [shift_at_level(cfg, level).effective_cov_scale for level in cfg.levels]
+    shared = [format_real(level) for level, scale in zip(cfg.levels, scales)
+              if scales.count(scale) > 1]
+    return ",".join(shared) or "none"
 
 
 def nested_supports(target_params, k_max: int, rng: SeededRng) -> np.ndarray:

@@ -197,6 +197,24 @@ def robust_huber_penalty_oracle(weights, biases, features, responses, atoms,
     return total / n, [grad_w[None, :] / n, np.array([grad_b / n])]
 
 
+def transport_map_oracle(cost, labels, eps_class, weights):
+    """The contraction harness's weight map as first written: per class, a
+    fancy-indexed gather of the scaled cost columns, a max-shifted
+    log-sum-exp over the base classes, exp, the mean over the supports,
+    then the renormalization. Rows of weights may hold zeros but not only
+    zeros."""
+    scaled = -np.asarray(cost, dtype=float) / eps_class
+    out = np.empty_like(weights, dtype=float)
+    for c in range(weights.shape[0]):
+        with np.errstate(divide="ignore"):
+            logits = np.log(weights[c])[:, None] + scaled[:, np.flatnonzero(labels == c)]
+        shift = np.max(logits, axis=0, keepdims=True)
+        normalizer = np.log(np.sum(np.exp(logits - shift), axis=0, keepdims=True)) + shift
+        responsibility = np.exp(logits - normalizer).mean(axis=1)
+        out[c] = responsibility / responsibility.sum()
+    return out
+
+
 def central_difference(fn, x, h=1e-5):
     """Central-difference gradient; scalar x gives a scalar back."""
     x = np.asarray(x, dtype=float)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import transport_map_oracle
 
 from protodro import cli, priors
 from protodro.config import ExperimentConfig
@@ -12,18 +13,28 @@ from protodro.dro import DroConfig, DualConvergenceError
 from protodro.harnesses import (
     CONSISTENCY_BUDGETS,
     CONSISTENCY_PAIRS,
+    CONTRACTION_START,
+    FIXED_POINT_TOL,
     FLOOR_SIZES,
+    INSTANCE_STREAM,
     N_BASE,
     N_TARGET,
+    POPULATION_SIZE,
+    _build_instance,
+    _draw_supports,
     _fixed_point,
     _TransportMap,
     run_consistency,
     run_contraction,
 )
+from protodro.numkit import SeededRng
+from protodro.sinkhorn import build_cost_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # manifest lines that differ between runs or with --out
 RUN_KEYS = ("config_hash", "version", "wall_seconds")
+# manifest lines the committed results/ predate, with their committed-seed value
+NEW_KEYS = {"contraction_manifest.txt": {"floor_fixed_point_unconverged": "0"}}
 
 
 def assert_reproduces_results(out, task, monkeypatch):
@@ -31,7 +42,8 @@ def assert_reproduces_results(out, task, monkeypatch):
     the task in results/ comes back value by value within its tolerance, so
     a change in the path of a harness dual solve fails this. The committed
     manifest comes back too: the same keys, the same verdicts, and every
-    other value within that tolerance except the RUN_KEYS."""
+    other value within that tolerance except the RUN_KEYS. A key written
+    since results/ was made must read its NEW_KEYS value."""
     monkeypatch.syspath_prepend(ROOT)
     from perfbench import checks
 
@@ -48,6 +60,8 @@ def assert_reproduces_results(out, task, monkeypatch):
     name = f"{task}_manifest.txt"
     got = checks.read_manifest(os.path.join(out, name))
     want = checks.read_manifest(os.path.join(ROOT, "results", name))
+    for key, value in NEW_KEYS.get(name, {}).items():
+        assert got.pop(key) == value, (name, key)
     assert got.keys() == want.keys()
     for key in checks.HARNESS_VERDICTS[name]:
         assert got[key] == want[key], (name, key)
@@ -144,6 +158,16 @@ class TestContraction:
         assert gap <= 1e-14
         np.testing.assert_allclose(transport(fixed), fixed, rtol=0, atol=1e-13)
 
+    def test_manifest_counts_unconverged_floor_fixed_points(self, tmp_path):
+        # one floor replicate at seed 55 stops its fixed-point iteration
+        # after max_steps with a step near 1e-9; the manifest says so
+        cfg = replace(ExperimentConfig(), task="contraction", seeds=(55,))
+        run_contraction(cfg, out_dir=str(tmp_path), eta=1.0)
+        manifest = dict(line.split(" = ", 1) for line in
+                        (tmp_path / "contraction_manifest.txt").read_text().splitlines())
+        assert manifest["floor_fixed_point_unconverged"] == "1"
+        assert float(manifest["floor_fixed_point_gap_max"]) > FIXED_POINT_TOL
+
     def test_rerun_is_byte_identical(self, contraction_cfg, contraction,
                                      tmp_path):
         _, out = contraction
@@ -156,6 +180,45 @@ class TestContraction:
         assert cli.main(["contraction", "--eta", "1", "--seeds", "0",
                          "--out", str(out)]) == 0
         assert_reproduces_results(out, "contraction", monkeypatch)
+
+
+def _weight_rows(rng):
+    """Weights the map meets: the damped iteration's start, uniform, a
+    random draw, and rows with a zero entry."""
+    zeroed = rng.dirichlet(np.ones(N_BASE), N_TARGET)
+    zeroed[0, 1] = 0.0
+    zeroed[1, 3] = 0.0
+    zeroed /= zeroed.sum(axis=1, keepdims=True)
+    return [CONTRACTION_START, np.full((N_TARGET, N_BASE), 1.0 / N_BASE),
+            rng.dirichlet(np.ones(N_BASE), N_TARGET), zeroed]
+
+
+class TestTransportMap:
+    """The map keeps the bits of its first form: a fancy-indexed gather,
+    the log-sum-exp over the base classes, then the mean over supports."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 3001])
+    def test_bits_match_the_gathered_mean(self, n):
+        # classes of 8 to 512 supports, and 1,500 and 1,501, interleaved
+        rng = np.random.default_rng(n)
+        cost = rng.uniform(0.0, 3.0, (N_BASE, n))
+        labels = rng.permutation(np.arange(n) % N_TARGET)
+        transport = _TransportMap(cost, labels, eps_class=0.8)
+        for weights in _weight_rows(rng):
+            assert np.array_equal(transport(weights),
+                                  transport_map_oracle(cost, labels, 0.8, weights))
+
+    def test_population_bits_match_the_gathered_mean(self, contraction_cfg):
+        instance = _build_instance(contraction_cfg, 0)
+        feats, labels = _draw_supports(instance, POPULATION_SIZE,
+                                       SeededRng(0, INSTANCE_STREAM).child(11))
+        eps_sample = contraction_cfg.prior.eps_sample
+        eps_class = contraction_cfg.prior.eps_class
+        cost = build_cost_matrix(feats, instance.prototypes, eps_sample)
+        transport = _TransportMap(cost, labels, eps_class)
+        for weights in _weight_rows(np.random.default_rng(5)):
+            assert np.array_equal(transport(weights),
+                                  transport_map_oracle(cost, labels, eps_class, weights))
 
 
 class TestConsistency:

@@ -99,6 +99,23 @@ class TestTable1Sweep:
         assert (d1 / "cells.csv").read_bytes() == (d2 / "cells.csv").read_bytes()
         assert (d1 / "table1.csv").read_bytes() == (d2 / "table1.csv").read_bytes()
 
+    def test_manifest_names_the_levels_that_share_data(self, tmp_path):
+        # levels 0 and 1 both sit at the default covariance floor of 1
+        cfg = tiny_config(methods=("erm",), seeds=(0,), levels=(0.0, 1.0, 2.0))
+        sweeps.run_sweep(cfg, tmp_path)
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "same_data_levels = 0,1" in manifest
+        rows = [line.split(",")[1:] for line in
+                (tmp_path / "cells.csv").read_text().splitlines()[1:]]
+        assert rows[0][1:] == rows[1][1:] != rows[2][1:]
+
+    @pytest.mark.parametrize("name, shared", [
+        ("paper-regression", "0,1"),
+        ("paper-classification", "none"),
+    ])
+    def test_preset_levels_that_share_data(self, name, shared):
+        assert sweeps.same_data_levels(preset(name)) == shared
+
     def test_cell_failure_contained(self, tmp_path, monkeypatch):
         cfg = tiny_config(methods=("erm", "fewshot"), seeds=(0,), levels=(1.0,))
         real = sweeps._classification_predictions
