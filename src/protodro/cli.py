@@ -223,15 +223,14 @@ def _cmd_eval(args, cfg: ExperimentConfig) -> int:
     out = prepare_output_dir(cfg)
     t0 = time.time()
     if responses is not None:
+        task = "regression"
         report = eval_regression(head.predict_response(features), responses)
-        rows = [("mse", report.mse), ("mae", report.mae),
-                ("worst10_mse", report.worst10_mse)]
     else:
+        task = "classification"
         priors = load_priors(args.priors) if args.priors else None
         predictions = predict_classes(head, priors, features, cfg.dro)
         report = eval_classification(predictions, labels, n_classes)
-        rows = [("avg_accuracy", report.avg_accuracy),
-                ("worst10_accuracy", report.worst10_accuracy)]
+    rows = [(name, getattr(report, name)) for name in GRIDS[task].metrics]
     digest = config_hash(cfg)
     eval_path = os.path.join(out, "eval.csv")
     write_csv(eval_path, ("config_hash", "split", "metric", "value"),

@@ -53,21 +53,16 @@ component tilts), one solver (solve_dual_batch) and one result type
 (BatchDualResult). A single query is a batch of one row.
 
 Each row's solve depends on that row alone, bit for bit, so the solver
-splits a batch into contiguous row blocks and solves them on a stdlib
-thread pool, one thread per usable core (MIN_BLOCK rows and
-MIN_BLOCK_CELLS cells per thread at least), into disjoint rows of one
-preallocated result. A block holds at most about BLOCK_BYTES (6 MiB) of
-work arrays: it covers as many cells as that budget allows at the number
-of arrays its evaluator holds per cell, so a call holds about one budget
-per thread whatever its size. Every output is the same whatever the core
-count; a batch on one thread, such as a single row, is solved in the
-calling thread with no pool started.
+splits a batch into contiguous row blocks and solves them one after
+another in the calling thread, each into its rows of one preallocated
+result. A block holds at most about BLOCK_BYTES (6 MiB) of work arrays:
+it covers as many cells as that budget allows at the number of arrays its
+evaluator holds per cell, so a call holds about one budget whatever its
+size. Every output is the same for any split.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +81,9 @@ FLAT_TOL = 1e-12
 BOUNDARY_NONE = 0
 BOUNDARY_MIN = -1
 BOUNDARY_MAX = 1
-# solve_dual_batch solves row blocks on WORKERS threads (one per usable core),
-# each thread at least MIN_BLOCK rows and MIN_BLOCK_CELLS (row, atom) cells
-# (64 rows of 512 atoms): below that a thread's numpy calls are too short to
-# outweigh the interpreter lock they contend for (component rows of 8 terms
-# solve faster on one thread up to 32k cells, and on two from 64k).
-# A block holds at most about BLOCK_BYTES (6 MiB) of work arrays. Read with
-# tracemalloc, a table block holds at most about TABLE_ARRAYS float64 arrays
+# solve_dual_batch solves row blocks of at most about BLOCK_BYTES (6 MiB) of
+# work arrays, one after another. Read with tracemalloc, a table block
+# holds at most about TABLE_ARRAYS float64 arrays
 # of its (rows, A) size at once (3 to 4 in blocks of 8 to 50 rows of 8,192
 # atoms: the exp work array, the posterior it writes, a gather of the tilts
 # once rows leave), and a component block at most about COMPONENT_ARRAYS of its
@@ -102,9 +93,6 @@ BOUNDARY_MAX = 1
 # _halley_bisect's state). So a block covers at most
 # BLOCK_BYTES // (8 * arrays) cells: 196,608 table cells, or 32,768
 # component cells (4,096 rows of 8 components)
-WORKERS = len(os.sched_getaffinity(0))
-MIN_BLOCK = 64
-MIN_BLOCK_CELLS = 1 << 15
 BLOCK_BYTES = 6 << 20
 TABLE_ARRAYS = 4
 COMPONENT_ARRAYS = 24
@@ -181,19 +169,13 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
                      quad: np.ndarray | None = None) -> BatchDualResult:
     """Minimize phi row-by-row over [LAMBDA_MIN, LAMBDA_MAX].
 
-    The rows run on k = max(1, min(WORKERS, n // MIN_BLOCK, n * A //
-    MIN_BLOCK_CELLS)) threads (numpy releases the interpreter lock inside
-    its array loops), split into at least k contiguous blocks, each of at
-    most BLOCK_BYTES // (8 * arrays) (row, atom) cells, where arrays
+    The rows are split into contiguous blocks of at most
+    BLOCK_BYTES // (8 * arrays) (row, atom) cells, where arrays
     (TABLE_ARRAYS or COMPONENT_ARRAYS) is how many (rows, A) float64
-    arrays the evaluator's block holds at once; the calling thread and
-    k - 1 pool threads take turns over the blocks, and each block is
-    solved into its rows of the result. Rows are solved independently, so
-    every output is bitwise the same for any split. With k = 1 no pool is
-    started: the blocks run one after another in the calling thread, and
-    a batch within one block's bytes, such as one row, is one block.
-    Inputs are validated before any block starts; an exception raised in a
-    block is raised here once every thread has stopped.
+    arrays the evaluator's block holds at once, and the blocks are solved
+    in order, each into its rows of the result; a batch within one
+    block's bytes, such as one row, is one block. Rows are solved
+    independently, so every output is bitwise the same for any split.
 
     Every row takes safeguarded Halley steps (module docstring) over
     _table_terms, or over _component_terms when quad is given, and every
@@ -281,23 +263,10 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
             _solve_component_block(logq, f, quad, live, lam0, cfg, out, block)
 
     arrays = TABLE_ARRAYS if quad is None else COMPONENT_ARRAYS
-    k = max(1, min(WORKERS, n // MIN_BLOCK, n * n_atoms // MIN_BLOCK_CELLS))
-    m = max(k, -(-(8 * arrays * n * n_atoms) // BLOCK_BYTES))
+    m = max(1, -(-(8 * arrays * n * n_atoms) // BLOCK_BYTES))
     ends = [n * i // m for i in range(m + 1)]
-    blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
-
-    def solve_blocks(t):
-        for block in blocks[t::k]:
-            solve(block)
-
-    if k == 1:
-        solve_blocks(0)
-        return out
-    with ThreadPoolExecutor(k - 1) as pool:
-        futures = [pool.submit(solve_blocks, t) for t in range(1, k)]
-        solve_blocks(0)
-    for future in futures:
-        future.result()
+    for a, b in zip(ends, ends[1:]):
+        solve(slice(a, b))
     return out
 
 

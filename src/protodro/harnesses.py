@@ -222,19 +222,18 @@ class _TransportMap:
 
 
 def _fixed_point(transport: _TransportMap, start: np.ndarray,
-                 tol: float = FIXED_POINT_TOL,
                  max_steps: int = 5000) -> tuple[np.ndarray, float]:
-    """Iterate the map until a step moves no weight by more than tol.
+    """Iterate the map until no weight moves by more than FIXED_POINT_TOL.
 
     Returns the last iterate and the max-norm size of the last step, which
-    stays above tol when max_steps ran out first.
+    stays above FIXED_POINT_TOL when max_steps ran out first.
     """
     w, gap = start.copy(), float("inf")
     for _ in range(max_steps):
         nxt = transport(w)
         gap = float(np.abs(nxt - w).max())
         w = nxt
-        if gap <= tol:
+        if gap <= FIXED_POINT_TOL:
             break
     return w, gap
 

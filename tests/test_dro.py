@@ -5,8 +5,6 @@ plus golden-section refinement) and against finite differences of the
 dual objective, never against its own internals.
 """
 
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -669,18 +667,16 @@ def record_blocks(monkeypatch, record):
 class TestRowBlocks:
     @pytest.mark.parametrize("capped", [False, True])
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, capped):
-        # 200 rows of 16 atoms on 1, 2 or 3 threads, in one block per thread
-        # or (capped) in 7 blocks of at most 30 rows that the threads share,
-        # against one block in the calling thread; a short switch interval
-        # makes the threads interleave often
+        # 200 rows of 16 atoms split evenly into 1, 2 or 3 blocks, one per
+        # worker of a split over that many workers, or (capped) into 7
+        # blocks of at most 30 rows, against one block
         logw, scores = mixed_batch(200)
         rng = np.random.default_rng(349)
         lam0 = np.exp(rng.uniform(-6.0, 6.0, 200))
         lam0[::7] = np.nan
         blocks = []
 
-        def solve_all(workers, cells):
-            monkeypatch.setattr(dro, "WORKERS", workers)
+        def solve_all(cells):
             cap_table_blocks(monkeypatch, cells)
             runs, counts = [], set()
             for iters, warm in BLOCK_RUNS:
@@ -691,26 +687,20 @@ class TestRowBlocks:
             assert len(counts) == 1
             return runs, counts.pop()
 
-        # threads by rows alone: 200 rows of 16 atoms are below the cell floor
-        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
         record_blocks(monkeypatch, lambda args: blocks.append(args[-1]))
-        reference, count = solve_all(1, 200 * 16)
+        reference, count = solve_all(200 * 16)
         assert count == 1
         assert not reference[0].converged.all()
         assert reference[0].degenerate[100] and reference[0].boundary[66] == BOUNDARY_MIN
         assert reference[0].boundary[-1] == BOUNDARY_MAX
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3):
-                runs, count = solve_all(workers, 16 * 30 if capped else 200 * 16)
-                assert count == (7 if capped else workers)
-                for want, got in zip(reference, runs):
-                    for name in FIELDS:
-                        a, b = getattr(want, name), getattr(got, name)
-                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        finally:
-            sys.setswitchinterval(interval)
+        splits = [(16 * 30, 7)] if capped else [(-(-200 * 16 // m), m) for m in (1, 2, 3)]
+        for cells, blocks_wanted in splits:
+            runs, count = solve_all(cells)
+            assert count == blocks_wanted
+            for want, got in zip(reference, runs):
+                for name in FIELDS:
+                    a, b = getattr(want, name), getattr(got, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_blocks_without_dead_atoms_match_the_masked_score_range(self, monkeypatch):
         # rows 0-99 have -inf atoms; rows 100-199 have none, among them a
@@ -735,7 +725,6 @@ class TestRowBlocks:
                                      lam0 if warm else None)
                     for iters, warm in BLOCK_RUNS]
 
-        monkeypatch.setattr(dro, "WORKERS", 1)
         record_blocks(monkeypatch, recording)
         reference = solve_all(200 * 16)
         assert all_live == [False] * len(BLOCK_RUNS)
@@ -747,16 +736,14 @@ class TestRowBlocks:
                 a, b = getattr(want, name), getattr(got, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    def test_a_component_batch_holds_one_block_budget_per_thread(self, monkeypatch):
+    def test_a_component_batch_holds_one_block_budget(self):
         # 24,000 rows of 8 components, the size of a paper-classification
-        # predict, on two threads. A block covers at most
-        # BLOCK_BYTES // (8 * COMPONENT_ARRAYS) cells (4,096 rows) and holds
-        # about COMPONENT_ARRAYS float64 arrays of its (rows, 8) size, so
-        # BLOCK_BYTES, and two threads hold two blocks at once. Beside them
-        # the call holds its result (the (n, 8) posterior and five per-row
-        # fields) and the (n, 8) live mask. Blocks of 12,000 rows, one per
-        # thread, peak at about twice this bound
-        monkeypatch.setattr(dro, "WORKERS", 2)
+        # predict. A block covers at most BLOCK_BYTES // (8 *
+        # COMPONENT_ARRAYS) cells (4,096 rows) and holds about
+        # COMPONENT_ARRAYS float64 arrays of its (rows, 8) size, so
+        # BLOCK_BYTES. Beside it the call holds its result (the (n, 8)
+        # posterior and five per-row fields) and the (n, 8) live mask.
+        # Two blocks of 12,000 rows peak at about twice this bound
         rng = np.random.default_rng(659)
         n, k = 24_000, 8
         logw, means, variances = component_batch(rng, n, k)
@@ -764,7 +751,7 @@ class TestRowBlocks:
         logw, means, variances = (np.ascontiguousarray(a.T).T
                                   for a in (logw, means, variances))
         result_bytes = n * k * 8 + n * (4 * 8 + 3)
-        bound = result_bytes + n * k + 2 * dro.BLOCK_BYTES
+        bound = result_bytes + n * k + dro.BLOCK_BYTES
         tracemalloc.start()
         try:
             res = solve_dual_batch(logw, means, DroConfig(), quad=variances)
@@ -773,54 +760,6 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert res.value.shape == (n,)
         assert peak < bound
-
-    def test_one_row_starts_no_thread(self, monkeypatch):
-        def no_threads(*args, **kwargs):
-            raise RuntimeError("thread started")
-
-        monkeypatch.setattr(dro, "WORKERS", 3)
-        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
-        monkeypatch.setattr(threading, "Thread", no_threads)
-        logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
-        res = solve_dual_batch(logw[:1], scores[0], DroConfig())
-        assert res.converged[0] and res.iterations[0] >= 1
-        # the patch does reach the multi-block path
-        with pytest.raises(RuntimeError, match="thread started"):
-            solve_dual_batch(logw, scores, DroConfig())
-
-    @pytest.mark.parametrize("failing", ["caller", "worker"])
-    def test_a_failing_block_raises_after_every_block_stops(self, monkeypatch, failing):
-        class BlockFailure(Exception):
-            pass
-
-        table_terms = dro._table_terms
-        caller = []
-
-        def failing_terms(*args):
-            if (threading.get_ident() == caller[0]) == (failing == "caller"):
-                raise BlockFailure(failing)
-            return table_terms(*args)
-
-        monkeypatch.setattr(dro, "WORKERS", 2)
-        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
-        monkeypatch.setattr(dro, "_table_terms", failing_terms)
-        logw, scores = mixed_batch(dro.MIN_BLOCK * 2)
-        outcome = []
-
-        def call():
-            caller.append(threading.get_ident())
-            try:
-                outcome.append(solve_dual_batch(logw, scores, DroConfig()))
-            except BlockFailure as exc:
-                outcome.append(exc)
-
-        before = threading.active_count()
-        thread = threading.Thread(target=call)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert len(outcome) == 1 and isinstance(outcome[0], BlockFailure)
-        assert threading.active_count() == before
 
 
 class TestRouting:
@@ -983,7 +922,7 @@ class TestClassTable:
     def test_each_row_has_its_own_bytes(self, monkeypatch, warm):
         # every row gives the same bytes solved alone, inside the batch in
         # class-major or shuffled order, with the classes of the table
-        # permuted, and on 1 or 2 threads over blocks of any size
+        # permuted, and over blocks of any size
         rng = np.random.default_rng(613)
         logw, table, row_class = table_batch(rng, n=200)
         cfg = self.CFG
@@ -1002,9 +941,7 @@ class TestClassTable:
         inverse = np.argsort(perm)
         shuffled = rng.permutation(200)
         runs = []
-        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
-        for workers, cells in ((1, 1 << 20), (2, 1 << 20), (2, 24 * 30)):
-            monkeypatch.setattr(dro, "WORKERS", workers)
+        for cells in (1 << 20, 24 * 30):
             cap_table_blocks(monkeypatch, cells)
             runs.append((shuffled, solve_dual_batch(
                 logw[shuffled], table, cfg, starts(shuffled), row_class=row_class[shuffled])))

@@ -663,9 +663,9 @@ class TestRobustClassifier:
 
     def test_a_row_scores_the_same_alone_and_in_the_batch(self, monkeypatch):
         # each row's score is its own, whether predict solves it alone or in
-        # one dual call with every other row, which runs on two threads
-        monkeypatch.setattr(dro, "WORKERS", 2)
-        monkeypatch.setattr(dro, "MIN_BLOCK_CELLS", 1)
+        # one dual call with every other row, split into blocks of at most
+        # 150 rows of 2 components
+        monkeypatch.setattr(dro, "BLOCK_BYTES", 8 * dro.COMPONENT_ARRAYS * 150 * 2)
         for n_rows, dim in [(640, 3), (257, 10)]:
             rng = np.random.default_rng(109)
             data = two_blob_data(rng, n_per=(n_rows + 1) // 2, dim=dim)

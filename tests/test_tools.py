@@ -10,9 +10,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_dual_identity_prints_one_fingerprint_per_batch():
     # each batch number gives an atom and a component batch; batch 49 is
-    # the first large one, 200 atom rows split into row blocks and 8,192
-    # component rows of 8 that the thread pool splits. The training-shaped
-    # batches follow, each solved cold and then warm on 2,048 rows of 8
+    # the first large one, 200 atom rows in one row block and 8,192
+    # component rows of 8 in two. The training-shaped batches follow, each
+    # solved cold and then warm on 2,048 rows of 8
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "dual_identity.py"), "--batches", "50"],
         capture_output=True, text=True, timeout=300)

@@ -21,10 +21,9 @@ number N gives an atom batch (the table evaluator) and a component batch
 - component rows whose variances are all 0 (atoms), curved rows with
   variances over four decades, some components at 0, and flat-mean rows,
   degenerate unless curved;
-- one-row batches and, every 50th batch, a batch large enough to be split
-  into row blocks: 200 rows for the atoms, and 8,192 rows of 8 components
-  (twice `dro.MIN_BLOCK_CELLS` cells) so that the row blocks run on the
-  thread pool wherever two cores are usable.
+- one-row batches and, every 50th batch, a large batch: 200 rows for the
+  atoms, and 8,192 rows of 8 components, large enough to be split into
+  two row blocks.
 
 Then come training-shaped component batches: 2,048 class-major rows (8
 classes x 256 samples) of 8 components, each solved cold at means moved

@@ -24,7 +24,8 @@ error, and exits 1.
 Run it at two commits to compare the solver's work on the same cell. To
 measure a commit that predates this script, copy the script into a
 checkout of that commit: it runs the package in the `src/` beside its own
-`tools/` directory. Only the stdlib and protodro are used.
+`tools/` directory. The counts assume that the solver evaluates in the
+calling thread. Only the stdlib and protodro are used.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class Counter:
         self.totals = {kind: dict.fromkeys(
             ("calls", "rows", *FLAGS, "dual_s", *EVALUATORS), 0)
             for kind in KINDS}
-        # evaluations run on the solver's threads; list.append is atomic
-        self.evaluated: list[tuple[str, str, int]] = []
 
     def install(self) -> None:
         solve = models.solve_dual_batch
@@ -85,13 +84,11 @@ class Counter:
     def _counting(self, name, evaluate):
         def counted(*args):
             # each evaluator takes the rows' lambdas next to last
-            self.evaluated.append((self.kind, name, args[-2].size))
+            self.totals[self.kind][name] += args[-2].size
             return evaluate(*args)
         return counted
 
     def report(self) -> list[str]:
-        for kind, name, rows in self.evaluated:
-            self.totals[kind][name] += rows
         lines = []
         for kind in KINDS:
             t = self.totals[kind]
