@@ -7,8 +7,11 @@ identical configuration and vice versa.
 
 A file has one section per entry of _SECTION_TYPES: [experiment] holds the
 ExperimentConfig fields that are not sections themselves, and each other
-section the fields of its dataclass. One field loop writes and reads them
-all, and a section or key the config lacks is an error, not ignored.
+section the fields of its dataclass. Each section's dataclass, with its
+defaults and checks, lives in the module that reads it: [generator] and
+[shift] in synthgen, [prior] in priors, [dro] in dro, [train] in models.
+One field loop writes and reads them all, and a section or key the config
+lacks is an error, not ignored.
 """
 
 from __future__ import annotations
@@ -21,45 +24,10 @@ from dataclasses import dataclass, field, fields, replace
 from .dro import DroConfig
 from .models import TrainConfig
 from .priors import PriorConfig
-from .synthgen import ShiftSpec
+from .synthgen import GeneratorConfig, ShiftSpec
 
 TASKS = ("classification", "regression", "contraction", "consistency", "heatmap")
 OUTPUT_DIR_ENV = "PROTODRO_OUTPUT_DIR"
-
-
-@dataclass
-class GeneratorConfig:
-    """Benchmark sizes and source-geometry knobs."""
-
-    n_classes: int = 8
-    dim: int = 10
-    n_train: int = 6000
-    n_test: int = 3000
-    mean_scale: float = 1.0
-    separation: float = 2.0
-    eig_low: float = 0.4
-    eig_high: float = 1.2
-    shots_low: int = 3
-    shots_high: int = 8
-    noise_sigma: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.n_classes < 2 or self.dim < 2:
-            raise ValueError("need n_classes >= 2 and dim >= 2")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("sample sizes must be positive")
-        if not 0 < self.eig_low <= self.eig_high:
-            raise ValueError("need 0 < eig_low <= eig_high")
-        if not 1 <= self.shots_low <= self.shots_high:
-            raise ValueError("need 1 <= shots_low <= shots_high")
-
-    @property
-    def eig_range(self) -> tuple[float, float]:
-        return (self.eig_low, self.eig_high)
-
-    @property
-    def shots(self) -> tuple[int, int]:
-        return (self.shots_low, self.shots_high)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class ContractionInstance:
 @dataclass
 class ContractionResult:
     deltas: np.ndarray
-    bound: np.ndarray
     rate: float
     kappa: float
     jacobian_norm: float
@@ -95,18 +94,14 @@ class ContractionResult:
     floors: dict[int, float]
     floor_slope: float
     fixed_point: np.ndarray
-    output_files: list[str] = field(default_factory=list)
 
 
 @dataclass
 class ConsistencyResult:
-    budgets: tuple[int, ...]
     v_gaps: np.ndarray
     lambda_gaps: np.ndarray
     v_monotone_fraction: float
     lambda_monotone_fraction: float
-    replicates: int
-    output_files: list[str] = field(default_factory=list)
 
 
 def _build_instance(cfg: ExperimentConfig, seed: int) -> ContractionInstance:
@@ -335,15 +330,13 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
             break
     deltas = np.array(deltas)
 
-    positive = deltas > 1e-10
-    fit_mask = positive.copy()
+    fit_mask = deltas > 1e-10
     if fit_mask.sum() >= 3:
         ts = np.arange(len(deltas))[fit_mask]
-        slope, intercept = np.polyfit(ts, np.log(deltas[fit_mask]), 1)
+        slope, _ = np.polyfit(ts, np.log(deltas[fit_mask]), 1)
         rate = float(np.exp(slope))
     else:
         rate = float("nan")
-        intercept = 0.0
     kappa = (1.0 - rate) / eta if np.isfinite(rate) else float("nan")
     bound = deltas[0] * np.power(max(rate, 0.0) if np.isfinite(rate) else 1.0,
                                  np.arange(len(deltas)))
@@ -370,7 +363,7 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
     floor_slope = float(np.polyfit(log_n, log_floor, 1)[0])
 
     result = ContractionResult(
-        deltas=deltas, bound=bound, rate=rate, kappa=kappa,
+        deltas=deltas, rate=rate, kappa=kappa,
         jacobian_norm=jacobian_norm, contractive=contractive,
         diverged=diverged, floors=floors, floor_slope=floor_slope,
         fixed_point=fixed,
@@ -402,7 +395,6 @@ def run_contraction(cfg: ExperimentConfig, out_dir=None, eta: float = 0.5,
         "steps_run": len(deltas) - 1,
         "final_delta": format_real(deltas[-1]),
     }, t_start)
-    result.output_files = [trace_path, floor_path, manifest_path]
     return result
 
 
@@ -468,9 +460,8 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
     lam_fraction = float(lam_monotone.mean())
 
     result = ConsistencyResult(
-        budgets=budgets, v_gaps=v_gaps, lambda_gaps=lam_gaps,
+        v_gaps=v_gaps, lambda_gaps=lam_gaps,
         v_monotone_fraction=v_fraction, lambda_monotone_fraction=lam_fraction,
-        replicates=replicates,
     )
 
     trace_path = os.path.join(out_dir, "consistency_trace.csv")
@@ -499,5 +490,4 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
         "v_monotone_fraction": format_real(v_fraction),
         "lambda_monotone_fraction": format_real(lam_fraction),
     }, t_start)
-    result.output_files = [trace_path, curve_path, manifest_path]
     return result

@@ -33,7 +33,6 @@ PRIORS_FORMAT_VERSION = 3
 
 @dataclass
 class ClassStats:
-    class_id: int
     mean: np.ndarray
     cov: np.ndarray
     count: int
@@ -200,7 +199,7 @@ def compute_class_stats(features, labels, ridge: float = 1e-6) -> list[ClassStat
         else:
             centered = members - mean
             cov = centered.T @ centered / (members.shape[0] - 1)
-        stats.append(ClassStats(c, mean, cov, members.shape[0]))
+        stats.append(ClassStats(mean, cov, members.shape[0]))
     return stats
 
 

@@ -94,11 +94,10 @@ class CellStatus:
 
 @dataclass
 class SweepResult:
-    """What a sweep produced: aggregate values plus cell bookkeeping."""
+    """A sweep's cell bookkeeping and the files it wrote; its values are
+    in those files."""
 
-    config_digest: str
     cells: list[CellStatus] = field(default_factory=list)
-    aggregate: dict = field(default_factory=dict)
     output_files: list[str] = field(default_factory=list)
 
     def failed_cells(self) -> list[CellStatus]:
@@ -128,13 +127,8 @@ def write_manifest(path, cfg: ExperimentConfig, fields: dict, t_start: float,
 
 
 def make_pair(cfg: ExperimentConfig, level: float, seed: int) -> DomainPair:
-    gen = cfg.generator
-    return make_domain_pair(
-        gen.n_classes, gen.dim, gen.n_train, gen.n_test,
-        shift_at_level(cfg, level), SeededRng(seed, DATA_STREAM),
-        shots=gen.shots, mean_scale=gen.mean_scale,
-        separation=gen.separation, eig_range=gen.eig_range,
-    )
+    return make_domain_pair(cfg.generator, shift_at_level(cfg, level),
+                            SeededRng(seed, DATA_STREAM))
 
 
 def make_task(cfg: ExperimentConfig, pair: DomainPair, seed: int) -> RegressionTask:
@@ -313,7 +307,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     spec = GRIDS[cfg.task]
     out_dir = prepare_output_dir(cfg, out_dir)
     digest = config_hash(cfg)
-    result = SweepResult(config_digest=digest)
+    result = SweepResult()
     t_start = time.time()
 
     cell_rows = []
@@ -354,12 +348,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
             if not reports:
                 row += ["nan"] * (2 * len(spec.aggregates))
                 continue
-            means = []
             for _, name in spec.aggregates:
                 values = np.array([getattr(r, name) for r in reports])
                 row += [format_real(values.mean()), format_real(values.std())]
-                means.append(float(values.mean()))
-            result.aggregate[(level, method)] = tuple(means)
         agg_rows.append(tuple(row))
     table_path = os.path.join(out_dir, table_name)
     write_csv(table_path, agg_columns, agg_rows)
@@ -409,7 +400,7 @@ def run_heatmap(cfg: ExperimentConfig, shots_list=(1, 4, 16),
     """
     out_dir = prepare_output_dir(cfg, out_dir)
     digest = config_hash(cfg)
-    result = SweepResult(config_digest=digest)
+    result = SweepResult()
     t_start = time.time()
     k_max = max(shots_list)
     n_classes = cfg.generator.n_classes
@@ -448,7 +439,6 @@ def run_heatmap(cfg: ExperimentConfig, shots_list=(1, 4, 16),
             trace_rows.append((
                 digest, str(seed), str(k), format_real(diag_mass)
             ))
-            result.aggregate[(seed, k)] = diag_mass
             result.cells.append(
                 CellStatus(float(k), "heatmap", seed, "ok", time.time() - t0)
             )

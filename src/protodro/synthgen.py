@@ -7,6 +7,11 @@ covariance scaling, one shared rotation) and reweights class proportions
 with a long-tailed Dirichlet. Few-shot supports are drawn per class so
 minority classes still appear. Regression stacks a fixed linear response
 with Gaussian noise on top of the same geometry.
+
+The [generator] and [shift] sections of an experiment config are the
+GeneratorConfig and ShiftSpec defined here: the sizes, shot range, source
+geometry and noise, and the target perturbation. The generators take them
+whole, so each default and bound has this one place.
 """
 
 from __future__ import annotations
@@ -17,6 +22,43 @@ import numpy as np
 
 from .numkit import GaussianParams, SeededRng, gaussian_sample, random_rotation
 from .priors import SupportSet
+
+
+@dataclass
+class GeneratorConfig:
+    """Benchmark sizes, shot range, source-geometry knobs and response noise."""
+
+    n_classes: int = 8
+    dim: int = 10
+    n_train: int = 6000
+    n_test: int = 3000
+    mean_scale: float = 1.0
+    separation: float = 2.0
+    eig_low: float = 0.4
+    eig_high: float = 1.2
+    shots_low: int = 3
+    shots_high: int = 8
+    noise_sigma: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.n_classes < 2 or self.dim < 2:
+            raise ValueError("need n_classes >= 2 and dim >= 2")
+        if self.n_train < 1 or self.n_test < 1:
+            raise ValueError("sample sizes must be positive")
+        if not 0 < self.eig_low <= self.eig_high:
+            raise ValueError("need 0 < eig_low <= eig_high")
+        if not 1 <= self.shots_low <= self.shots_high:
+            raise ValueError("need 1 <= shots_low <= shots_high")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be nonnegative")
+
+    @property
+    def eig_range(self) -> tuple[float, float]:
+        return (self.eig_low, self.eig_high)
+
+    @property
+    def shots(self) -> tuple[int, int]:
+        return (self.shots_low, self.shots_high)
 
 
 @dataclass
@@ -64,28 +106,18 @@ class DomainPair:
     target_params: list[GaussianParams]
 
     @property
-    def n_classes(self) -> int:
-        return len(self.source_params)
-
-    @property
     def dim(self) -> int:
         return self.source_params[0].dim
 
 
 @dataclass
 class RegressionTask:
-    """Linear response z = beta . x + noise on top of a domain pair."""
+    """Linear response z = beta . x + noise on every split of a domain pair."""
 
-    pair: DomainPair
     beta: np.ndarray
-    noise_sigma: float
     source_responses: np.ndarray = field(repr=False)
     support_responses: np.ndarray = field(repr=False)
     test_responses: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
 
 
 def _random_covariance(dim: int, rng: SeededRng, eig_range: tuple[float, float]) -> np.ndarray:
@@ -126,25 +158,23 @@ def _class_counts(n: int, concentration: float, n_classes: int, rng: SeededRng,
     )
 
 
-def make_source(n_classes: int, dim: int, n: int, rng: SeededRng,
-                mean_scale: float = 1.0, separation: float = 2.0,
-                eig_range: tuple[float, float] = (0.4, 1.2),
-                concentration: float = 1.0):
-    """Source mixture: params, a labeled sample of size n, and proportions.
+def make_source(gen: GeneratorConfig, concentration: float, rng: SeededRng):
+    """Source mixture: params, a labeled sample of size gen.n_train, and
+    proportions.
 
     Means are redrawn until pairwise separation clears the floor; class
     proportions are Dirichlet(concentration) and class counts are redrawn
     until every class has at least two samples so the per-class covariance
     estimates exist downstream.
     """
-    if n_classes < 2 or dim < 2:
-        raise ValueError("need n_classes >= 2 and dim >= 2")
-    means = _separated_means(n_classes, dim, rng, mean_scale, separation)
+    n_classes, dim = gen.n_classes, gen.dim
+    means = _separated_means(n_classes, dim, rng, gen.mean_scale, gen.separation)
     params = [
-        GaussianParams(mean=means[c], cov=_random_covariance(dim, rng, eig_range))
+        GaussianParams(mean=means[c], cov=_random_covariance(dim, rng, gen.eig_range))
         for c in range(n_classes)
     ]
-    props, counts = _class_counts(n, concentration, n_classes, rng, min_count=2)
+    props, counts = _class_counts(gen.n_train, concentration, n_classes, rng,
+                                  min_count=2)
     features = np.vstack([gaussian_sample(params[c], counts[c], rng) for c in range(n_classes)])
     labels = np.repeat(np.arange(n_classes), counts)
     return params, SupportSet(features=features, labels=labels), props
@@ -190,19 +220,12 @@ def make_target(source_params: list[GaussianParams], spec: ShiftSpec, n_test: in
     return target_params, SupportSet(features=features, labels=labels), props
 
 
-def sample_supports(target_params: list[GaussianParams], shots, rng: SeededRng) -> SupportSet:
-    """Few-shot labeled supports: every class gets its own drawn count.
-
-    shots is either a fixed per-class count or an inclusive (low, high)
-    range sampled uniformly per class.
-    """
-    counts = []
-    for _ in target_params:
-        if np.isscalar(shots):
-            counts.append(int(shots))
-        else:
-            low, high = shots
-            counts.append(int(rng.integers(low, high + 1)))
+def sample_supports(target_params: list[GaussianParams], shots: tuple[int, int],
+                    rng: SeededRng) -> SupportSet:
+    """Few-shot labeled supports: every class gets its own count, drawn
+    uniformly from the inclusive range shots = (low, high)."""
+    low, high = shots
+    counts = [int(rng.integers(low, high + 1)) for _ in target_params]
     if min(counts) < 1:
         raise ValueError("every class needs at least one support")
     features = np.vstack(
@@ -212,17 +235,13 @@ def sample_supports(target_params: list[GaussianParams], shots, rng: SeededRng) 
     return SupportSet(features=features, labels=labels)
 
 
-def make_domain_pair(n_classes: int, dim: int, n_train: int, n_test: int,
-                     spec: ShiftSpec, rng: SeededRng, shots=(3, 8),
-                     mean_scale: float = 1.0, separation: float = 2.0,
-                     eig_range: tuple[float, float] = (0.4, 1.2)) -> DomainPair:
-    """Full benchmark instance from one seeded stream."""
-    source_params, source, _ = make_source(
-        n_classes, dim, n_train, rng, mean_scale, separation, eig_range,
-        spec.dirichlet_source,
-    )
-    target_params, test, _ = make_target(source_params, spec, n_test, rng)
-    supports = sample_supports(target_params, shots, rng)
+def make_domain_pair(gen: GeneratorConfig, spec: ShiftSpec,
+                     rng: SeededRng) -> DomainPair:
+    """Full benchmark instance from one seeded stream: source, then target,
+    then supports."""
+    source_params, source, _ = make_source(gen, spec.dirichlet_source, rng)
+    target_params, test, _ = make_target(source_params, spec, gen.n_test, rng)
+    supports = sample_supports(target_params, gen.shots, rng)
     return DomainPair(
         source=source,
         source_params=source_params,
@@ -245,9 +264,7 @@ def make_regression(pair: DomainPair, rng: SeededRng, sigma: float = 0.5) -> Reg
         return clean + rng.normal((features.shape[0],), std=sigma)
 
     return RegressionTask(
-        pair=pair,
         beta=beta,
-        noise_sigma=sigma,
         source_responses=respond(pair.source.features),
         support_responses=respond(pair.target_train_supports.features),
         test_responses=respond(pair.target_test.features),

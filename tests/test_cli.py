@@ -118,6 +118,21 @@ class TestSweep:
         assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_negative_noise_sigma_exits_1_before_any_work(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # a classification config draws no responses, so only the load can
+        # reject the section
+        config = tmp_path / "cfg.ini"
+        write_tiny_config(config)
+        text = config.read_text()
+        assert "noise_sigma = 0.5" in text
+        config.write_text(text.replace("noise_sigma = 0.5", "noise_sigma = -1"))
+        monkeypatch.setattr(sweeps, "make_pair", _no_work)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_completes(self, cls_config, tmp_path):
         assert cli.main(["sweep", "--config", cls_config,
                          "--out", str(tmp_path)]) == 0

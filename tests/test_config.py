@@ -29,6 +29,12 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(n_train=0)
 
+    def test_negative_noise_sigma_fails_to_load(self, tmp_path):
+        path = tmp_path / "noisy.cfg"
+        path.write_text("[generator]\nnoise_sigma = -1\n")
+        with pytest.raises(ValueError, match="noise_sigma"):
+            load_config(path)
+
 
 class TestExperimentConfig:
     def test_defaults_valid(self):

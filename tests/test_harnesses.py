@@ -33,8 +33,6 @@ from protodro.sinkhorn import build_cost_matrix
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # manifest lines that differ between runs or with --out
 RUN_KEYS = ("config_hash", "version", "wall_seconds")
-# manifest lines the committed results/ predate, with their committed-seed value
-NEW_KEYS = {"contraction_manifest.txt": {"floor_fixed_point_unconverged": "0"}}
 
 
 def assert_reproduces_results(out, task, monkeypatch):
@@ -42,8 +40,7 @@ def assert_reproduces_results(out, task, monkeypatch):
     the task in results/ comes back value by value within its tolerance, so
     a change in the path of a harness dual solve fails this. The committed
     manifest comes back too: the same keys, the same verdicts, and every
-    other value within that tolerance except the RUN_KEYS. A key written
-    since results/ was made must read its NEW_KEYS value."""
+    other value within that tolerance except the RUN_KEYS."""
     monkeypatch.syspath_prepend(ROOT)
     from perfbench import checks
 
@@ -60,8 +57,6 @@ def assert_reproduces_results(out, task, monkeypatch):
     name = f"{task}_manifest.txt"
     got = checks.read_manifest(os.path.join(out, name))
     want = checks.read_manifest(os.path.join(ROOT, "results", name))
-    for key, value in NEW_KEYS.get(name, {}).items():
-        assert got.pop(key) == value, (name, key)
     assert got.keys() == want.keys()
     for key in checks.HARNESS_VERDICTS[name]:
         assert got[key] == want[key], (name, key)

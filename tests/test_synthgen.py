@@ -7,6 +7,7 @@ from protodro.models import TrainConfig, train_ce_head
 from protodro.numkit import SeededRng
 from protodro.synthgen import (
     DomainPair,
+    GeneratorConfig,
     RegressionTask,
     ShiftSpec,
     load_dataset,
@@ -22,7 +23,14 @@ from protodro.synthgen import (
 
 def small_pair(seed=0, spec=None, n_classes=4, dim=6, n_train=800, n_test=600):
     spec = spec or ShiftSpec(lambda_mean=1.0, lambda_cov=1.0)
-    return make_domain_pair(n_classes, dim, n_train, n_test, spec, SeededRng(seed, 7))
+    gen = GeneratorConfig(n_classes=n_classes, dim=dim, n_train=n_train, n_test=n_test)
+    return make_domain_pair(gen, spec, SeededRng(seed, 7))
+
+
+def source(n_classes, dim, n_train, seed, **geometry):
+    """make_source at concentration 1 on the seed's stream 1."""
+    gen = GeneratorConfig(n_classes=n_classes, dim=dim, n_train=n_train, **geometry)
+    return make_source(gen, 1.0, SeededRng(seed, 1))
 
 
 class TestShiftSpec:
@@ -48,7 +56,7 @@ class TestShiftSpec:
 
 class TestMakeSource:
     def test_shapes_and_counts(self):
-        params, data, props = make_source(8, 10, 6000, SeededRng(0, 1))
+        params, data, props = source(8, 10, 6000, 0)
         assert len(params) == 8
         assert data.features.shape == (6000, 10)
         assert data.labels.shape == (6000,)
@@ -58,8 +66,8 @@ class TestMakeSource:
         assert counts.min() >= 2
 
     def test_determinism(self):
-        a = make_source(5, 8, 500, SeededRng(3, 1))
-        b = make_source(5, 8, 500, SeededRng(3, 1))
+        a = source(5, 8, 500, 3)
+        b = source(5, 8, 500, 3)
         assert np.array_equal(a[1].features, b[1].features)
         assert np.array_equal(a[2], b[2])
         for pa, pb in zip(a[0], b[0]):
@@ -68,7 +76,7 @@ class TestMakeSource:
 
     def test_mean_separation_floor(self):
         for seed in range(10):
-            params, _, _ = make_source(8, 10, 100, SeededRng(seed, 1), separation=2.0)
+            params, _, _ = source(8, 10, 100, seed, separation=2.0)
             means = np.stack([p.mean for p in params])
             diff = means[:, None, :] - means[None, :, :]
             dist = np.sqrt((diff**2).sum(axis=2))
@@ -76,12 +84,12 @@ class TestMakeSource:
             assert dist.min() >= 2.0
 
     def test_covariances_are_psd_without_ridge(self):
-        params, _, _ = make_source(6, 10, 100, SeededRng(2, 1))
+        params, _, _ = source(6, 10, 100, 2)
         for p in params:
             np.linalg.cholesky(p.cov)
 
     def test_covariance_eigenvalues_bounded(self):
-        params, _, _ = make_source(6, 10, 100, SeededRng(4, 1), eig_range=(0.4, 1.2))
+        params, _, _ = source(6, 10, 100, 4, eig_low=0.4, eig_high=1.2)
         for p in params:
             eig = np.linalg.eigvalsh(p.cov)
             assert eig.min() >= 0.4 - 1e-9
@@ -90,7 +98,7 @@ class TestMakeSource:
     def test_class_means_match_params(self):
         # sample mean of each class lands within a CLT-scale ball of the
         # true mean: 5 sigma / sqrt(n_c) per coordinate, generous union bound
-        params, data, _ = make_source(4, 6, 4000, SeededRng(5, 1))
+        params, data, _ = source(4, 6, 4000, 5)
         for c, p in enumerate(params):
             members = data.features[data.labels == c]
             per_coord = 5.0 * np.sqrt(np.diag(p.cov) / members.shape[0])
@@ -99,7 +107,7 @@ class TestMakeSource:
 
 class TestMakeTarget:
     def test_identity_spec_preserves_params(self):
-        params, _, _ = make_source(4, 6, 200, SeededRng(1, 1))
+        params, _, _ = source(4, 6, 200, 1)
         spec = ShiftSpec(lambda_mean=0.0, lambda_cov=0.0, rotation_deg=0.0)
         shifted = make_target_params(params, spec, SeededRng(1, 2))
         for p, s in zip(params, shifted):
@@ -107,7 +115,7 @@ class TestMakeTarget:
             np.testing.assert_allclose(s.cov, p.cov, rtol=0.0, atol=1e-15)
 
     def test_mean_shift_has_exact_magnitude(self):
-        params, _, _ = make_source(4, 6, 200, SeededRng(1, 1))
+        params, _, _ = source(4, 6, 200, 1)
         for level in (1.0, 3.0):
             spec = ShiftSpec(lambda_mean=level, lambda_cov=0.0, rotation_deg=0.0)
             shifted = make_target_params(params, spec, SeededRng(1, 2))
@@ -115,7 +123,7 @@ class TestMakeTarget:
                 assert np.linalg.norm(s.mean - p.mean) == pytest.approx(0.6 * level, rel=1e-12)
 
     def test_cov_scale_multiplies_trace(self):
-        params, _, _ = make_source(4, 6, 200, SeededRng(1, 1))
+        params, _, _ = source(4, 6, 200, 1)
         spec = ShiftSpec(lambda_mean=0.0, lambda_cov=2.5)
         shifted = make_target_params(params, spec, SeededRng(1, 2))
         for p, s in zip(params, shifted):
@@ -123,7 +131,7 @@ class TestMakeTarget:
             assert np.trace(s.cov) == pytest.approx(2.5 * np.trace(p.cov), rel=1e-10)
 
     def test_rotation_preserves_eigenvalues(self):
-        params, _, _ = make_source(4, 6, 200, SeededRng(1, 1))
+        params, _, _ = source(4, 6, 200, 1)
         spec = ShiftSpec(lambda_mean=0.0, lambda_cov=0.0, rotation_deg=15.0)
         shifted = make_target_params(params, spec, SeededRng(1, 2))
         for p, s in zip(params, shifted):
@@ -132,7 +140,7 @@ class TestMakeTarget:
             )
 
     def test_target_sample_and_props(self):
-        params, _, _ = make_source(6, 8, 300, SeededRng(2, 1))
+        params, _, _ = source(6, 8, 300, 2)
         spec = ShiftSpec(lambda_mean=1.0, lambda_cov=1.0)
         tparams, test, props = make_target(params, spec, 900, SeededRng(2, 2))
         assert len(tparams) == 6
@@ -167,16 +175,11 @@ class TestMakeTarget:
 
 class TestSupports:
     def test_counts_in_range(self):
-        params, _, _ = make_source(8, 10, 100, SeededRng(0, 1))
+        params, _, _ = source(8, 10, 100, 0)
         supports = sample_supports(params, (3, 8), SeededRng(0, 3))
         counts = np.bincount(supports.labels, minlength=8)
         assert counts.min() >= 3
         assert counts.max() <= 8
-
-    def test_fixed_shots(self):
-        params, _, _ = make_source(4, 6, 100, SeededRng(0, 1))
-        supports = sample_supports(params, 5, SeededRng(0, 3))
-        assert np.array_equal(np.bincount(supports.labels), [5, 5, 5, 5])
 
     def test_every_class_present_despite_long_tail(self):
         pair = small_pair(seed=12)
@@ -184,7 +187,7 @@ class TestSupports:
         assert counts.min() >= 3
 
     def test_determinism(self):
-        params, _, _ = make_source(4, 6, 100, SeededRng(0, 1))
+        params, _, _ = source(4, 6, 100, 0)
         a = sample_supports(params, (3, 8), SeededRng(5, 3))
         b = sample_supports(params, (3, 8), SeededRng(5, 3))
         assert np.array_equal(a.features, b.features)
@@ -194,7 +197,7 @@ class TestDomainPair:
     def test_assembly(self):
         pair = small_pair()
         assert isinstance(pair, DomainPair)
-        assert pair.n_classes == 4
+        assert len(pair.source_params) == len(pair.target_params) == 4
         assert pair.dim == 6
         assert len(pair.source) == 800
         assert len(pair.target_test) == 600
@@ -223,7 +226,7 @@ class TestDomainPair:
         cfg = TrainConfig(epochs=60, seed=0)
         gaps = []
         for seed in range(5):
-            pair = make_domain_pair(4, 6, 2000, 1500, spec, SeededRng(seed, 7))
+            pair = small_pair(seed, spec, n_train=2000, n_test=1500)
             result = train_ce_head(pair.source.features, pair.source.labels, 4, cfg)
             src = np.mean(
                 result.head.predict(pair.source.features) == pair.source.labels

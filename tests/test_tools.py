@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under tools/, run as a user runs them."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -46,3 +47,27 @@ def test_dual_work_counts_the_component_evaluations():
         counts = re.search(r"table_terms ([\d.]+) component_terms ([\d.]+)", line)
         assert float(counts.group(1)) == 0.0 and float(counts.group(2)) > 1.0, line
         assert "unconverged 0 " in line
+
+
+def test_identity_lists_every_command_and_file(tmp_path):
+    # every command exits 0 but the `fail` sweep, whose pgdro cell cannot
+    # converge in one Newton step; every file written, configs and each
+    # command's stdout and stderr included, gets one sha256 line
+    script = os.path.join(ROOT, "tools", "identity.py")
+    spec = importlib.util.spec_from_file_location("identity", script)
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    out = tmp_path / "ident"
+    run = subprocess.run([sys.executable, script, str(out)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    names = [name for name, _ in identity.commands(str(out), {
+        name: "" for name in ("cls", "reg", "heat", "fail")})]
+    assert lines[:len(names)] == [
+        f"exit {2 if name == 'fail' else 0} {name}" for name in names]
+    written = sorted(os.path.relpath(os.path.join(d, f), out)
+                     for d, _, files in os.walk(out) for f in files)
+    assert [line.split(" ", 1)[1] for line in lines[len(names):]] == written
+    assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines[len(names):])
+    assert "fail/manifest.txt" in written

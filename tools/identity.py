@@ -38,13 +38,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLASSIFICATION_METHODS = ("pgdro", "erm", "ot", "saa", "wdro", "fewshot")
 REGRESSION_METHODS = ("pgdro", "ot", "erm")
 
-# n_train 600 / n_test 300 make the ot cells at (level 3, seed 1) and
-# (level 2, seed 1) fail, so a failing cell and exit 2 are covered as well
 SMALL = """\
 [experiment]
 task = {task}
 methods = {methods}
-seeds = 0,1
+seeds = {seeds}
 levels = {levels}
 
 [generator]
@@ -56,6 +54,13 @@ atoms_per_component = 16
 
 [train]
 epochs = 3
+{extra}"""
+
+# one Newton step leaves pgdro's dual rows unconverged, so the `fail` sweep
+# has a failing cell beside an ok erm cell and exits 2
+ONE_NEWTON_STEP = """
+[dro]
+newton_iters = 1
 """
 
 MASKS = (
@@ -68,15 +73,16 @@ HASH_LINE = re.compile(rb"^config_hash = (\w+)$", re.M)
 
 def write_configs(out: str) -> dict[str, str]:
     paths = {}
-    for name, task, methods, levels in (
-        ("cls", "classification", CLASSIFICATION_METHODS, "1,3"),
-        ("reg", "regression", REGRESSION_METHODS, "0,2"),
-        ("heat", "heatmap", ("pgdro",), "1"),
+    for name, task, methods, levels, seeds, extra in (
+        ("cls", "classification", CLASSIFICATION_METHODS, "1,3", "0,1", ""),
+        ("reg", "regression", REGRESSION_METHODS, "0,2", "0,1", ""),
+        ("heat", "heatmap", ("pgdro",), "1", "0,1", ""),
+        ("fail", "classification", ("pgdro", "erm"), "3", "0", ONE_NEWTON_STEP),
     ):
         path = os.path.join(out, f"{name}.cfg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(SMALL.format(task=task, methods=",".join(methods),
-                                  levels=levels))
+                                  levels=levels, seeds=seeds, extra=extra))
         paths[name] = path
     return paths
 
@@ -89,6 +95,7 @@ def commands(out: str, cfg: dict[str, str]) -> list[tuple[str, list[str]]]:
     cmds = [
         ("sweep_cls", ["sweep", "--config", cfg["cls"], "--out", at("sweep_cls")]),
         ("sweep_reg", ["sweep", "--config", cfg["reg"], "--out", at("sweep_reg")]),
+        ("fail", ["sweep", "--config", cfg["fail"], "--out", at("fail")]),
         ("gen_cls", ["gen", "--config", cfg["cls"], "--out", at("gen_cls")]),
         ("gen_reg", ["gen", "--config", cfg["reg"], "--out", at("gen_reg")]),
         ("heatmap", ["heatmap", "--config", cfg["heat"], "--out", at("heatmap")]),
