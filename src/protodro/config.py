@@ -117,8 +117,10 @@ def canonical_text(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """12-hex-digit digest of the canonical serialization."""
-    return hashlib.sha256(canonical_text(cfg).encode("utf-8")).hexdigest()[:12]
+    """12-hex-digit digest of the canonical serialization without
+    output_dir: it names the computation, not where its files go."""
+    text = canonical_text(replace(cfg, output_dir=""))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

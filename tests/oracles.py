@@ -169,31 +169,63 @@ def huber_piecewise_oracle(residuals, beta):
     return value, deriv
 
 
-def robust_huber_penalty_oracle(weights, biases, features, responses, atoms,
-                                tilts, beta, weight, temperature):
-    """Huber-plus-penalty loss and gradients of an affine fit, row by row.
+def robust_huber_penalty_oracle(weights, biases, features, responses, log_weights,
+                                tilted_means, tilted_covs, beta, weight, temperature,
+                                half_width=40.0, points=16001):
+    """Huber-plus-penalty loss and gradients of an affine fit over tilted
+    Gaussian components, row by row and component by component.
 
-    Row i's loss is H(r_i) + weight * T * LSE_a(H(z_i - f(y_a)) / T + tilt_ia)
-    with the log-sum-exp over atoms shifted by its own max; the penalty's
-    gradient weights each atom's Huber derivative by the row's softmax.
-    Returns (mean loss, [(1, d) weight gradient, (1,) bias gradient]).
+    Row i's loss is H(r_i) + weight * T * log sum_b exp(log_weights[i, b])
+    E_b exp(H(z_i - f(y)) / T), y ~ N(tilted_means[i, b], tilted_covs[b]).
+    Under component b, u = w . y + b is N(mu, v), and E_b is its 1-D
+    integral in s = (u - mu) / sqrt(v): a dense trapezoid over s in
+    [-half_width, half_width], shifted by the log integrand's max; v = 0
+    is the point s = 0. The gradient differentiates under the integral,
+    dr/dw = -(m + s S w / sqrt(v)). A component with log weight -inf is
+    skipped. Returns (mean loss, [(1, d) weight gradient, (1,) bias
+    gradient]).
     """
     w = np.asarray(weights, dtype=float)[0]
     b = float(np.asarray(biases, dtype=float)[0])
     x = np.asarray(features, dtype=float)
-    y = np.asarray(atoms, dtype=float)
+    s = np.linspace(-half_width, half_width, points)
+    h = s[1] - s[0]
+
+    def trapezoid(f):
+        return h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
+
     n = x.shape[0]
     total, grad_w, grad_b = 0.0, np.zeros_like(w), 0.0
     for i in range(n):
         value, deriv = huber_piecewise_oracle(responses[i] - (x[i] @ w + b), beta)
-        atom_value, atom_deriv = huber_piecewise_oracle(responses[i] - (y @ w + b), beta)
-        logits = atom_value / temperature + tilts[i]
-        top = np.max(logits)
-        probs = np.exp(logits - top)
-        total += value + weight * temperature * (top + np.log(np.sum(probs)))
-        probs /= np.sum(probs)
-        grad_w -= deriv * x[i] + weight * (probs * atom_deriv) @ y
-        grad_b -= deriv + weight * np.sum(probs * atom_deriv)
+        logs, slopes, offsets = [], [], []
+        for k, cov in enumerate(tilted_covs):
+            if log_weights[i, k] == -np.inf:
+                continue
+            m = tilted_means[i, k]
+            mu, sd = m @ w + b, np.sqrt(w @ cov @ w)
+            grid = np.array([0.0]) if sd == 0 else s
+            cell_value, cell_deriv = huber_piecewise_oracle(responses[i] - (mu + sd * grid), beta)
+            log_f = cell_value / temperature - 0.5 * grid**2
+            top = log_f.max()
+            f = np.exp(log_f - top)
+            if sd == 0:
+                mass, along, flat = f[0], 0.0, cell_deriv[0] * f[0]
+            else:
+                mass = trapezoid(f) / np.sqrt(2.0 * np.pi)
+                flat = trapezoid(f * cell_deriv) / np.sqrt(2.0 * np.pi)
+                along = trapezoid(f * cell_deriv * grid) / np.sqrt(2.0 * np.pi)
+            logs.append(log_weights[i, k] + top + np.log(mass))
+            # E_b[H' du/dw] and E_b[H'] under component b's tilted density
+            slopes.append((flat * m + (along / sd if sd else 0.0) * (cov @ w)) / mass)
+            offsets.append(flat / mass)
+        logs = np.array(logs)
+        peak = logs.max()
+        probs = np.exp(logs - peak)
+        total += value + weight * temperature * (peak + np.log(probs.sum()))
+        probs /= probs.sum()
+        grad_w -= deriv * x[i] + weight * (probs @ np.array(slopes))
+        grad_b -= deriv + weight * (probs @ np.array(offsets))
     return total / n, [grad_w[None, :] / n, np.array([grad_b / n])]
 
 

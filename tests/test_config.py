@@ -146,6 +146,17 @@ class TestSerialization:
         )
         assert config_hash(changed2) != h
 
+    def test_output_dir_leaves_the_hash(self, tmp_path):
+        # the hash names the computation; --out moves only where it is
+        # written, and the saved config still records the directory
+        import dataclasses
+        base = preset("paper-regression")
+        moved = dataclasses.replace(base, output_dir=str(tmp_path / "elsewhere"))
+        assert config_hash(moved) == config_hash(base) == "6c0353217f37"
+        path = tmp_path / "moved.cfg"
+        save_config(moved, path)
+        assert load_config(path).output_dir == moved.output_dir
+
 
 class TestPresets:
     def test_classification_preset_values(self):
