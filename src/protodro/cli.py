@@ -219,6 +219,9 @@ def _cmd_eval(args, cfg: ExperimentConfig) -> int:
     if args.priors and not os.path.exists(args.priors):
         raise FileNotFoundError(f"input file not found: {args.priors}")
     features, labels, split, n_classes, responses = load_dataset(args.data)
+    if responses is not None and args.priors:
+        raise ValueError(f"--priors is for classification data, and {args.data} "
+                         "holds regression responses")
     head = load_head(args.head)
     out = prepare_output_dir(cfg)
     t0 = time.time()

@@ -11,20 +11,20 @@ from softmax moments of the scores. solve_dual_batch solves every row by
 safeguarded steps on phi' inside a sign bracket, on one of two
 evaluators:
 
-  * atom rows: a (K, A) score table with a row -> class index
-    (row_class); the harnesses solve their rows on a table of one or two
-    classes. Per-row (n, A) scores are a table of one class per row, and
-    shared (A,) scores a table of one class. Each row's scores are one of
-    K class rows, so _table_terms builds no per-row score copy: per run of
-    rows of one class it takes one exp and the three raw moments against
-    the class's centered scores, their squares and cubes, which gives
-    phi''' as well.
+  * atom rows: shared (A,) scores, solved as a table of one class, or
+    per-row (n, A) scores, a table of one class per row; the consistency
+    harness solves each class's rows in one call on that class's shared
+    scores. Each row's scores are one of the table's class rows, so
+    _table_terms builds no per-row score copy: per run of rows of one
+    class it takes one exp and the three raw moments against the class's
+    centered scores, their squares and cubes, which gives phi''' as well.
   * Gaussian-component rows (quad=): each row mixes K Gaussians of the
     score with per-row means and variances v, so E_k exp(f / (lam eps))
     is exp(mu_k / (lam eps) + v_k / (2 lam^2 eps^2)) in closed form, and
     _component_terms takes the softmax moments over K terms. models solves
     the robust classifier's rows there, warm in training and cold in
-    predict, with K = B components (8 in the paper presets).
+    predict, with K = B components (8 in the paper presets), and the
+    contraction harness scores through that predict.
 
 _halley_bisect, shared by both, starts each row at its lam_init
 (LAMBDA_INIT when cold, LAMBDA_MAX at rho = 0) and takes the Halley step,
@@ -144,15 +144,23 @@ def gibbs_tilt_batch(prior: MixturePrior, queries: np.ndarray, epsilon: float) -
     """Normalized tilt log-weights for many query points at once: (n, A).
 
     Row i is log w_a - |x_i - y_a|^2 / epsilon over the prior's atoms y_a,
-    minus its log-normalizer. Every step after the distance product is
-    elementwise or a reduction along one row.
+    minus its log-normalizer, where the atom at index b*A + a of a prior
+    with A atoms per component has log w_a = log(weights[b]) - log(A).
+    Every step after the distance product is elementwise or a reduction
+    along one row. Raises ValueError for a prior without atoms.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    atoms = prior.atoms
+    if atoms is None:
+        raise ValueError("the prior carries no atoms")
     q = np.asarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[1] != prior.atoms.shape[1]:
+    if q.ndim != 2 or q.shape[1] != atoms.shape[1]:
         raise ValueError("queries must be (n, d) matching the atom dimension")
-    tilts = prior.atom_log_weights[None, :] - sq_distances(q, prior.atoms) / epsilon
+    per_component = atoms.shape[0] // prior.weights.size
+    with np.errstate(divide="ignore"):
+        log_w = np.repeat(np.log(prior.weights), per_component) - np.log(per_component)
+    tilts = log_w[None, :] - sq_distances(q, atoms) / epsilon
     tilts -= log_sum_exp(tilts, axis=1)[:, None]
     return tilts
 
@@ -165,7 +173,6 @@ def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
                      cfg: DroConfig,
                      lam_init: np.ndarray | None = None, *,
-                     row_class: np.ndarray | None = None,
                      quad: np.ndarray | None = None) -> BatchDualResult:
     """Minimize phi row-by-row over [LAMBDA_MIN, LAMBDA_MAX].
 
@@ -184,22 +191,16 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     Args:
         tilt_log_weights: (n, A) normalized log weights, each finite or -inf.
         scores: (A,) shared scores or (n, A) per-row scores, solved as a
-            table of one class or of one class per row; with row_class, a
-            (K, A) table of class scores; with quad, (n, K) per-row means
-            of K Gaussian components.
+            table of one class or of one class per row; with quad, (n, K)
+            per-row means of K Gaussian components.
         cfg: DroConfig; cfg.newton_iters bounds the refinement loop.
         lam_init: optional (n,) per-row starting multipliers. Each row runs
             its steps from its start, clipped to the box; a start that is
             NaN or not positive means LAMBDA_INIT, and so does no lam_init.
             At cfg.rho = 0 every row starts at LAMBDA_MAX instead.
-        row_class: keyword-only (n,) integer index of each row's class in
-            the score table. Rows of one class run fastest in contiguous
-            runs (models lays them out class-major), and each row gets the
-            same bytes in any order.
         quad: keyword-only (n, K) variances v >= 0 of the components whose
             means are the scores, so that E_k exp(f / (lam eps)) is
-            exp(mu_k / (lam eps) + v_k / (2 lam^2 eps^2)); not with
-            row_class.
+            exp(mu_k / (lam eps) + v_k / (2 lam^2 eps^2)).
 
     Returns:
         BatchDualResult with one solution per row. Rows whose weighted
@@ -217,18 +218,10 @@ def solve_dual_batch(tilt_log_weights: np.ndarray, scores: np.ndarray,
     f = np.asarray(scores, dtype=float)
     if quad is not None:
         quad = np.asarray(quad, dtype=float)
-        if row_class is not None or f.shape != logq.shape or quad.shape != logq.shape:
-            raise ValueError("with quad, scores and quad must be (n, K) like the "
-                             "tilts, and row_class is not taken")
+        if f.shape != logq.shape or quad.shape != logq.shape:
+            raise ValueError("with quad, scores and quad must be (n, K) like the tilts")
         if not np.all(quad >= 0) or not np.all(quad < np.inf):
             raise ValueError("quad must be finite and nonnegative")
-    elif row_class is not None:
-        row_class = np.asarray(row_class)
-        if f.ndim != 2 or f.shape[1] != n_atoms:
-            raise ValueError("with row_class, scores must be a (K, A) table")
-        if (row_class.shape != (n,) or not np.issubdtype(row_class.dtype, np.integer)
-                or np.any(row_class < 0) or np.any(row_class >= f.shape[0])):
-            raise ValueError("row_class must be (n,) indices into the score table")
     elif f.shape not in ((n_atoms,), (n, n_atoms)):
         raise ValueError("scores must be (A,) or (n, A)")
     else:

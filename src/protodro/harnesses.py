@@ -7,25 +7,29 @@ the claims talk about are actually computable:
   large-N surrogate population, verifies the update map is locally
   contractive (finite-difference Jacobian), fits the geometric rate of
   |V(t) - V*|, and measures how the fixed-point error floor scales with
-  the number of supports N.
+  the number of supports N. V is the production robust score:
+  RobustClassifier's decision_scores on the priors' Gaussian components.
 - run_consistency evaluates robust logits under growing atom budgets with
-  nested draws and checks that successive-budget gaps shrink.
+  nested draws and checks that successive-budget gaps shrink; its claim is
+  about atoms, so it alone draws them.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig, prepare_output_dir
 from .dro import check_converged, gibbs_tilt_batch, solve_dual_batch
+from .models import LinearHead, RobustClassifier
 from .numkit import GaussianParams, SeededRng, gaussian_sample, log_sum_exp
 from .priors import (
     MixturePrior,
     SupportSet,
+    component_moments,
     compute_class_stats,
     draw_atoms,
     prior_weights,
@@ -62,12 +66,11 @@ CONTRACTION_START = np.array([
     [0.05, 0.05, 0.05, 0.85],
 ])
 
-# both harnesses solve one point set per call (every (class, eval point)
-# row, or every consistency pair at one budget) on the table of both class
-# score rows, each row tilted by gibbs_tilt_batch toward its own class
-# prior, and raise dro.DualConvergenceError on a row left unconverged, as
-# models does. The calls go through this module attribute, which stays
-# because the benchmark's dro.scalar_solve layer wraps it.
+# consistency solves each class's pairs at one budget in one call on that
+# class's shared atom scores, each row tilted by gibbs_tilt_batch toward the
+# class prior, and raises dro.DualConvergenceError on a row left
+# unconverged, as models does. The calls go through this module attribute,
+# which stays because the benchmark's dro.scalar_solve layer wraps it.
 solve_dual = solve_dual_batch
 
 
@@ -76,9 +79,9 @@ class ContractionInstance:
     """Constructed two-target-class instance with computable update map."""
 
     prototypes: list[np.ndarray]
+    base_components: list[GaussianParams]
     target_components: list[GaussianParams]
     target_mixes: np.ndarray
-    atoms: np.ndarray
     eval_points: np.ndarray
     score_weights: np.ndarray
 
@@ -132,8 +135,6 @@ def _build_instance(cfg: ExperimentConfig, seed: int) -> ContractionInstance:
     target_cov = TARGET_COV_SCALE * np.eye(d)
     target_components = [GaussianParams(m, target_cov) for m in base_means]
 
-    atoms = draw_atoms(base_params, cfg.prior,
-                       SeededRng(cfg.prior.atom_seed, INSTANCE_STREAM).child(7))
     mix_means = target_mixes @ np.stack(base_means)
     eval_points = np.stack([
         0.5 * (mix_means[0] + mix_means[1]),
@@ -143,8 +144,8 @@ def _build_instance(cfg: ExperimentConfig, seed: int) -> ContractionInstance:
     score_rng = rng.child(5)
     score_weights = score_rng.normal((N_TARGET, d), std=0.8)
     return ContractionInstance(
-        prototypes, target_components, target_mixes,
-        atoms, eval_points, score_weights,
+        prototypes, base_params, target_components, target_mixes,
+        eval_points, score_weights,
     )
 
 
@@ -235,16 +236,15 @@ def _fixed_point(transport: _TransportMap, start: np.ndarray,
 
 def _values(instance: ContractionInstance, weights: np.ndarray,
             cfg: ExperimentConfig) -> np.ndarray:
-    """Robust logit per (eval point, class) for weights on the shared atoms,
-    from one dual call over the class-major (class, point) rows."""
-    points = instance.eval_points
-    priors = [MixturePrior(w, instance.atoms) for w in weights]
-    tilts = np.concatenate([gibbs_tilt_batch(p, points, cfg.dro.epsilon) for p in priors])
-    table = np.stack([instance.atoms @ w for w in instance.score_weights])
-    row_class = np.repeat(np.arange(N_TARGET), len(points))
-    res = solve_dual(tilts, table, cfg.dro, row_class=row_class)
-    check_converged(res, cfg.dro)
-    return res.value.reshape(N_TARGET, len(points)).T
+    """Robust logit per (eval point, class) for weights over the base
+    classes' component_moments: the decision scores of a RobustClassifier
+    with the instance's score weights and zero biases, exact on the
+    Gaussian components (its dual rows raise DualConvergenceError when
+    left unconverged)."""
+    means, covs = component_moments(instance.base_components, cfg.prior)
+    priors = [MixturePrior(w, means, covs) for w in weights]
+    head = LinearHead(instance.score_weights, np.zeros(N_TARGET))
+    return RobustClassifier(head, priors, cfg.dro).decision_scores(instance.eval_points)
 
 
 def _value_gap(instance: ContractionInstance, weights: np.ndarray,
@@ -432,24 +432,25 @@ def run_consistency(cfg: ExperimentConfig, out_dir=None,
         np.zeros(CONSISTENCY_PAIRS // 2, dtype=int), np.ones(half, dtype=int)
     ])
 
-    # the weights do not depend on the atoms, which alone are drawn per rung
+    # neither the weights nor the components depend on the atoms, which
+    # alone are drawn per rung
     weights = prior_weights(instance.prototypes, supports, cfg.prior)
+    means, covs = component_moments(stats, cfg.prior)
     budgets = CONSISTENCY_BUDGETS
     v = np.empty((replicates, len(budgets), CONSISTENCY_PAIRS))
     lam = np.empty_like(v)
     for r in range(replicates):
+        atom_rng = SeededRng(cfg.prior.atom_seed + 1000 * (r + 1))
         for bi, a in enumerate(budgets):
-            prior_cfg = replace(cfg.prior, atoms_per_component=a,
-                                atom_seed=cfg.prior.atom_seed + 1000 * (r + 1))
-            atoms = draw_atoms(stats, prior_cfg, SeededRng(prior_cfg.atom_seed))
-            priors = [MixturePrior(w, atoms) for w in weights]
-            tilts = np.concatenate([gibbs_tilt_batch(p, xs[classes == c], cfg.dro.epsilon)
-                                    for c, p in enumerate(priors)])
-            table = np.stack([atoms @ w for w in instance.score_weights])
-            res = solve_dual(tilts, table, cfg.dro, row_class=classes)
-            check_converged(res, cfg.dro)
-            v[r, bi] = res.value
-            lam[r, bi] = res.lambda_star
+            atoms = draw_atoms(means, covs, a, atom_rng)
+            for c, w in enumerate(weights):
+                rows = classes == c
+                prior = MixturePrior(w, means, covs, atoms)
+                tilts = gibbs_tilt_batch(prior, xs[rows], cfg.dro.epsilon)
+                res = solve_dual(tilts, atoms @ instance.score_weights[c], cfg.dro)
+                check_converged(res, cfg.dro)
+                v[r, bi, rows] = res.value
+                lam[r, bi, rows] = res.lambda_star
     v_gaps = np.abs(np.diff(v, axis=1)).mean(axis=0)       # (len-1, pairs)
     lam_gaps = np.abs(np.diff(lam, axis=1)).mean(axis=0)
 

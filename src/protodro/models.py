@@ -525,11 +525,10 @@ def train_pgdro_classifier(data: SupportSet, priors: list[MixturePrior],
 
 def empirical_prior(features: np.ndarray) -> MixturePrior:
     """Class-agnostic reference: the observed points as uniformly weighted
-    zero-covariance components, each its own single atom."""
+    zero-covariance components."""
     x = np.asarray(features, dtype=float)
     n, d = x.shape
-    return MixturePrior(weights=np.full(n, 1.0 / n), atoms=x, means=x,
-                        covs=np.zeros((n, d, d)))
+    return MixturePrior(np.full(n, 1.0 / n), x, np.zeros((n, d, d)))
 
 
 @dataclass
@@ -597,8 +596,7 @@ def train_pgdro_regressor(data: SupportSet, responses: np.ndarray,
     does not reach this loss: no dual is solved. The expectation is taken
     on Q_x's B Gaussian components, each integrated by QUAD_NODES
     probabilists' Gauss-Hermite nodes (robust_huber_objective has the
-    estimator and its accuracy); the priors need shared components, not
-    shared atoms, and their atoms are never read.
+    estimator and its accuracy); the priors need shared components.
     """
     from numpy.polynomial.hermite_e import hermegauss
 

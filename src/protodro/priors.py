@@ -6,20 +6,21 @@ coupling between base classes and the few labeled support points decides
 how much each component contributes to each target class. prior_weights
 computes those weights alone, and build_priors adds the components and
 atoms drawn from them once, deterministically. A prior is its component
-weights, the shared Gaussian components (means and covariances), on which
-the robust classifier scores in closed form, and the shared atoms, a
-fixed finite quadrature of the same mixture that regression and the
-harnesses read.
+weights and the shared Gaussian components (means and covariances), on
+which both pgdro fits and the robust predict score in closed form. Atoms,
+a finite quadrature of the same mixture, are carried only where a caller
+draws them: build_priors and the consistency harness, whose claim is
+about atom budgets.
 
-Priors files (format "protodro-priors", version 3) are JSON documents that
-hold the atoms and the components shared by every class once and then one
-weight vector per class, so loading reads them back as they were saved and
-draws nothing.
+Priors files (format "protodro-priors", version 4) are JSON documents that
+hold the components shared by every class once and then one weight vector
+per class, so loading reads them back as they were saved and draws
+nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from .numkit import GaussianParams, SeededRng, gaussian_sample
 from .sinkhorn import OtProblem, build_cost_matrix, solve_entropic_ot
 
 SIMPLEX_TOL = 1e-9
-PRIORS_FORMAT_VERSION = 3
+PRIORS_FORMAT_VERSION = 4
 
 
 @dataclass
@@ -89,84 +90,57 @@ class PriorConfig:
 
 @dataclass
 class MixturePrior:
-    """One target class's mixture over B Gaussian components, with atoms.
+    """One target class's mixture over B Gaussian components.
 
-    weights (B,) holds the component weights and atoms (B*A, d) stacks the
-    A draws of each component in component order, so the atom at index
-    b*A + a carries log weight log(weights[b]) - log(A); atom_log_weights
-    is derived from the two. means (B, d) and covs (B, d, d) are the
-    components themselves, given together or not at all (the harnesses
-    build atom-only priors). Priors built together share one atom array and
-    one set of components, so two of them differ only through their
-    weights.
+    weights (B,) holds the component weights, means (B, d) and covs
+    (B, d, d) the components. atoms (B*A, d), where a caller draws them,
+    stacks the A draws of each component in component order, so the atom
+    at index b*A + a carries log weight log(weights[b]) - log(A). Priors
+    built together share one set of components (and one atom array), so
+    two of them differ only through their weights.
     """
 
     weights: np.ndarray
-    atoms: np.ndarray
-    means: np.ndarray | None = None
-    covs: np.ndarray | None = None
-    atom_log_weights: np.ndarray = field(init=False, repr=False)
+    means: np.ndarray
+    covs: np.ndarray
+    atoms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
-        self.atoms = np.asarray(self.atoms, dtype=float)
+        self.means = np.asarray(self.means, dtype=float)
+        self.covs = np.asarray(self.covs, dtype=float)
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise ValueError("mixture weights must be a nonempty vector")
         if abs(float(self.weights.sum()) - 1.0) > SIMPLEX_TOL:
             raise ValueError("mixture weights must sum to 1")
         if np.any(self.weights < 0):
             raise ValueError("mixture weights must be nonnegative")
-        n_atoms = self.atoms.shape[0] if self.atoms.ndim == 2 else 0
-        if n_atoms == 0 or n_atoms % self.weights.size:
+        b = self.weights.size
+        d = self.means.shape[-1] if self.means.ndim else 0
+        if self.means.shape != (b, d) or self.covs.shape != (b, d, d):
             raise ValueError(
-                f"atoms must be a (B*A, d) array with A >= 1 draws for each of "
-                f"the {self.weights.size} components, got shape {self.atoms.shape}"
-            )
-        if (self.means is None) != (self.covs is None):
-            raise ValueError("means and covs must be given together")
-        if self.means is not None:
-            self.means = np.asarray(self.means, dtype=float)
-            self.covs = np.asarray(self.covs, dtype=float)
-            b, d = self.weights.size, self.atoms.shape[1]
-            if self.means.shape != (b, d) or self.covs.shape != (b, d, d):
+                f"components must be means ({b}, d) and covs ({b}, d, d), "
+                f"got {self.means.shape} and {self.covs.shape}")
+        if self.atoms is not None:
+            self.atoms = np.asarray(self.atoms, dtype=float)
+            shape = self.atoms.shape
+            if len(shape) != 2 or shape[0] == 0 or shape[0] % b or shape[1] != d:
                 raise ValueError(
-                    f"components must be means ({b}, {d}) and covs ({b}, {d}, {d}), "
-                    f"got {self.means.shape} and {self.covs.shape}")
-        per_component = n_atoms // self.weights.size
-        with np.errstate(divide="ignore"):
-            self.atom_log_weights = (
-                np.repeat(np.log(self.weights), per_component) - np.log(per_component)
-            )
-
-
-def shared_atoms(priors: list[MixturePrior]) -> np.ndarray:
-    """The (A, d) atom array that every prior of a model shares.
-
-    Raises ValueError if priors is empty or any two priors hold different
-    atoms, so callers may score every class on one array.
-    """
-    if not priors:
-        raise ValueError("no priors given")
-    atoms = priors[0].atoms
-    for p in priors[1:]:
-        if not np.array_equal(p.atoms, atoms):
-            raise ValueError("the class priors of a model must share one atom array")
-    return atoms
+                    f"atoms must be a (B*A, {d}) array with A >= 1 draws for each "
+                    f"of the {b} components, got shape {shape}")
 
 
 def shared_components(priors: list[MixturePrior]) -> tuple[np.ndarray, np.ndarray]:
     """The (means (B, d), covs (B, d, d)) that every prior of a model shares.
 
-    Raises ValueError if priors is empty, or any prior has no components or
-    other components than the first, so callers may score every class on
-    one set of components.
+    Raises ValueError if priors is empty or any prior has other components
+    than the first, so callers may score every class on one set of
+    components.
     """
     if not priors:
         raise ValueError("no priors given")
     means, covs = priors[0].means, priors[0].covs
-    for p in priors:
-        if p.means is None:
-            raise ValueError("the class priors carry no Gaussian components")
+    for p in priors[1:]:
         if not (np.array_equal(p.means, means) and np.array_equal(p.covs, covs)):
             raise ValueError("the class priors of a model must share one set of components")
     return means, covs
@@ -216,16 +190,15 @@ def component_moments(components, cfg: PriorConfig) -> tuple[np.ndarray, np.ndar
     return means, covs
 
 
-def draw_atoms(components, cfg: PriorConfig, rng: SeededRng) -> np.ndarray:
-    """The (B*A, d) atoms of a mixture over B components.
+def draw_atoms(means: np.ndarray, covs: np.ndarray, per_component: int,
+               rng: SeededRng) -> np.ndarray:
+    """The (B*A, d) atoms of a mixture over the B components (means, covs).
 
-    A = cfg.atoms_per_component draws from each component's
-    component_moments come from rng.child(b) and are stacked in component
-    order.
+    A = per_component draws from component b come from rng.child(b) and
+    are stacked in component order.
     """
-    means, covs = component_moments(components, cfg)
     return np.vstack([
-        gaussian_sample(GaussianParams(mean, cov), cfg.atoms_per_component, rng.child(b))
+        gaussian_sample(GaussianParams(mean, cov), per_component, rng.child(b))
         for b, (mean, cov) in enumerate(zip(means, covs))
     ])
 
@@ -271,8 +244,8 @@ def build_priors(base_stats: list[ClassStats], base_prototypes: list[np.ndarray]
         raise ValueError("base_stats and base_prototypes must align")
     weights = prior_weights(base_prototypes, supports, cfg)
     means, covs = component_moments(base_stats, cfg)
-    atoms = draw_atoms(base_stats, cfg, SeededRng(cfg.atom_seed))
-    return [MixturePrior(w, atoms, means, covs) for w in weights]
+    atoms = draw_atoms(means, covs, cfg.atoms_per_component, SeededRng(cfg.atom_seed))
+    return [MixturePrior(w, means, covs, atoms) for w in weights]
 
 
 def update_weights_damped(current, target, eta: float) -> np.ndarray:
@@ -290,15 +263,13 @@ def update_weights_damped(current, target, eta: float) -> np.ndarray:
 
 
 def save_priors(priors: list[MixturePrior], path: str) -> None:
-    """Write priors that share one atom array and one set of components as
-    a format-3 JSON document: those atoms, means and covs once, then each
-    class's component weights in order."""
-    atoms = shared_atoms(priors)
+    """Write priors that share one set of components as a format-4 JSON
+    document: those means and covs once, then each class's component
+    weights in order. Atoms are not written."""
     means, covs = shared_components(priors)
     doc = {
         "format": "protodro-priors",
         "version": PRIORS_FORMAT_VERSION,
-        "atoms": atoms.tolist(),
         "means": means.tolist(),
         "covs": covs.tolist(),
         "weights": [p.weights.tolist() for p in priors],
@@ -309,9 +280,9 @@ def save_priors(priors: list[MixturePrior], path: str) -> None:
 
 
 def load_priors(path: str) -> list[MixturePrior]:
-    """Read back a format-3 document from save_priors.
+    """Read back a format-4 document from save_priors.
 
-    Atoms, components and weights come back bit-identical (JSON floats
+    Components and weights come back bit-identical (JSON floats
     round-trip), so the loaded priors equal the saved ones; any other
     format or version is rejected with the version in the message.
     """
@@ -324,7 +295,5 @@ def load_priors(path: str) -> list[MixturePrior]:
             f"{path} is priors format version {doc.get('version')!r}; "
             f"only version {PRIORS_FORMAT_VERSION} can be read"
         )
-    atoms, means, covs = (np.array(doc[key], dtype=float)
-                          for key in ("atoms", "means", "covs"))
-    return [MixturePrior(np.array(w, dtype=float), atoms, means, covs)
-            for w in doc["weights"]]
+    means, covs = (np.array(doc[key], dtype=float) for key in ("means", "covs"))
+    return [MixturePrior(np.array(w, dtype=float), means, covs) for w in doc["weights"]]

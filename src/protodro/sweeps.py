@@ -30,7 +30,6 @@ from .config import ExperimentConfig, config_hash, prepare_output_dir, shift_at_
 from .metrics import eval_classification, eval_regression
 from .models import (
     RobustClassifier,
-    TrainConfig,
     empirical_prior,
     train_ce_head,
     train_huber_head,
@@ -145,10 +144,11 @@ def build_adapted_priors(pair: DomainPair, prior_cfg: PriorConfig) -> list:
                         pair.target_train_supports, prior_cfg)
 
 
-def _pgdro_inputs(pair: DomainPair, cfg: ExperimentConfig, train: TrainConfig):
-    """Adapted priors (atoms drawn from the cell seed) and the samples the
-    robust loss sees: base samples and supports alike, batched together."""
-    priors = build_adapted_priors(pair, replace(cfg.prior, atom_seed=train.seed))
+def _pgdro_inputs(pair: DomainPair, cfg: ExperimentConfig):
+    """Adapted priors, of which the fits read the weights and components
+    alone, and the samples the robust loss sees: base samples and supports
+    alike, batched together."""
+    priors = build_adapted_priors(pair, cfg.prior)
     supports = pair.target_train_supports
     data = SupportSet(
         features=np.vstack([pair.source.features, supports.features]),
@@ -181,12 +181,12 @@ def _fit_wdro(pair, cfg, train):
 
 
 def _fit_pgdro(pair, cfg, train):
-    priors, data = _pgdro_inputs(pair, cfg, train)
+    priors, data = _pgdro_inputs(pair, cfg)
     return train_pgdro_classifier(data, priors, train, cfg.dro).head, priors
 
 
 def _fit_pgdro_regressor(pair, task, cfg, train):
-    priors, data = _pgdro_inputs(pair, cfg, train)
+    priors, data = _pgdro_inputs(pair, cfg)
     responses = np.concatenate([task.source_responses, task.support_responses])
     return train_pgdro_regressor(data, responses, priors, train, cfg.dro).head, priors
 

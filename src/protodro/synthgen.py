@@ -251,7 +251,7 @@ def make_domain_pair(gen: GeneratorConfig, spec: ShiftSpec,
     )
 
 
-def make_regression(pair: DomainPair, rng: SeededRng, sigma: float = 0.5) -> RegressionTask:
+def make_regression(pair: DomainPair, rng: SeededRng, sigma: float) -> RegressionTask:
     """Attach z = beta . x + noise to every split of a domain pair."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")

@@ -209,10 +209,28 @@ class TestEval:
         manifest = (out / "eval_manifest.txt").read_text().splitlines()
         assert f"priors = {out / f'priors_{method}_s000.txt'}" in manifest
 
+    def test_priors_on_regression_data_exit_1(self, reg_config, tmp_path, capsys):
+        # a regression head predicts without priors, so --priors with
+        # regression data is a config error, and no eval file is written
+        out = tmp_path / "out"
+        assert cli.main(["gen", "--config", reg_config, "--out", str(out)]) == 0
+        assert _train(reg_config, "pgdro", out) == 0
+        before = sorted(os.listdir(out))
+        capsys.readouterr()
+        assert cli.main([
+            "eval", "--config", reg_config, "--out", str(out),
+            "--head", str(out / "head_pgdro_s000.txt"),
+            "--data", str(out / "s000_test.csv"),
+            "--priors", str(out / "priors_pgdro_s000.txt"),
+        ]) == 1
+        assert "config error: --priors is for classification data" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == before
+
 
 class TestOnePath:
-    """Each dual row has one evaluator: the robust classifiers' rows the
-    Gaussian-component one, the harnesses' atom rows the atom table."""
+    """Each dual row has one evaluator: the robust classifiers' rows (the
+    contraction harness's among them) the Gaussian-component one, the
+    consistency harness's atom rows the atom table."""
 
     def test_robust_classifiers_never_reach_the_atom_table(self, tmp_path, monkeypatch):
         def no_table(*args):
@@ -224,7 +242,14 @@ class TestOnePath:
         assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
         assert (out / "manifest.txt").read_text().count("status=ok") == 2
 
-    def test_harnesses_never_reach_the_component_evaluator(self, tmp_path, monkeypatch):
+    def test_contraction_never_reaches_the_atom_table(self, tmp_path, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the atom table evaluator ran")
+
+        monkeypatch.setattr(dro, "_table_terms", no_table)
+        assert cli.main(["contraction", "--eta", "1", "--out", str(tmp_path)]) == 0
+
+    def test_consistency_never_reaches_the_component_evaluator(self, tmp_path, monkeypatch):
         def no_components(*args):
             raise AssertionError("the component evaluator ran")
 

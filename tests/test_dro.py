@@ -58,8 +58,11 @@ def random_instance(rng, n_atoms=None, with_holes=False):
 
 
 def make_prior(atoms):
-    """Minimal single-component prior with uniform weight on explicit atoms."""
-    return MixturePrior(weights=np.array([1.0]), atoms=np.asarray(atoms, dtype=float))
+    """Minimal single-component prior, a standard normal, with uniform
+    weight on explicit atoms."""
+    atoms = np.asarray(atoms, dtype=float)
+    d = atoms.shape[1]
+    return MixturePrior(np.array([1.0]), np.zeros((1, d)), np.eye(d)[None], atoms)
 
 
 def tilt_one(prior, x, epsilon):
@@ -115,7 +118,8 @@ class TestGibbsTilt:
     def test_prior_weights_carry_through(self):
         # equidistant atoms, so the tilt must reproduce the prior weights
         # two one-atom components weighted 0.8 / 0.2
-        prior = MixturePrior(weights=np.array([0.8, 0.2]), atoms=np.array([[1.0], [-1.0]]))
+        points = np.array([[1.0], [-1.0]])
+        prior = MixturePrior(np.array([0.8, 0.2]), points, np.zeros((2, 1, 1)), points)
         tilt = tilt_one(prior, np.zeros(1), epsilon=1.3)
         np.testing.assert_allclose(np.exp(tilt), [0.8, 0.2])
 
@@ -149,7 +153,9 @@ class TestGibbsTilt:
         rng = np.random.default_rng(17)
         # 4 components x 6 atoms in 3-D
         weights = np.array([0.5, 0.0, 0.5, 0.0]) if zero_weight else rng.dirichlet(np.ones(4))
-        prior = MixturePrior(weights, rng.standard_normal((24, 3)))
+        covs = np.tile(np.eye(3), (4, 1, 1))
+        prior = MixturePrior(weights, rng.standard_normal((4, 3)), covs,
+                             rng.standard_normal((24, 3)))
         x = 2.0 * rng.standard_normal((40, 3))
         idx = rng.permutation(40)[:17]
         got = gibbs_tilt_batch(prior, x[idx], 0.7)
@@ -469,7 +475,7 @@ class TestSolveDual:
         logw = np.vstack([random_instance(rng, n_atoms=12)[0] for _ in range(40)])
         scores = 2.0 * rng.standard_normal((40, 12))
         cfg = DroConfig(rho=0.7, epsilon=1.0)
-        first = solve_dual_batch(logw, scores, cfg, row_class=np.arange(40))
+        first = solve_dual_batch(logw, scores, cfg)
         assert first.converged.all()
         evaluated = []
         table_terms = dro._table_terms
@@ -763,31 +769,37 @@ class TestRowBlocks:
 
 
 class TestRouting:
-    """Rows with per-row or shared scores solve as the explicit table call
-    would, warm or cold."""
+    """Rows solve with the bytes of the explicit table call, warm or cold:
+    shared (A,) scores, a table of one class, as the (n, A) table with that
+    row written out for every row; per-row (n, A) scores, a table of one
+    class per row, as one call per row on the row's own (A,) scores."""
 
     @staticmethod
-    def batch(shared):
-        # 150 rows, split over threads where two cores are usable: (n, A)
-        # scores are a table of one class per row, shared (A,) scores a table
-        # of one class
+    def batch():
+        # 150 rows in one block: the routed call runs one class over all of
+        # them, or one per row, and the explicit call the other layout
         logw, scores = mixed_batch(150)
         rng = np.random.default_rng(359)
         lam0 = np.exp(rng.uniform(-8.0, 8.0, 150))
         lam0[::11], lam0[1::13], lam0[2::17] = np.nan, 0.0, -1.0
-        if shared:
-            return logw, scores[0], lam0, scores[:1], np.zeros(150, dtype=int)
-        return logw, scores, lam0, scores, np.arange(150)
+        return logw, scores, lam0
 
     def assert_routed_bytes(self, cap, shared, warm):
-        logw, f, lam0, table, row_class = self.batch(shared)
+        logw, scores, lam0 = self.batch()
         lam0 = lam0 if warm else None
         cfg = DroConfig(newton_iters=cap)
-        routed = solve_dual_batch(logw, f, cfg, lam0)
-        explicit = solve_dual_batch(logw, table, cfg, lam0, row_class=row_class)
+        if shared:
+            routed = solve_dual_batch(logw, scores[0], cfg, lam0)
+            explicit = [solve_dual_batch(logw, np.tile(scores[0], (150, 1)), cfg, lam0)]
+        else:
+            routed = solve_dual_batch(logw, scores, cfg, lam0)
+            explicit = [solve_dual_batch(logw[i:i + 1], scores[i], cfg,
+                                         None if lam0 is None else lam0[i:i + 1])
+                        for i in range(150)]
         assert routed.converged.all() == (cap == 16)
         for name in FIELDS:
-            a, b = getattr(routed, name), getattr(explicit, name)
+            a = getattr(routed, name)
+            b = np.concatenate([getattr(res, name) for res in explicit])
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("cap", [1, 16])
@@ -860,7 +872,8 @@ def table_batch(rng, n=120, n_classes=4, n_atoms=24):
 
 
 class TestClassTable:
-    """solve_dual_batch with a (K, A) score table and a row -> class index."""
+    """Rows scored by the classes of a (K, A) score table, solved with
+    per-row (n, A) scores or each class's rows on its shared (A,) scores."""
 
     CFG = DroConfig(rho=0.6, epsilon=0.8)
 
@@ -871,7 +884,7 @@ class TestClassTable:
         lam_star = solve_dual_batch(logw, table[row_class], cfg).lambda_star
         lam0 = lam_star * np.exp(rng.uniform(-3.0, 3.0, lam_star.size))
         for start in (None, lam0):
-            res = solve_dual_batch(logw, table, cfg, start, row_class=row_class)
+            res = solve_dual_batch(logw, table[row_class], cfg, start)
             assert res.converged.all()
             assert res.degenerate[5] and res.degenerate[row_class == 3].all()
             assert res.degenerate.sum() == 1 + (row_class == 3).sum()
@@ -920,9 +933,9 @@ class TestClassTable:
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_each_row_has_its_own_bytes(self, monkeypatch, warm):
-        # every row gives the same bytes solved alone, inside the batch in
-        # class-major or shuffled order, with the classes of the table
-        # permuted, and over blocks of any size
+        # every row gives the same bytes solved alone, inside a per-row batch
+        # in class-major or shuffled order, among its class's rows on the
+        # class's shared scores, and over blocks of any size
         rng = np.random.default_rng(613)
         logw, table, row_class = table_batch(rng, n=200)
         cfg = self.CFG
@@ -935,23 +948,21 @@ class TestClassTable:
             return None if lam0 is None else lam0[rows]
 
         major = np.argsort(row_class, kind="stable")
-        reference = solve_dual_batch(logw[major], table, cfg, starts(major),
-                                     row_class=row_class[major])
-        perm = rng.permutation(table.shape[0])
-        inverse = np.argsort(perm)
+        reference = solve_dual_batch(logw[major], table[row_class[major]], cfg, starts(major))
         shuffled = rng.permutation(200)
         runs = []
         for cells in (1 << 20, 24 * 30):
             cap_table_blocks(monkeypatch, cells)
             runs.append((shuffled, solve_dual_batch(
-                logw[shuffled], table, cfg, starts(shuffled), row_class=row_class[shuffled])))
-            runs.append((major, solve_dual_batch(
-                logw[major], table[perm], cfg, starts(major),
-                row_class=inverse[row_class[major]])))
+                logw[shuffled], table[row_class[shuffled]], cfg, starts(shuffled))))
+            for k, scores in enumerate(table):
+                rows = np.flatnonzero(row_class == k)
+                runs.append((rows, solve_dual_batch(logw[rows], scores, cfg, starts(rows))))
         for i in (0, 5, 7, 9, 17, 100, 199):
-            alone = solve_dual_batch(logw[i:i + 1], table, cfg, starts(slice(i, i + 1)),
-                                     row_class=row_class[i:i + 1])
-            runs.append((np.array([i]), alone))
+            one = slice(i, i + 1)
+            for scores in (table[row_class[one]], table[row_class[i]]):
+                alone = solve_dual_batch(logw[one], scores, cfg, starts(one))
+                runs.append((np.array([i]), alone))
         position = np.argsort(major)
         for rows, res in runs:
             for name in FIELDS:
@@ -982,36 +993,23 @@ class TestClassTable:
         _, beta = primal_worst_case_oracle(logw, f, cfg.rho, cfg.epsilon)
         f = f * target * beta * cfg.epsilon  # lambda* is homogeneous in the scores
         value, beta = primal_worst_case_oracle(logw, f, cfg.rho, cfg.epsilon)
-        res = solve_dual_batch(logw[None], f[None], cfg, lam0, row_class=np.array([0]))
+        res = solve_dual_batch(logw[None], f[None], cfg, lam0)
         assert res.converged[0] and res.boundary[0] == BOUNDARY_NONE
         assert res.iterations[0] <= 8
         assert res.lambda_star[0] == pytest.approx(target, rel=1e-6)
         assert res.value[0] == pytest.approx(value, rel=1e-12)
 
-    def test_rejects_a_bad_row_class(self):
-        logw = np.log(np.full((3, 4), 0.25))
-        table = np.arange(8.0).reshape(2, 4)
-        cfg = DroConfig()
-        for row_class in (np.array([0, 1]), np.array([0, 1, 2]), np.array([0, -1, 1]),
-                          np.array([0.0, 1.0, 1.0])):
-            with pytest.raises(ValueError):
-                solve_dual_batch(logw, table, cfg, row_class=row_class)
-        with pytest.raises(ValueError):
-            solve_dual_batch(logw, table[0], cfg, row_class=np.array([0, 0, 0]))
-        res = solve_dual_batch(logw, table, cfg, row_class=np.array([1, 0, 1]))
-        assert res.converged.all()
-
     def test_unconverged_rows_raise_with_the_worst_row(self):
         rng = np.random.default_rng(619)
         logw, table, row_class = table_batch(rng, n=60)
         cfg = DroConfig(rho=0.6, epsilon=0.8, newton_iters=1)
-        res = solve_dual_batch(logw, table, cfg, row_class=row_class)
+        res = solve_dual_batch(logw, table[row_class], cfg)
         assert not res.converged.all()
         with pytest.raises(dro.DualConvergenceError,
                            match=rf"{(~res.converged).sum()} of 60 dual rows unconverged "
                                  r"after 1 steps: worst \|phi'\| .* at lambda"):
             dro.check_converged(res, cfg)
-        full = solve_dual_batch(logw, table, self.CFG, row_class=row_class)
+        full = solve_dual_batch(logw, table[row_class], self.CFG)
         dro.check_converged(full, self.CFG)
 
 
@@ -1124,4 +1122,4 @@ class TestComponentDual:
             with pytest.raises(ValueError, match="quad"):
                 solve_dual_batch(logw, means, cfg, quad=bad)
         with pytest.raises(ValueError, match="quad"):
-            solve_dual_batch(logw, means, cfg, quad=variances, row_class=np.arange(4))
+            solve_dual_batch(logw, means[:, :-1], cfg, quad=variances)

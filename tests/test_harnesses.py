@@ -1,13 +1,15 @@
 """Fixed-point contraction and atom-budget convergence harnesses."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import transport_map_oracle
+from oracles import component_dual_value_oracle, minimize_dual_oracle, transport_map_oracle
 
-from protodro import cli, priors
+from protodro import cli, models, priors
 from protodro.config import ExperimentConfig
 from protodro.dro import DroConfig, DualConvergenceError
 from protodro.harnesses import (
@@ -24,10 +26,12 @@ from protodro.harnesses import (
     _draw_supports,
     _fixed_point,
     _TransportMap,
+    _values,
     run_consistency,
     run_contraction,
 )
 from protodro.numkit import SeededRng
+from protodro.priors import MixturePrior, component_moments
 from protodro.sinkhorn import build_cost_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -172,6 +176,34 @@ class TestContraction:
         for name in ("contraction_trace.csv", "contraction_floor.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
+    @pytest.mark.parametrize("at", ["start", "fixed-point"])
+    def test_scores_match_the_component_oracle(self, contraction_cfg, contraction, at):
+        # V is the robust classifier's score over the base components: each
+        # (eval point, class) value and its lambda* against the oracle's
+        # grid-and-golden minimum of the closed form, written with explicit
+        # inverses and determinants, at the iteration's start and at the
+        # population fixed point
+        cfg = contraction_cfg
+        weights = CONTRACTION_START if at == "start" else contraction[0].fixed_point
+        instance = _build_instance(cfg, cfg.seeds[0])
+        values = _values(instance, weights, cfg)
+        means, covs = component_moments(instance.base_components, cfg.prior)
+        x = instance.eval_points
+        tilts = models.ComponentTilts.build(
+            [MixturePrior(w, means, covs) for w in weights], x, cfg.dro.epsilon)
+        stacked, lam_star, _ = models.robust_scores_stacked(
+            instance.score_weights, np.zeros(N_TARGET), x, tilts, np.arange(len(x)), cfg.dro)
+        assert values.shape == (len(x), N_TARGET)
+        assert values.tobytes() == stacked.tobytes()
+        for i in range(len(x)):
+            for c in range(N_TARGET):
+                lam_o, val_o = minimize_dual_oracle(
+                    lambda lam: component_dual_value_oracle(
+                        weights[c], means, covs, x[i], instance.score_weights[c], 0.0,
+                        lam, cfg.dro.rho, cfg.dro.epsilon), grid=800)
+                assert values[i, c] == pytest.approx(val_o, rel=1e-10)
+                assert lam_star[i, c] == pytest.approx(lam_o, abs=1e-5)
+
     def test_committed_results_reproduce(self, tmp_path, monkeypatch):
         out = tmp_path / "contraction"
         assert cli.main(["contraction", "--eta", "1", "--seeds", "0",
@@ -267,6 +299,27 @@ class TestConsistency:
         cfg = replace(ExperimentConfig(), task="consistency")
         run_consistency(cfg, out_dir=str(tmp_path), replicates=4)
         assert len(calls) == 1
+
+
+def test_outputs_repeat_across_blas_thread_counts(tmp_path):
+    # the committed harness commands, each in a fresh process under one and
+    # two OpenBLAS threads, write the same bytes to every CSV
+    argv = [["contraction", "--eta", "1", "--seeds", "0"],
+            ["consistency", "--replicates", "32", "--seeds", "0"]]
+    run_cli = "import sys; from protodro.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        for args in argv:
+            run = subprocess.run(
+                [sys.executable, "-c", run_cli, *args, "--out", str(tmp_path / threads)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert run.returncode == 0, run.stderr
+    for name in ("contraction_trace.csv", "contraction_floor.csv",
+                 "consistency_trace.csv", "consistency_curve.csv"):
+        one, two = (tmp_path / threads / name for threads in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes(), name
 
 
 @pytest.mark.parametrize("task", ["contraction", "consistency"])

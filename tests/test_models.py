@@ -74,8 +74,8 @@ def blob_priors(data, atoms_per=24, seed=3, lean=0.85):
     means = np.stack([comp.mean for comp in comps])
     covs = np.stack([comp.cov for comp in comps])
     return [
-        MixturePrior(np.array([lean, 1.0 - lean]), atoms, means, covs),
-        MixturePrior(np.array([1.0 - lean, lean]), atoms, means, covs),
+        MixturePrior(np.array([lean, 1.0 - lean]), means, covs, atoms),
+        MixturePrior(np.array([1.0 - lean, lean]), means, covs, atoms),
     ]
 
 
@@ -604,17 +604,16 @@ class TestRobustClassifier:
     def test_priors_with_different_atoms_rejected(self):
         # equal-sized arrays are not enough: every class must score on the
         # same components in training and in prediction, and so must
-        # regression; a prior without components cannot score at all
+        # regression
         rng = np.random.default_rng(105)
         data = two_blob_data(rng, n_per=4)
         priors = blob_priors(data, atoms_per=6)
         p = priors[1]
-        moved_means = MixturePrior(p.weights, p.atoms, p.means[::-1], p.covs)
-        moved_covs = MixturePrior(p.weights, p.atoms, p.means, 2.0 * p.covs)
-        atoms_only = MixturePrior(p.weights, p.atoms)
+        moved_means = MixturePrior(p.weights, p.means[::-1], p.covs, p.atoms)
+        moved_covs = MixturePrior(p.weights, p.means, 2.0 * p.covs, p.atoms)
         cfg = TrainConfig(epochs=1)
         head = train_pgdro_classifier(data, priors, cfg, DroConfig()).head
-        for other in (moved_means, moved_covs, atoms_only):
+        for other in (moved_means, moved_covs):
             mixed = [priors[0], other]
             with pytest.raises(ValueError, match="components"):
                 train_pgdro_classifier(data, mixed, cfg, DroConfig())
@@ -641,7 +640,7 @@ class TestRobustClassifier:
         atoms = rng.standard_normal((n_components * per_component, dim))
         means = rng.standard_normal((n_components, dim))
         covs = np.stack([np.eye(dim) * s for s in rng.uniform(0.5, 2.0, n_components)])
-        priors = [MixturePrior(rng.dirichlet(np.ones(n_components)), atoms, means, covs)
+        priors = [MixturePrior(rng.dirichlet(np.ones(n_components)), means, covs, atoms)
                   for _ in range(n_classes)]
         data = SupportSet(rng.standard_normal((n, dim)),
                           rng.integers(0, n_classes, n))
@@ -698,7 +697,7 @@ def component_priors(rng, n_classes, n_comp, dim, zero_cov=False):
     weights = rng.dirichlet(np.ones(n_comp), size=n_classes)
     weights[0, 0] = 0.0
     weights[0] /= weights[0].sum()
-    return [MixturePrior(w, means, means, covs) for w in weights]
+    return [MixturePrior(w, means, covs, atoms=means) for w in weights]
 
 
 class TestComponentScores:
@@ -706,9 +705,9 @@ class TestComponentScores:
 
     def test_zero_covariance_components_match_the_atom_table(self):
         # zero-covariance components are atoms: over 20 random cases the
-        # component path's values agree with the atom table path's (tilts
-        # from gibbs_tilt_batch, the (C, A) score table) within 1e-12 relative
-        # and lambda* within 1e-10, with the same flags
+        # component path's values agree with the atom table path's (each
+        # class's tilts from gibbs_tilt_batch, solved on that class's shared
+        # (A,) scores) within 1e-12 relative and lambda* within 1e-10
         rng = np.random.default_rng(211)
         dro_cfg = DroConfig(rho=0.6, epsilon=0.8)
         for _ in range(20):
@@ -721,16 +720,14 @@ class TestComponentScores:
             idx = np.arange(n)
             tilts = ComponentTilts.build(priors, x, dro_cfg.epsilon)
             values, lam_star, _ = models.robust_scores_stacked(w, b, x, tilts, idx, dro_cfg)
-            rows = np.concatenate([gibbs_tilt_batch(p, x, dro_cfg.epsilon) for p in priors])
             table = priors[0].atoms @ w.T + b
-            atom = dro.solve_dual_batch(
-                rows, table.T, dro_cfg,
-                row_class=np.repeat(np.arange(n_classes), n))
-            assert atom.converged.all()
-            np.testing.assert_allclose(values, atom.value.reshape(n_classes, n).T,
-                                       rtol=1e-12, atol=1e-12 * np.abs(values).max())
-            np.testing.assert_allclose(lam_star, atom.lambda_star.reshape(n_classes, n).T,
-                                       rtol=1e-10)
+            for c, prior in enumerate(priors):
+                atom = dro.solve_dual_batch(gibbs_tilt_batch(prior, x, dro_cfg.epsilon),
+                                            table[:, c], dro_cfg)
+                assert atom.converged.all()
+                np.testing.assert_allclose(values[:, c], atom.value,
+                                           rtol=1e-12, atol=1e-12 * np.abs(values).max())
+                np.testing.assert_allclose(lam_star[:, c], atom.lambda_star, rtol=1e-10)
 
     def test_scores_match_the_component_oracle(self):
         # full covariances: each robust score and its lambda* against the
@@ -819,7 +816,7 @@ class TestComponentScores:
                 z = np.random.default_rng([draw, per_component]).standard_normal(
                     (3, per_component, 2))
                 atoms = (prior.means[:, None, :] + z @ chol.transpose(0, 2, 1)).reshape(-1, 2)
-                atom_prior = MixturePrior(prior.weights, atoms)
+                atom_prior = MixturePrior(prior.weights, prior.means, prior.covs, atoms)
                 tilt = gibbs_tilt_batch(atom_prior, x[None, :], cfg.epsilon)
                 phi = dro._table_terms(tilt, dro._ScoreTable.build((atoms @ w + b)[None]),
                                        np.array([0]), np.array([lam]), cfg)[0][0]
@@ -851,9 +848,10 @@ class TestWdro:
         reference = empirical_prior(supports.features)
         assert len(priors) == cfg.generator.n_classes
         for prior in priors:
-            np.testing.assert_array_equal(prior.atoms, reference.atoms)
-            np.testing.assert_array_equal(prior.atom_log_weights, reference.atom_log_weights)
+            np.testing.assert_array_equal(prior.means, reference.means)
+            np.testing.assert_array_equal(prior.covs, reference.covs)
             np.testing.assert_array_equal(prior.weights, reference.weights)
+            assert prior.atoms is None
         adaptive = train_pgdro_classifier(
             supports, [reference] * cfg.generator.n_classes,
             replace(cfg.train, seed=3), cfg.dro,
@@ -894,8 +892,7 @@ class TestRobustRegressor:
         x = np.array([[1.0, -2.0]])
         z = np.array([3.0])
         data = SupportSet(features=x, labels=np.array([0]))
-        prior = MixturePrior(weights=np.array([1.0]), atoms=x, means=x,
-                             covs=np.zeros((1, 2, 2)))
+        prior = MixturePrior(np.array([1.0]), x, np.zeros((1, 2, 2)))
         weight = 0.7
         cfg = TrainConfig(epochs=1, penalty_weight=weight, batch_size=1)
         result = train_pgdro_regressor(data, z, [prior], cfg, DroConfig())
@@ -922,7 +919,7 @@ class TestRobustRegressor:
         )
         pair = sweeps.make_pair(cfg, 1.0, 2)
         task = sweeps.make_task(cfg, pair, 2)
-        _, data = sweeps._pgdro_inputs(pair, cfg, cfg.train)
+        _, data = sweeps._pgdro_inputs(pair, cfg)
         responses = np.concatenate([task.source_responses, task.support_responses])
         atoms, heads = [], []
         for atom_seed in (0, 1):

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import protodro.priors as priors_mod
+from protodro.dro import gibbs_tilt_batch
 from protodro.models import empirical_prior
-from protodro.numkit import GaussianParams, SeededRng, gaussian_sample
+from protodro.numkit import GaussianParams, SeededRng, gaussian_sample, log_sum_exp
 from protodro.priors import (
     MixturePrior,
     PriorConfig,
@@ -17,7 +19,6 @@ from protodro.priors import (
     load_priors,
     prior_weights,
     save_priors,
-    shared_atoms,
     shared_components,
     update_weights_damped,
 )
@@ -165,13 +166,17 @@ class TestBuildPriors:
         assert not np.array_equal(a[0].atoms, c[0].atoms)
 
     def test_atom_log_weights_normalized(self):
+        # at a temperature so high that every distance term vanishes, the
+        # tilt is the atoms' own log weights, log(weights[b]) - log(A) for
+        # the A atoms of component b, and they sum to 1 unrenormalized
         stats, protos, supports = separated_setup()
         priors = build_priors(stats, protos, supports, PriorConfig())
-        from protodro.numkit import log_sum_exp
-
         for prior in priors:
-            assert log_sum_exp(prior.atom_log_weights) == pytest.approx(0.0, abs=1e-12)
             assert prior.atoms.shape == (len(prior.weights) * 64, 2)
+            log_w = np.repeat(np.log(prior.weights), 64) - np.log(64)
+            assert log_sum_exp(log_w) == pytest.approx(0.0, abs=1e-12)
+            tilt = gibbs_tilt_batch(prior, np.zeros((1, 2)), 1e300)[0]
+            np.testing.assert_allclose(tilt, log_w, rtol=0, atol=1e-12)
 
     def test_components_are_the_moments_the_atoms_are_drawn_from(self, monkeypatch):
         # the shared means and covariances are the inflated, ridged class
@@ -196,25 +201,39 @@ class TestBuildPriors:
         assert len(sampled) == len(stats)
 
     def test_components_must_match_the_weights(self):
-        atoms = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="together"):
-            MixturePrior(np.array([0.5, 0.5]), atoms, means=np.zeros((2, 2)))
+        # a prior is its weights and components; atoms are optional
         with pytest.raises(ValueError, match="components must be"):
-            MixturePrior(np.array([0.5, 0.5]), atoms, np.zeros((3, 2)), np.zeros((3, 2, 2)))
+            MixturePrior(np.array([0.5, 0.5]), np.zeros((3, 2)), np.zeros((3, 2, 2)))
         with pytest.raises(ValueError, match="components must be"):
-            MixturePrior(np.array([0.5, 0.5]), atoms, np.zeros((2, 2)), np.zeros((2, 2)))
-        plain = MixturePrior(np.array([0.5, 0.5]), atoms)
-        with pytest.raises(ValueError, match="no Gaussian components"):
-            shared_components([plain])
+            MixturePrior(np.array([0.5, 0.5]), np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="components must be"):
+            MixturePrior(np.array([0.5, 0.5]), np.zeros(2), np.zeros((2, 2, 2)))
+        plain = MixturePrior(np.array([0.5, 0.5]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        assert plain.atoms is None
+        means, covs = shared_components([plain])
+        assert means is plain.means and covs is plain.covs
+        with pytest.raises(ValueError, match="carries no atoms"):
+            gibbs_tilt_batch(plain, np.zeros((1, 2)), 1.0)
 
     def test_atom_count_must_be_a_multiple_of_components(self):
+        means, covs = np.zeros((2, 2)), np.zeros((2, 2, 2))
         with pytest.raises(ValueError, match="components"):
-            MixturePrior(np.array([0.5, 0.5]), np.zeros((3, 2)))
+            MixturePrior(np.array([0.5, 0.5]), means, covs, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="components"):
-            MixturePrior(np.array([1.0]), np.zeros((0, 2)))
-        prior = MixturePrior(np.array([0.25, 0.75]), np.zeros((6, 2)))
-        np.testing.assert_array_equal(
-            prior.atom_log_weights, np.repeat(np.log([0.25, 0.75]), 3) - np.log(3))
+            MixturePrior(np.array([0.5, 0.5]), means, covs, np.zeros((0, 2)))
+        prior = MixturePrior(np.array([0.25, 0.75]), means, covs, np.zeros((6, 2)))
+        tilt = gibbs_tilt_batch(prior, np.ones((1, 2)), 1.0)[0]
+        np.testing.assert_allclose(tilt, np.repeat(np.log([0.25, 0.75]), 3) - np.log(3),
+                                   rtol=0, atol=1e-15)
+
+    def test_atom_width_must_match_the_components(self):
+        # atoms live in the components' d dimensions: (B*A, d) and nothing else
+        means, covs = np.zeros((2, 3)), np.zeros((2, 3, 3))
+        for atoms in (np.zeros((4, 2)), np.zeros((4, 4)), np.zeros(4), np.zeros((2, 2, 3))):
+            with pytest.raises(ValueError, match="atoms must be"):
+                MixturePrior(np.array([0.5, 0.5]), means, covs, atoms)
+        prior = MixturePrior(np.array([0.5, 0.5]), means, covs, np.zeros((4, 3)))
+        assert prior.atoms.shape == (4, 3)
 
     @given(st.integers(min_value=0, max_value=100))
     def test_permutation_equivariance(self, seed):
@@ -279,9 +298,9 @@ class TestUpdateWeightsDamped:
 
 class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
-        # adapted priors (Gaussian components and seeded atoms) and the
-        # empirical reference (zero-covariance components at the observed
-        # points) both come back as saved, bit for bit
+        # adapted priors (Gaussian components, their atoms not written) and
+        # the empirical reference (zero-covariance components at the
+        # observed points) both come back as saved, bit for bit
         stats, protos, supports = separated_setup()
         adapted = build_priors(stats, protos, supports, PriorConfig(atom_seed=11))
         empirical = [empirical_prior(supports.features)] * 3
@@ -291,27 +310,46 @@ class TestSerialization:
             loaded = load_priors(str(path))
             assert len(loaded) == len(priors)
             for orig, back in zip(priors, loaded):
-                for name in ("weights", "means", "covs", "atoms", "atom_log_weights"):
+                for name in ("weights", "means", "covs"):
                     a, b = getattr(orig, name), getattr(back, name)
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                assert back.atoms is None
 
-    def test_priors_with_different_atoms_rejected(self, tmp_path):
-        # same atom count, different atoms: not one shared array
+    def test_format_4_file_round_trips_bit_for_bit(self, tmp_path):
+        # a format-4 file holds the weights and components alone, and a
+        # loaded file saves back to the same bytes
         stats, protos, supports = separated_setup()
         priors = build_priors(stats, protos, supports, PriorConfig(atom_seed=11))
-        assert shared_atoms(priors) is priors[0].atoms
-        moved = MixturePrior(priors[1].weights, priors[1].atoms + 1e-9)
-        mixed = [priors[0], moved, priors[2]]
-        with pytest.raises(ValueError):
-            shared_atoms(mixed)
-        with pytest.raises(ValueError):
-            shared_atoms([])
-        with pytest.raises(ValueError):
-            save_priors(mixed, str(tmp_path / "mixed.json"))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_priors(priors, str(first))
+        doc = json.loads(first.read_text())
+        assert doc.keys() == {"format", "version", "means", "covs", "weights"}
+        assert doc["version"] == 4
+        save_priors(load_priors(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_priors_with_different_components_rejected(self, tmp_path):
+        # same shapes, other means: not one shared set of components, so
+        # nothing is written
+        stats, protos, supports = separated_setup()
+        priors = build_priors(stats, protos, supports, PriorConfig(atom_seed=11))
+        moved = MixturePrior(priors[1].weights, priors[1].means + 1e-9, priors[1].covs)
+        with pytest.raises(ValueError, match="components"):
+            save_priors([priors[0], moved, priors[2]], str(tmp_path / "mixed.json"))
         assert not (tmp_path / "mixed.json").exists()
 
+    def test_format_3_file_rejected_with_its_version(self, tmp_path):
+        # the previous format stored atoms beside the components; such a
+        # file is refused by name, not read without its atoms
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "format": "protodro-priors", "version": 3, "atoms": [[0.0], [1.0]],
+            "means": [[0.5]], "covs": [[[1.0]]], "weights": [[1.0]]}))
+        with pytest.raises(ValueError, match="version 3; only version 4"):
+            load_priors(str(path))
+
     def test_wrong_format_rejected(self, tmp_path):
-        # another format, and this format at a version other than 3: a
+        # another format, and this format at a version other than 4: a
         # version-2 file (atoms and weights, no components) names its version
         path = tmp_path / "junk.json"
         for doc, match in (('{"format": "other"}', "not a priors file"),
